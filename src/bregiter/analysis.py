@@ -20,7 +20,7 @@ import numpy as np
 
 from . import engine as _engine
 from .geometry import Geometry, three_point_residual
-from .operators import Operator, estimate_contraction, unrolled_depth
+from .operators import Operator, unrolled_depth
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import RunConfig
@@ -428,7 +428,8 @@ class FeedComparison:
         }
 
 
-def compare_feedback_feedforward(cfg: RunConfig, eps: float, cap: int = 10**7) -> FeedComparison:
+def compare_feedback_feedforward(cfg: RunConfig, eps: float,
+                                 cap: int = _engine.PASSAGE_CAP) -> FeedComparison:
     """Iterations of the averaged loop vs unrolled operator depth to reach eps.
 
     Both start from cfg.s0.  The feedback count runs the loop incrementally;
@@ -436,14 +437,9 @@ def compare_feedback_feedforward(cfg: RunConfig, eps: float, cap: int = 10**7) -
     contraction factor.  With eps >= e0 both are 0.
     """
     g, op = cfg.geometry, cfg.operator
-    s_star = op.fixed_point(geometry=g, tol=cfg.tolerances["fixed_point"])
-    s0 = g.project(g.check_point(np.asarray(cfg.s0, dtype=float), "s0"))
+    s_star, s0, gamma_hat = _engine._start(cfg, contraction=True)
     e0 = g.divergence(s0, s_star)
-    gamma_hat = estimate_contraction(
-        op, g, cfg.contraction_pairs, cfg.seed + 1,
-        skip_tol=cfg.tolerances["degenerate_pair"],
-    )
-    t_fb = _engine.iterations_to_epsilon(cfg, eps, cap=cap)
+    t_fb = _engine._passages(cfg, s_star, [e0], s0, [eps], cap)[0]
     depth = 0 if eps >= e0 else unrolled_depth(op, g, e0, eps, gamma_hat=gamma_hat)
     return FeedComparison(t_feedback=t_fb, d_feedforward=depth, gamma_hat=gamma_hat, e0=e0)
 

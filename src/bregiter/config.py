@@ -20,7 +20,7 @@ import numpy as np
 from .engine import Schedule, make_schedule
 from .geometry import Geometry, make_geometry
 from .operators import Operator, make_operator
-from .perturbation import INJECTIONS, MODES, PerturbationModel
+from .perturbation import PerturbationModel
 
 
 class ConfigError(ValueError):
@@ -153,17 +153,12 @@ def from_dict(d: dict, allow_sweep: bool = False) -> RunConfig:
     else:
         pd = _expect_mapping(pd, "perturbation")
         _expect_keys(pd, {"mode"}, {"delta0", "kappa", "injection"}, "perturbation")
-        if pd["mode"] not in MODES:
-            raise ConfigError(f"perturbation.mode must be one of {MODES}, got {pd['mode']!r}")
-        inj = pd.get("injection", "unscaled")
-        if inj not in INJECTIONS:
-            raise ConfigError(f"perturbation.injection must be one of {INJECTIONS}, got {inj!r}")
         try:
             perturbation = PerturbationModel(
                 mode=pd["mode"],
                 delta0=_expect_number(pd.get("delta0", 0.0), "perturbation.delta0"),
                 kappa=_expect_number(pd.get("kappa", 0.0), "perturbation.kappa"),
-                injection=inj,
+                injection=pd.get("injection", "unscaled"),
             )
         except ValueError as exc:
             raise ConfigError(f"perturbation: {exc}") from exc
@@ -171,6 +166,9 @@ def from_dict(d: dict, allow_sweep: bool = False) -> RunConfig:
         raise ConfigError(
             "perturbation: noisy runs are not defined on negative-entropy geometry"
         )
+    if operator.kind == "exp-gradient-step" and geometry.kind != "negative-entropy":
+        raise ConfigError(f"operator kind 'exp-gradient-step' maps the probability simplex; "
+                          f"it needs geometry kind 'negative-entropy', got {geometry.kind!r}")
 
     s0 = d["s0"]
     if not isinstance(s0, list) or not all(

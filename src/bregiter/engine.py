@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .geometry import DomainError
-from .operators import estimate_contraction
+from .operators import FixedPointError, estimate_contraction
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import RunConfig
@@ -30,6 +30,9 @@ log = logging.getLogger(__name__)
 
 #: Sentinel returned by iterations_to_epsilon when the cap is hit first.
 CENSORED = -1
+
+#: Absolute cap on first-passage times; a later passage is CENSORED.
+PASSAGE_CAP = 10**7
 
 SCHEDULE_KINDS = ("accelerated", "constant", "polynomial")
 
@@ -100,7 +103,8 @@ class Trace:
 
     Rows 0..T-1 describe steps actually taken; the final row records the
     terminal state's diagnostics (its alpha is schedule.alpha(T), its
-    displacement is measured but unused, its eta_div is 0).
+    displacement is measured but unused, its eta_div is 0).  final_state, the
+    state at t = T, is where first passages past T continue; no artifact has it.
     """
 
     t: np.ndarray
@@ -112,6 +116,7 @@ class Trace:
     states: np.ndarray | None = None
     etas: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+    final_state: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.t.size
@@ -121,31 +126,45 @@ class Trace:
         return self.t.size - 1
 
 
-def _require_finite(s: np.ndarray, t: int, what: str):
-    if not np.all(np.isfinite(s)):
-        raise EngineError(f"non-finite {what} at iteration {t}", t, s)
+def _start(cfg: RunConfig, contraction: bool = False) -> tuple[np.ndarray, np.ndarray, float | None]:
+    """Fixed point, projected s0 and gamma_hat (None unless contraction).
+
+    Every failure here is an EngineError at t = -1 carrying s0.
+    """
+    g, op = cfg.geometry, cfg.operator
+    s0 = np.asarray(cfg.s0, dtype=float)
+    try:
+        s_star = op.fixed_point(geometry=g, tol=cfg.tolerances["fixed_point"])
+        g.check_point(s_star, "fixed point")
+        s = g.project(g.check_point(s0, "s0"))
+        gamma_hat = estimate_contraction(
+            op, g, n_pairs=cfg.contraction_pairs, rng_seed=cfg.seed + 1,
+            skip_tol=cfg.tolerances["degenerate_pair"],
+        ) if contraction else None
+    except DomainError as exc:
+        raise EngineError(
+            f"operator is incompatible with the geometry's domain: {exc}", -1, s0
+        ) from exc
+    except FixedPointError as exc:
+        raise EngineError(f"fixed point not found: {exc}", -1, s0) from exc
+    return s_star, s, gamma_hat
+
+
+def _settle(g, s_next: np.ndarray, t: int) -> np.ndarray:
+    """Project the state produced by step t back onto the geometry's domain."""
+    if not np.all(np.isfinite(s_next)):
+        raise EngineError(f"non-finite state at iteration {t}", t, s_next)
+    try:
+        return g.project(s_next)
+    except DomainError as exc:
+        raise EngineError(f"domain escape at iteration {t}: {exc}", t, s_next) from exc
 
 
 def run(cfg: RunConfig) -> Trace:
     """Execute the averaged iteration described by cfg and return its trace."""
-    g = cfg.geometry
-    op = cfg.operator
-    sched = cfg.schedule
-    pm = cfg.perturbation
+    g, op, sched, pm = cfg.geometry, cfg.operator, cfg.schedule, cfg.perturbation
     T = cfg.iterations
-
-    s0_arr = np.asarray(cfg.s0, dtype=float)
-    try:
-        s_star = op.fixed_point(geometry=g, tol=cfg.tolerances["fixed_point"])
-        g.check_point(s_star, "fixed point")
-        gamma_hat = estimate_contraction(
-            op, g, n_pairs=cfg.contraction_pairs, rng_seed=cfg.seed + 1,
-            skip_tol=cfg.tolerances["degenerate_pair"],
-        )
-    except DomainError as exc:
-        raise EngineError(
-            f"operator is incompatible with the geometry's domain: {exc}", -1, s0_arr
-        ) from exc
+    s_star, s, gamma_hat = _start(cfg, contraction=True)
     warnings: list[str] = []
     if gamma_hat + pm.kappa >= 1:
         warnings.append(
@@ -155,12 +174,10 @@ def run(cfg: RunConfig) -> Trace:
         )
         log.warning(warnings[-1])
 
-    s = g.project(g.check_point(s0_arr, "s0"))
     rng = np.random.default_rng(cfg.seed)
     noisy = not pm.is_zero
 
     e = np.empty(T + 1)
-    a = np.empty(T + 1)
     alpha = np.empty(T + 1)
     delta_sq = np.empty(T + 1)
     eta_div = np.zeros(T + 1)
@@ -168,17 +185,16 @@ def run(cfg: RunConfig) -> Trace:
     etas = np.zeros((T, g.dim)) if cfg.retain_states else None
     zero = np.zeros(g.dim)
 
-    for t in range(T):
-        e_t = g.divergence(s, s_star)
-        al = sched.alpha(t)
+    for t in range(T + 1):  # row T records the final state; no step follows it
+        e[t] = e_t = g.divergence(s, s_star)
+        alpha[t] = al = sched.alpha(t)
         ts = op.apply(s, t)
         delta = ts - s
-        e[t] = e_t
-        a[t] = e_t * (t + 1) ** 2
-        alpha[t] = al
         delta_sq[t] = float(np.dot(delta, delta))
         if states is not None:
             states[t] = s
+        if t == T:
+            break
 
         s_next = (1.0 - al) * s + al * ts
         if noisy:
@@ -188,29 +204,12 @@ def run(cfg: RunConfig) -> Trace:
             if etas is not None:
                 etas[t] = eta
             s_next = s_next + eta
-        _require_finite(s_next, t, "state")
-        try:
-            s = g.project(s_next)
-        except DomainError as exc:
-            raise EngineError(f"domain escape at iteration {t}: {exc}", t, s_next) from exc
+        s = _settle(g, s_next, t)
 
-    e[T] = g.divergence(s, s_star)
-    a[T] = e[T] * (T + 1) ** 2
-    alpha[T] = sched.alpha(T)
-    final_delta = op.apply(s, T) - s
-    delta_sq[T] = float(np.dot(final_delta, final_delta))
-    if states is not None:
-        states[T] = s
-
+    rows = np.arange(T + 1)
     return Trace(
-        t=np.arange(T + 1),
-        e=e,
-        a=a,
-        alpha=alpha,
-        delta_norm_sq=delta_sq,
-        eta_div=eta_div,
-        states=states,
-        etas=etas,
+        t=rows, e=e, a=e * (rows + 1.0) ** 2, alpha=alpha, delta_norm_sq=delta_sq,
+        eta_div=eta_div, states=states, etas=etas,
         meta={
             "config_digest": cfg.digest,
             "seed": cfg.seed,
@@ -218,47 +217,51 @@ def run(cfg: RunConfig) -> Trace:
             "s_star": s_star.tolist(),
             "warnings": warnings,
         },
+        final_state=s,
     )
 
 
-def iterations_to_epsilon(cfg: RunConfig, eps: float, cap: int = 10**7) -> int:
+def _passages(cfg: RunConfig, s_star: np.ndarray, e, s: np.ndarray,
+              eps_list: list[float], cap: int = PASSAGE_CAP) -> list[int]:
+    """First t <= cap with D(s_t, s_star) <= eps for each eps; CENSORED if none.
+
+    e holds the divergences already recorded for t = 0..k and s is the state
+    at t = k.  Targets that e does not meet are served together by one pass
+    of the clean averaged loop continued from (k, s).
+    """
+    if not all(eps > 0 for eps in eps_list):
+        raise ValueError(f"eps must be > 0, got {eps_list}")
+    if not cfg.perturbation.is_zero:
+        raise ValueError("first passages require a noise-free config")
+    g, op, sched = cfg.geometry, cfg.operator, cfg.schedule
+    e = np.asarray(e)[:cap + 1]
+    found = {}
+    for eps in eps_list:
+        met = np.flatnonzero(e <= eps)
+        if met.size:
+            found[eps] = int(met[0])
+    todo = sorted(set(eps_list) - set(found), reverse=True)  # largest target is met first
+    t = e.size - 1
+    while todo and t < cap:
+        al = sched.alpha(t)
+        s = _settle(g, (1.0 - al) * s + al * op.apply(s, t), t)
+        t += 1
+        d = g.divergence(s, s_star)
+        if not math.isfinite(d):
+            raise EngineError(f"non-finite divergence at iteration {t}", t, s)
+        if t % 100_000 == 0:
+            log.debug("first passage: t=%d e=%.3e (next target %.3e)", t, d, todo[0])
+        while todo and d <= todo[0]:
+            found[todo.pop(0)] = t
+    return [found.get(eps, CENSORED) for eps in eps_list]
+
+
+def iterations_to_epsilon(cfg: RunConfig, eps: float, cap: int = PASSAGE_CAP) -> int:
     """Smallest t with D(s_t, s_star) <= eps, run incrementally without a trace.
 
     Requires a noise-free config (feedback time is a property of the clean
     iteration).  Returns CENSORED (-1) if the cap is reached first; callers
     must treat that as a censored observation, not a convergence time.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    if not cfg.perturbation.is_zero:
-        raise ValueError("iterations_to_epsilon requires a noise-free config")
-
-    g = cfg.geometry
-    op = cfg.operator
-    sched = cfg.schedule
-    s0_arr = np.asarray(cfg.s0, dtype=float)
-    try:
-        s_star = op.fixed_point(geometry=g, tol=cfg.tolerances["fixed_point"])
-        g.check_point(s_star, "fixed point")
-    except DomainError as exc:
-        raise EngineError(
-            f"operator is incompatible with the geometry's domain: {exc}", -1, s0_arr
-        ) from exc
-    s = g.project(g.check_point(s0_arr, "s0"))
-
-    if g.divergence(s, s_star) <= eps:
-        return 0
-    for t in range(cap):
-        al = sched.alpha(t)
-        try:
-            s = g.project((1.0 - al) * s + al * op.apply(s, t))
-        except DomainError as exc:
-            raise EngineError(f"domain escape at iteration {t}: {exc}", t, s) from exc
-        d = g.divergence(s, s_star)
-        if not math.isfinite(d):
-            raise EngineError(f"non-finite divergence at iteration {t + 1}", t + 1, s)
-        if d <= eps:
-            return t + 1
-        if (t + 1) % 100_000 == 0:
-            log.debug("iterations_to_epsilon: t=%d e=%.3e (target %.3e)", t + 1, d, eps)
-    return CENSORED
+    s_star, s, _ = _start(cfg)
+    return _passages(cfg, s_star, [cfg.geometry.divergence(s, s_star)], s, [eps], cap)[0]

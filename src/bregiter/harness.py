@@ -132,7 +132,6 @@ def summarize(trace: engine.Trace, cfg: cfgmod.RunConfig) -> dict:
         "r2": None,
         "rate_window": None,
         "rate_truncated": None,
-        "iterations_to_eps": [],
     }
     try:
         fit = analysis.fit_rate(trace, cfg.rate_window)
@@ -142,17 +141,19 @@ def summarize(trace: engine.Trace, cfg: cfgmod.RunConfig) -> dict:
         )
     except ValueError:
         pass  # short or degenerate run; slope stays null
-    for eps in cfg.eps_list:
-        if cfg.perturbation.is_zero:
-            t = engine.iterations_to_epsilon(cfg, eps)
-            summary["iterations_to_eps"].append(
-                {"eps": eps, "t": None if t == engine.CENSORED else t,
-                 "censored": t == engine.CENSORED}
-            )
-        else:
-            summary["iterations_to_eps"].append(
-                {"eps": eps, "t": None, "censored": False, "note": "noisy run; undefined"}
-            )
+    if cfg.perturbation.is_zero:
+        s_star = np.asarray(trace.meta["s_star"])
+        passages = engine._passages(cfg, s_star, trace.e, trace.final_state, cfg.eps_list)
+        summary["iterations_to_eps"] = [
+            {"eps": eps, "t": None if t == engine.CENSORED else t,
+             "censored": t == engine.CENSORED}
+            for eps, t in zip(cfg.eps_list, passages)
+        ]
+    else:
+        summary["iterations_to_eps"] = [
+            {"eps": eps, "t": None, "censored": False, "note": "noisy run; undefined"}
+            for eps in cfg.eps_list
+        ]
     return summary
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from bregiter.harness import (
     read_trace_csv,
     run_to_dir,
 )
+from bregiter.operators import AffineColinear, FixedPointError
 
 BASE = {
     "geometry": {"kind": "squared-euclidean", "dim": 2},
@@ -69,6 +71,10 @@ def test_unknown_keys_rejected_with_path():
     bad["geometry"] = {"kind": "squared-euclidean", "dim": 2, "curvature": 1}
     with pytest.raises(ConfigError, match="curvature"):
         from_dict(bad)
+    for pert, name in (({"mode": "bogus"}, "mode"),
+                       ({"mode": "random", "injection": "sideways"}, "injection")):
+        with pytest.raises(ConfigError, match=f"perturbation: {name}"):
+            from_dict(base_config(perturbation=pert))
 
 
 def test_missing_required_key_rejected():
@@ -102,6 +108,15 @@ def test_noisy_negative_entropy_config_rejected():
     bad["operator"] = {"kind": "exp-gradient-step", "params": {"q": [0.5, 0.3, 0.2], "step": 0.5}}
     with pytest.raises(ConfigError, match="negative-entropy"):
         from_dict(bad)
+
+
+def test_exp_gradient_off_simplex_geometry_exit_two(tmp_path, capsys):
+    config = Path(__file__).resolve().parent.parent / "configs" / "exp_gradient.json"
+    overrides = ["geometry.kind=squared-euclidean", "geometry.params={}"]
+    assert cmd_run(str(config), str(tmp_path / "out"), overrides=overrides) == 2
+    err = capsys.readouterr().err
+    assert "exp-gradient-step" in err and "negative-entropy" in err and "squared-euclidean" in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +190,23 @@ def test_run_engine_error_exit_one_with_dump(tmp_path, capsys):
     assert cmd_run(cfg_path, str(out)) == 1
     dump = json.loads((out / "state_dump.json").read_text())
     assert "domain" in dump["error"]
+    assert dump["t"] == -1
+    capsys.readouterr()
+
+
+def test_fixed_point_failure_is_an_engine_error(tmp_path, monkeypatch, capsys):
+    def no_fixed_point(self, geometry=None, tol=1e-14, max_iter=10**6):
+        raise FixedPointError("did not converge", 1.0)
+
+    monkeypatch.setattr(AffineColinear, "fixed_point", no_fixed_point)
+    out = tmp_path / "out"
+    assert cmd_run(write_config(tmp_path / "c.json", base_config()), str(out)) == 1
+    dump = json.loads((out / "state_dump.json").read_text())
+    assert dump["t"] == -1 and "fixed point" in dump["error"]
+    assert cmd_sweep(write_config(tmp_path / "s.json", sweep_config()), str(tmp_path / "s"),
+                     parallel=1, quiet=True) == 0
+    rows = (tmp_path / "s" / "index.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6 and all("error: fixed point not found" in row for row in rows)
     capsys.readouterr()
 
 
@@ -185,12 +217,18 @@ def test_run_rejects_sweep_block(tmp_path):
 
 
 def test_summary_iteration_counts(tmp_path):
-    raw = base_config(eps_list=[1e-4, 1e-6])
+    # T = 300 and e0 = 2.5: eps >= e0 gives t = 0, 2.77e-5 is first met at
+    # t = T, 5e-6 and 1e-6 lie past the horizon; one eps repeats and the list
+    # is out of order.
+    eps_list = [1e-6, 1e-4, 3.0, 2.77e-5, 5e-6, 1e-4, 2.5]
+    raw = base_config(eps_list=eps_list)
     out = tmp_path / "out"
     cmd_run(write_config(tmp_path / "c.json", raw), str(out), quiet=True)
     summary = json.loads((out / "summary.json").read_text())
-    got = {item["eps"]: item["t"] for item in summary["iterations_to_eps"]}
-    assert got == {1e-4: oracles.ITERS_1E4, 1e-6: oracles.ITERS_1E6}
+    got = [(item["eps"], item["t"], item["censored"]) for item in summary["iterations_to_eps"]]
+    assert got == [(eps, oracles.iters_to_eps(2.5, eps), False) for eps in eps_list]
+    assert oracles.iters_to_eps(2.5, 2.77e-5) == 300
+    assert got[0][1] == oracles.ITERS_1E6 and got[1][1] == oracles.ITERS_1E4
 
 
 # ---------------------------------------------------------------------------
