@@ -8,6 +8,9 @@ inequality for the averaged half-step, the cross-term bound coupling the
 perturbation to the distance, the contraction recursion that a positive
 rate beta must satisfy, the induction step that would turn that recursion
 into a 1/(t+1)^2 bound, and the forward-iterated envelope it implies.
+The per-step checks evaluate all steps in one array pass over the batched
+geometry and operator maps, with the bits of a step-by-step replay; the
+worst step is the first one on ties, and a nan is never the worst.
 """
 
 from __future__ import annotations
@@ -71,12 +74,12 @@ class BoundConstants:
                 f"stored C0 = {self.C0!r} disagrees with recomputed {recomputed!r}"
             )
 
-    def theta(self, alpha_t: float) -> float:
-        """Per-step contraction factor 1 - alpha_t (1 - gamma_hat)."""
+    def theta(self, alpha_t):
+        """Per-step contraction factor 1 - alpha_t (1 - gamma_hat); elementwise on arrays."""
         return 1.0 - alpha_t * (1.0 - self.gamma_hat)
 
-    def noise_term(self, t: int) -> float:
-        """Additive noise contribution 2 (1 + C0) delta0 / (t + 2) of the recursion."""
+    def noise_term(self, t):
+        """Additive noise contribution 2 (1 + C0) delta0 / (t + 2) of the recursion; elementwise on arrays."""
         return 2.0 * (1.0 + self.C0) * self.delta0 / (t + 2)
 
     def to_json_dict(self) -> dict:
@@ -256,6 +259,18 @@ def _require_states(trace: Trace, what: str):
         )
 
 
+def _worst(v: np.ndarray, rows: np.ndarray) -> tuple[float, int]:
+    """Largest entry of v (a numpy scalar) and its row, the first on ties.
+
+    nan never wins; (-inf, -1) when no entry exceeds -inf, as for an empty v.
+    """
+    v = np.where(np.isnan(v), -np.inf, v)
+    i = int(np.argmax(v)) if v.size else 0
+    if not v.size or v[i] == -np.inf:
+        return -math.inf, -1
+    return v[i], int(rows[i])
+
+
 def audit_descent(trace: Trace, g: Geometry, op: Operator, bc: BoundConstants,
                   tol: float = 1e-10) -> CheckRecord:
     """Check the half-step descent bound at every recorded step.
@@ -266,18 +281,15 @@ def audit_descent(trace: Trace, g: Geometry, op: Operator, bc: BoundConstants,
     """
     _require_states(trace, "descent")
     s_star = np.asarray(trace.meta["s_star"], dtype=float)
-    worst, worst_t = -math.inf, -1
-    for t in range(trace.iterations):
-        s = trace.states[t]
-        al = float(trace.alpha[t])
-        ts = op.apply(s, t)
-        delta = ts - s
-        x = (1.0 - al) * s + al * ts
-        lhs = g.divergence(x, s_star)
-        rhs = bc.theta(al) * float(trace.e[t]) + 0.5 * bc.L * al * al * float(np.dot(delta, delta))
-        v = lhs - rhs
-        if v > worst:
-            worst, worst_t = v, t
+    t = np.arange(trace.iterations)
+    s = trace.states[t]
+    al = trace.alpha[t]
+    ts = op.apply(s, t)
+    delta = ts - s
+    x = (1.0 - al)[:, None] * s + al[:, None] * ts
+    lhs = g.divergence(x, s_star)
+    rhs = bc.theta(al) * trace.e[t] + 0.5 * bc.L * al * al * np.vecdot(delta, delta)
+    worst, worst_t = _worst(lhs - rhs, t)
     violation = max(worst, 0.0)
     return CheckRecord(
         name="descent", worst_violation=violation, worst_t=worst_t, tol=tol,
@@ -301,25 +313,18 @@ def audit_cross_term(trace: Trace, g: Geometry, bc: BoundConstants,
         )
     s_star = np.asarray(trace.meta["s_star"], dtype=float)
     grad_star = g.grad(s_star)
-    zero = np.zeros(g.dim)
-    worst, worst_t = -math.inf, -1
-    n_noisy = 0
-    for t in range(trace.iterations):
-        eta = trace.etas[t]
-        if not np.any(eta):
-            continue
-        n_noisy += 1
-        x = trace.states[t + 1] - eta
-        lhs = abs(float(np.dot(g.grad(x) - grad_star, eta)))
-        rhs = 0.5 * g.divergence(x, s_star) + bc.C0 * g.divergence(eta, zero)
-        v = lhs - rhs
-        if v > worst:
-            worst, worst_t = v, t
+    t = np.flatnonzero(trace.etas[:trace.iterations].any(axis=1))
+    n_noisy = t.size
     if n_noisy == 0:
         return CheckRecord(
             name="cross-term", worst_violation=0.0, worst_t=-1, tol=tol, passed=True,
             vacuous=True, note="no nonzero perturbations in trace",
         )
+    eta = trace.etas[t]
+    x = trace.states[t + 1] - eta
+    lhs = np.abs(np.vecdot(g.grad(x) - grad_star, eta))
+    rhs = 0.5 * g.divergence(x, s_star) + bc.C0 * g.divergence(eta, np.zeros(g.dim))
+    worst, worst_t = _worst(lhs - rhs, t)
     violation = max(worst, 0.0)
     return CheckRecord(
         name="cross-term", worst_violation=violation, worst_t=worst_t, tol=tol,
@@ -335,23 +340,18 @@ def audit_recursion(trace: Trace, bc: BoundConstants) -> tuple[float, CheckRecor
     with e_t = 0 contribute a beta-independent feasibility condition; if one
     fails, no beta works and 0 is reported with passed=False.
     """
-    e = trace.e
-    best = math.inf
-    binding_t = -1
-    feasible = True
-    infeasible_t = -1
-    for t in range(trace.iterations):
-        n_t = bc.noise_term(t)
-        if e[t] > 0:
-            b = (e[t] - e[t + 1] + n_t) * (t + 2) / (2.0 * e[t])
-            if b < best:
-                best, binding_t = b, t
-        elif e[t + 1] > n_t:
-            feasible = False
-            infeasible_t = t
-    if not feasible:
+    t = np.arange(trace.iterations)
+    e, e_next = trace.e[t], trace.e[t + 1]
+    n_t = bc.noise_term(t)
+    pos = np.flatnonzero(e > 0)
+    b = (e[pos] - e_next[pos] + n_t[pos]) * (pos + 2) / (2.0 * e[pos])
+    best, binding_t = _worst(-b, pos)  # the first smallest bound
+    best = -best  # stays a numpy scalar: the note prints its repr, and audit.json digests pin it
+    infeasible = np.flatnonzero(~(e > 0) & (e_next > n_t))
+    if infeasible.size:
+        infeasible_t = int(infeasible[-1])  # the last such step is reported
         rec = CheckRecord(
-            name="recursion", worst_violation=float(e[infeasible_t + 1]), worst_t=infeasible_t,
+            name="recursion", worst_violation=float(trace.e[infeasible_t + 1]), worst_t=infeasible_t,
             tol=0.0, passed=False,
             note="a zero-divergence step grows faster than the noise term; no beta >= 0 works",
         )

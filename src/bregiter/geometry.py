@@ -21,19 +21,38 @@ class DomainError(ValueError):
     """A point violated a geometry's domain; the message names the constraint."""
 
 
-def _as_vector(s, dim: int, name: str = "point") -> np.ndarray:
+def _as_points(s, dim: int, name: str = "point", batch: bool = False) -> np.ndarray:
+    """s as a float array of shape (dim,), or (B, dim) when batch; shape errors only."""
     s = np.asarray(s, dtype=float)
-    if s.ndim != 1:
-        raise DomainError(f"{name} must be a 1-d vector, got shape {s.shape}")
-    if s.size != dim:
-        raise DomainError(f"{name} has dimension {s.size}, geometry expects {dim}")
-    if not np.all(np.isfinite(s)):
+    if s.ndim != 1 and not (batch and s.ndim == 2):
+        want = "a 1-d vector or a (B, dim) batch" if batch else "a 1-d vector"
+        raise DomainError(f"{name} must be {want}, got shape {s.shape}")
+    if s.shape[-1] != dim:
+        raise DomainError(f"{name} has dimension {s.shape[-1]}, geometry expects {dim}")
+    return s
+
+
+def _as_vector(s, dim: int, name: str = "point") -> np.ndarray:
+    s = _as_points(s, dim, name)
+    if not np.isfinite(s).all():
         raise DomainError(f"{name} contains non-finite entries")
     return s
 
 
+def _scalar(v):
+    """A reduction over the last axis: a python float for one point, the array for a batch."""
+    return float(v) if np.ndim(v) == 0 else v
+
+
 class Geometry:
-    """Base class; concrete geometries implement the four maps below."""
+    """Base class; concrete geometries implement the four maps below.
+
+    check_point, divergence, grad and sample_point take one point of shape
+    (dim,) or a batch of shape (B, dim), with one body for both: reductions
+    over the coordinates use np.vecdot and stacked np.matmul, which give each
+    row the same bits as the 1-d call (einsum, tensordot, a 2-d @ and
+    sum-of-products do not, since BLAS dot kernels fuse multiply-adds).
+    """
 
     kind = "base"
 
@@ -50,10 +69,25 @@ class Geometry:
         self.L = float(L)
 
     def check_point(self, s, name: str = "point") -> np.ndarray:
-        """Validate s against the domain and return it as a float array."""
-        return _as_vector(s, self.dim, name)
+        """Validate a point or a (B, dim) batch and return it as a float array.
 
-    def divergence(self, s, s_ref) -> float:
+        A batch is checked in one pass; the error names its first offending
+        row as name[i] and says what that row breaks, as for a single point.
+        """
+        s = _as_points(s, self.dim, name, batch=True)
+        fault = self._fault(s.reshape(-1, self.dim))
+        if fault is not None:
+            i, what = fault
+            raise DomainError(f"{name if s.ndim == 1 else f'{name}[{i}]'} {what}")
+        return s
+
+    def _fault(self, rows: np.ndarray) -> tuple[int, str] | None:
+        """First row of the (B, dim) array rows outside the domain and what it breaks."""
+        if np.isfinite(rows).all():
+            return None
+        return int(np.argmin(np.isfinite(rows).all(axis=1))), "contains non-finite entries"
+
+    def divergence(self, s, s_ref):
         raise NotImplementedError
 
     def grad(self, s) -> np.ndarray:
@@ -62,7 +96,8 @@ class Geometry:
     def mirror(self, dual) -> np.ndarray:
         raise NotImplementedError
 
-    def sample_point(self, rng: np.random.Generator) -> np.ndarray:
+    def sample_point(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+        """One point of shape (dim,), or size points of shape (size, dim) drawn in sequence."""
         raise NotImplementedError
 
     def project(self, s) -> np.ndarray:
@@ -81,9 +116,9 @@ class SquaredEuclidean(Geometry):
     def __init__(self, dim: int):
         super().__init__(dim, 1.0, 1.0)
 
-    def divergence(self, s, s_ref) -> float:
+    def divergence(self, s, s_ref):
         d = self.check_point(s) - self.check_point(s_ref, "s_ref")
-        return 0.5 * float(np.dot(d, d))
+        return _scalar(0.5 * np.vecdot(d, d))
 
     def grad(self, s) -> np.ndarray:
         return self.check_point(s).copy()
@@ -91,8 +126,8 @@ class SquaredEuclidean(Geometry):
     def mirror(self, dual) -> np.ndarray:
         return _as_vector(dual, self.dim, "dual").copy()
 
-    def sample_point(self, rng) -> np.ndarray:
-        return rng.standard_normal(self.dim)
+    def sample_point(self, rng, size=None) -> np.ndarray:
+        return rng.standard_normal(self.dim if size is None else (size, self.dim))
 
 
 class Quadratic(Geometry):
@@ -120,18 +155,18 @@ class Quadratic(Geometry):
         self.a = a.copy()
         self.a.setflags(write=False)
 
-    def divergence(self, s, s_ref) -> float:
+    def divergence(self, s, s_ref):
         d = self.check_point(s) - self.check_point(s_ref, "s_ref")
-        return 0.5 * float(d @ self.a @ d)
+        return _scalar(0.5 * np.vecdot(np.matmul(d[..., None, :], self.a)[..., 0, :], d))
 
     def grad(self, s) -> np.ndarray:
-        return self.a @ self.check_point(s)
+        return np.matmul(self.a, self.check_point(s)[..., None])[..., 0]
 
     def mirror(self, dual) -> np.ndarray:
         return np.linalg.solve(self.a, _as_vector(dual, self.dim, "dual"))
 
-    def sample_point(self, rng) -> np.ndarray:
-        return rng.standard_normal(self.dim)
+    def sample_point(self, rng, size=None) -> np.ndarray:
+        return rng.standard_normal(self.dim if size is None else (size, self.dim))
 
 
 class NegativeEntropy(Geometry):
@@ -156,20 +191,28 @@ class NegativeEntropy(Geometry):
         super().__init__(dim, 1.0, 1.0 / rho)
         self.rho = rho
 
-    def check_point(self, s, name: str = "point") -> np.ndarray:
-        s = _as_vector(s, self.dim, name)
-        if float(s.min()) < self.rho * (1 - 1e-9):
-            raise DomainError(
-                f"{name} leaves the rho-interior: min entry {s.min():g} < rho = {self.rho:g}"
-            )
-        if abs(float(s.sum()) - 1.0) > self.SUM_TOL:
-            raise DomainError(f"{name} must sum to 1 within {self.SUM_TOL:g}, got {s.sum()!r}")
-        return s
+    def _fault(self, rows):
+        floor = self.rho * (1 - 1e-9)
+        # the floor fails rows with nan or -inf, and then the sum rows with +inf
+        if rows.min(initial=np.inf) >= floor and (np.abs(rows.sum(axis=1) - 1.0) <= self.SUM_TOL).all():
+            return None
+        # a row is checked for finiteness, then the floor, then the sum
+        finite = np.isfinite(rows).all(axis=1)
+        with np.errstate(invalid="ignore"):  # +inf and -inf in one row sum to nan
+            low = rows.min(axis=1) < floor
+            sums = rows.sum(axis=1)
+            bad = ~finite | low | (np.abs(sums - 1.0) > self.SUM_TOL)
+        i = int(np.argmax(bad))
+        if not finite[i]:
+            return i, "contains non-finite entries"
+        if low[i]:
+            return i, f"leaves the rho-interior: min entry {rows[i].min():g} < rho = {self.rho:g}"
+        return i, f"must sum to 1 within {self.SUM_TOL:g}, got {float(sums[i])!r}"
 
-    def divergence(self, s, s_ref) -> float:
+    def divergence(self, s, s_ref):
         s = self.check_point(s)
         r = self.check_point(s_ref, "s_ref")
-        return float(np.sum(s * (np.log(s) - np.log(r))))
+        return _scalar((s * (np.log(s) - np.log(r))).sum(axis=-1))
 
     def grad(self, s) -> np.ndarray:
         return 1.0 + np.log(self.check_point(s))
@@ -179,9 +222,9 @@ class NegativeEntropy(Geometry):
         w = np.exp(dual - dual.max())
         return w / w.sum()
 
-    def sample_point(self, rng) -> np.ndarray:
+    def sample_point(self, rng, size=None) -> np.ndarray:
         # Dirichlet draw squeezed to keep a 2*rho margin off the boundary.
-        p = rng.dirichlet(np.ones(self.dim))
+        p = rng.dirichlet(np.ones(self.dim), size=size)
         return p * (1.0 - 2.0 * self.rho * self.dim) + 2.0 * self.rho
 
     def project(self, s) -> np.ndarray:
@@ -189,7 +232,7 @@ class NegativeEntropy(Geometry):
         if float(s.min()) < self.rho * (1 - 1e-6) or abs(float(s.sum()) - 1.0) > 1e-9:
             raise DomainError(
                 "simplex drift exceeds repairable tolerance: "
-                f"min entry {s.min():g}, sum {s.sum()!r}"
+                f"min entry {s.min():g}, sum {float(s.sum())!r}"
             )
         s = np.clip(s, self.rho, None)
         return s / s.sum()

@@ -2,9 +2,11 @@
 
 Every operator maps a state to a state via ``apply(s, t)``; the iteration
 index matters only when a context sequence is attached (entries are cycled
-by t).  Fixed points come from closed forms where one exists (affine kinds,
-gradient step, small Bellman problems by policy enumeration) and from plain
-iteration of ``apply`` otherwise.  Contraction factors are always measured
+by t).  ``apply`` also takes a (B, dim) batch of states, with an int array t
+of one step per row where the step matters (Bellman); each row gets the bits
+of the 1-d call.  Fixed points come from closed forms where one exists
+(affine kinds, gradient step, small Bellman problems by policy enumeration)
+and from plain iteration of ``apply`` otherwise.  Contraction factors are always measured
 by pair sampling in a given geometry, never assumed from declared
 parameters, because the divergence in which the engine runs need not be the
 norm in which an operator is naturally contractive.
@@ -17,7 +19,7 @@ import math
 
 import numpy as np
 
-from .geometry import Geometry, NegativeEntropy, SquaredEuclidean
+from .geometry import DomainError, Geometry, NegativeEntropy, SquaredEuclidean
 
 
 class FixedPointError(RuntimeError):
@@ -39,11 +41,17 @@ class Operator:
                 raise ValueError("context_y must be a non-empty sequence when given")
         self.context_y = context_y
 
-    def context(self, t: int):
-        """Context value for step t, cycling the attached sequence; None if absent."""
+    def context(self, t):
+        """Context value for step t, cycling the attached sequence; None if absent.
+
+        For an int array t the values of its rows are stacked, which needs
+        context entries of one shape.
+        """
         if self.context_y is None:
             return None
-        return self.context_y[t % len(self.context_y)]
+        if np.ndim(t) == 0:
+            return self.context_y[t % len(self.context_y)]
+        return np.stack(self.context_y)[np.asarray(t) % len(self.context_y)]
 
     def apply(self, s: np.ndarray, t: int = 0) -> np.ndarray:
         raise NotImplementedError
@@ -116,7 +124,7 @@ class AffineRotation(Operator):
 
     def apply(self, s, t=0):
         s = np.asarray(s, dtype=float)
-        return self.gamma * (self.rot @ (s - self.target)) + self.target
+        return self.gamma * np.matmul(self.rot, (s - self.target)[..., None])[..., 0] + self.target
 
     def fixed_point(self, geometry=None, tol=1e-14, max_iter=10**6):
         return self.target.copy()
@@ -152,7 +160,7 @@ class GradientStep(Operator):
 
     def apply(self, s, t=0):
         s = np.asarray(s, dtype=float)
-        return s - self.step * (self.a @ s - self.b)
+        return s - self.step * (np.matmul(self.a, s[..., None])[..., 0] - self.b)
 
     def fixed_point(self, geometry=None, tol=1e-14, max_iter=10**6):
         return np.linalg.solve(self.a, self.b)
@@ -188,9 +196,9 @@ class ExpGradientStep(Operator):
         p = np.asarray(p, dtype=float)
         gkl = np.log(p) - np.log(self.q) + 1.0
         w = p * np.exp(-self.step * gkl)
-        w = w / w.sum()
+        w = w / w.sum(axis=-1, keepdims=True)
         w = np.clip(w, self.rho, None)
-        return w / w.sum()
+        return w / w.sum(axis=-1, keepdims=True)
 
     def fixed_point(self, geometry=None, tol=1e-14, max_iter=10**6):
         return self.q.copy()
@@ -207,7 +215,8 @@ class Bellman(Operator):
 
     transitions has shape (S, A, S) with each (s, a) row a distribution;
     rewards has shape (S, A); discount lies in [0, 1).  An attached context
-    sequence perturbs rewards additively (off by default).  Fixed points use
+    sequence perturbs rewards additively (off by default); each entry must
+    broadcast to the rewards' shape.  Fixed points use
     policy enumeration when there are at most 8 deterministic policies and
     plain backup iteration otherwise.
     """
@@ -234,6 +243,11 @@ class Bellman(Operator):
         if not 0 <= discount < 1:
             raise ValueError(f"discount must lie in [0, 1), got {discount}")
         super().__init__(n_states, context_y)
+        if self.context_y is not None:
+            try:
+                self.context_y = [np.broadcast_to(y, r.shape) for y in self.context_y]
+            except ValueError:
+                raise ValueError(f"context_y entries must broadcast to the rewards shape {r.shape}") from None
         self.transitions = p
         self.rewards = r
         self.discount = float(discount)
@@ -241,12 +255,14 @@ class Bellman(Operator):
         self.n_actions = n_actions
 
     def apply(self, v, t=0):
+        v = np.asarray(v, dtype=float)
         r = self.rewards
         y = self.context(t)
         if y is not None:
             r = r + y
-        q = r + self.discount * np.tensordot(self.transitions, v, axes=([2], [0]))
-        return q.max(axis=1)
+        pv = np.matmul(self.transitions.reshape(-1, self.n_states), v[..., None])
+        q = r + self.discount * pv.reshape(v.shape[:-1] + (self.n_states, self.n_actions))
+        return q.max(axis=-1)
 
     def fixed_point(self, geometry=None, tol=1e-14, max_iter=10**6):
         if self.n_actions ** self.n_states > self.ENUMERATION_LIMIT:
@@ -301,24 +317,26 @@ def estimate_contraction(op: Operator, g: Geometry, n_pairs: int = 256,
 
     Returns max D(T s, T s') / D(s, s') over n_pairs pairs drawn from the
     geometry's sampler; pairs closer than skip_tol are skipped as degenerate.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  All 2 n_pairs points are drawn in one
+    call (row 2k is s and row 2k+1 is s' of pair k) and mapped in one batch;
+    an image outside the domain is reported for the first pair in draw order,
+    T(s) before T(s'), as "point" or "s_ref" like the divergence arguments.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    worst = 0.0
-    used = 0
-    for _ in range(n_pairs):
-        s1 = g.sample_point(rng)
-        s2 = g.sample_point(rng)
-        base = g.divergence(s1, s2)
-        if base < skip_tol:
-            continue
-        worst = max(worst, g.divergence(op.apply(s1, 0), op.apply(s2, 0)) / base)
-        used += 1
-    if used == 0:
+    pts = g.sample_point(np.random.default_rng(rng_seed), 2 * n_pairs)
+    base = g.divergence(pts[0::2], pts[1::2])
+    kept = np.flatnonzero(~(base < skip_tol))  # a nan base is not degenerate
+    if kept.size == 0:
         raise ValueError("all sampled pairs were degenerate; cannot estimate contraction")
-    return worst
+    images = op.apply(pts[(2 * kept[:, None] + [0, 1]).ravel()], 0)  # kept pairs, still interleaved
+    fault = g._fault(images)
+    if fault is not None:
+        i, what = fault
+        raise DomainError(f"{'s_ref' if i % 2 else 'point'} {what}")
+    ratio = g.divergence(images[0::2], images[1::2]) / base[kept]
+    ratio = ratio[~np.isnan(ratio)]  # a nan ratio is never the worst
+    return max(0.0, float(ratio.max())) if ratio.size else 0.0
 
 
 def unrolled_depth(op: Operator, g: Geometry, e0: float, eps: float,

@@ -1,13 +1,22 @@
 """Independent oracles for the test suite.
 
-Everything here is computed with the standard library only, no imports from
-the package under test and no numpy.  Linear systems are solved by Cramer's
-rule over exact fractions, products are accumulated by plain loops.  The
-point is that a bug in the package cannot hide inside its own oracle.
+Nothing here imports the package under test.  Up to the last section,
+everything is computed with the standard library only, no numpy: linear
+systems are solved by Cramer's rule over exact fractions, products are
+accumulated by plain loops.  The point is that a bug in the package cannot
+hide inside its own oracle.
+
+The last section is different: it holds step-by-step reference loops for the
+audits and the contraction estimate, which the package evaluates as array
+passes.  They use numpy and call the geometry, operator and constants passed
+in one row at a time, so they pin the batched passes to the exact bits, tie
+breaks and error order of a plain replay.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 # ---------------------------------------------------------------------------
 # divergences
@@ -208,3 +217,103 @@ ADVERSARIAL_SCALED = (0.1, 0.0)
 
 def envelope_one_step(e0, beta, c0, delta0):
     return (1.0 - beta) * e0 + (1.0 + c0) * delta0
+
+
+# ---------------------------------------------------------------------------
+# step-by-step references for the batched audits and contraction estimate
+#
+# Each audit reference returns the fields of the package's CheckRecord as a
+# dict.  A step's violation v wins only if v > worst, so the first of tied
+# steps is reported and a nan is never the worst.
+
+
+def descent_loop(trace, g, op, bc, tol=1e-10):
+    s_star = np.asarray(trace.meta["s_star"], dtype=float)
+    worst, worst_t = -math.inf, -1
+    for t in range(trace.iterations):
+        s = trace.states[t]
+        al = float(trace.alpha[t])
+        ts = op.apply(s, t)
+        delta = ts - s
+        x = (1.0 - al) * s + al * ts
+        lhs = g.divergence(x, s_star)
+        rhs = bc.theta(al) * float(trace.e[t]) + 0.5 * bc.L * al * al * float(np.dot(delta, delta))
+        v = lhs - rhs
+        if v > worst:
+            worst, worst_t = v, t
+    violation = max(worst, 0.0)
+    return dict(name="descent", worst_violation=violation, worst_t=worst_t, tol=tol,
+                passed=violation <= tol)
+
+
+def cross_term_loop(trace, g, bc, tol=1e-10):
+    s_star = np.asarray(trace.meta["s_star"], dtype=float)
+    grad_star = g.grad(s_star)
+    zero = np.zeros(g.dim)
+    worst, worst_t = -math.inf, -1
+    n_noisy = 0
+    for t in range(trace.iterations):
+        eta = trace.etas[t]
+        if not np.any(eta):
+            continue
+        n_noisy += 1
+        x = trace.states[t + 1] - eta
+        lhs = abs(float(np.dot(g.grad(x) - grad_star, eta)))
+        rhs = 0.5 * g.divergence(x, s_star) + bc.C0 * g.divergence(eta, zero)
+        v = lhs - rhs
+        if v > worst:
+            worst, worst_t = v, t
+    if n_noisy == 0:
+        return dict(name="cross-term", worst_violation=0.0, worst_t=-1, tol=tol, passed=True,
+                    vacuous=True, note="no nonzero perturbations in trace")
+    violation = max(worst, 0.0)
+    return dict(name="cross-term", worst_violation=violation, worst_t=worst_t, tol=tol,
+                passed=violation <= tol, note=f"{n_noisy} noisy steps")
+
+
+def recursion_loop(trace, bc):
+    """(beta_max, record fields); the smallest per-step bound on beta wins, the first on ties."""
+    e = trace.e
+    best = math.inf
+    binding_t = -1
+    feasible = True
+    infeasible_t = -1
+    for t in range(trace.iterations):
+        n_t = bc.noise_term(t)
+        if e[t] > 0:
+            b = (e[t] - e[t + 1] + n_t) * (t + 2) / (2.0 * e[t])
+            if b < best:
+                best, binding_t = b, t
+        elif e[t + 1] > n_t:
+            feasible = False
+            infeasible_t = t
+    if not feasible:
+        return 0.0, dict(
+            name="recursion", worst_violation=float(e[infeasible_t + 1]), worst_t=infeasible_t,
+            tol=0.0, passed=False,
+            note="a zero-divergence step grows faster than the noise term; no beta >= 0 works",
+        )
+    beta_max = max(0.0, best) if binding_t >= 0 else math.inf
+    return beta_max, dict(name="recursion", worst_violation=0.0, worst_t=binding_t, tol=0.0,
+                          passed=beta_max > 0,
+                          note=f"beta_max = {beta_max!r}, binding at t = {binding_t}")
+
+
+def contraction_loop(op, g, n_pairs=256, rng_seed=0, skip_tol=1e-14):
+    """max D(T s, T s') / D(s, s') over sampled pairs, one pair at a time."""
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be >= 1")
+    rng = np.random.default_rng(rng_seed)
+    worst = 0.0
+    used = 0
+    for _ in range(n_pairs):
+        s1 = g.sample_point(rng)
+        s2 = g.sample_point(rng)
+        base = g.divergence(s1, s2)
+        if base < skip_tol:
+            continue
+        worst = max(worst, g.divergence(op.apply(s1, 0), op.apply(s2, 0)) / base)
+        used += 1
+    if used == 0:
+        raise ValueError("all sampled pairs were degenerate; cannot estimate contraction")
+    return worst

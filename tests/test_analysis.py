@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 import oracles
 from bregiter.analysis import (
     BoundConstants,
+    CheckRecord,
     audit_cross_term,
     audit_descent,
     audit_induction_step,
@@ -17,7 +20,9 @@ from bregiter.analysis import (
     measure_constants,
 )
 from bregiter.config import from_dict
-from bregiter.engine import run
+from bregiter.engine import Trace, run
+from bregiter.geometry import SquaredEuclidean
+from bregiter.operators import AffineColinear, estimate_contraction
 
 
 def colinear_config(**overrides):
@@ -350,3 +355,146 @@ def test_report_serializes_to_plain_json_types():
     rep = build_audit_report(tr, cfg)
     text = json.dumps(rep.to_json_dict(), sort_keys=True)
     assert "cross-term" in text
+
+
+# ---------------------------------------------------------------------------
+# batched audits and contraction estimate against step-by-step replays
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
+#: shipped configs that retain states; capped at 3000 steps to keep the suite quick
+STATEFUL = [n for n in SHIPPED if json.loads((CONFIG_DIR / f"{n}.json").read_text()).get("retain_states")]
+
+
+def shipped_config(name, **changes):
+    raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    raw.pop("sweep", None)
+    raw.update(changes)
+    return from_dict(raw)
+
+
+def assert_audits_match_loops(tr, g, op, bc):
+    assert audit_descent(tr, g, op, bc) == CheckRecord(**oracles.descent_loop(tr, g, op, bc))
+    assert audit_cross_term(tr, g, bc) == CheckRecord(**oracles.cross_term_loop(tr, g, bc))
+    beta_max, rec = audit_recursion(tr, bc)
+    loop_beta, loop_rec = oracles.recursion_loop(tr, bc)
+    assert rec == CheckRecord(**loop_rec)
+    assert beta_max == loop_beta and repr(beta_max) == repr(loop_beta)
+
+
+def test_stateful_shipped_configs_are_covered():
+    assert len(STATEFUL) >= 9  # every shipped config but bellman and sweep_gamma
+
+
+@pytest.mark.parametrize("name", STATEFUL)
+def test_batched_audits_match_step_loops_on_shipped_configs(name):
+    cfg = shipped_config(name)
+    cfg = shipped_config(name, iterations=min(cfg.iterations, 3000), rate_window=None)
+    tr = run(cfg)
+    assert_audits_match_loops(tr, cfg.geometry, cfg.operator, measure_constants(tr, cfg))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_contraction_estimate_matches_pair_loop_on_shipped_configs(name):
+    cfg = shipped_config(name)
+    args = dict(n_pairs=cfg.contraction_pairs, rng_seed=cfg.seed + 1,
+                skip_tol=cfg.tolerances["degenerate_pair"])
+    got = estimate_contraction(cfg.operator, cfg.geometry, **args)
+    assert got == oracles.contraction_loop(cfg.operator, cfg.geometry, **args)
+    assert type(got) is float
+
+
+def synthetic_trace(states, e, alpha, etas=None, s_star=(0.0, 0.0)):
+    e = np.asarray(e, dtype=float)
+    rows = np.arange(e.size)
+    states = np.asarray(states, dtype=float)
+    return Trace(
+        t=rows, e=e, a=e * (rows + 1.0) ** 2, alpha=np.asarray(alpha, dtype=float),
+        delta_norm_sq=np.zeros(e.size), eta_div=np.zeros(e.size), states=states,
+        etas=np.zeros((e.size - 1, states.shape[1])) if etas is None else np.asarray(etas, dtype=float),
+        meta={"s_star": list(s_star), "gamma_hat": 0.25},
+    )
+
+
+def synthetic_constants(delta0=0.0):
+    return BoundConstants(gamma_hat=0.25, kappa=0.0, delta0=delta0, mu=1.0, L=1.0)
+
+
+def test_descent_tie_reports_the_first_step():
+    # rows 1 and 2 repeat one state with e = 0, so their violations are equal and largest
+    tr = synthetic_trace([[1, 0], [3, 0], [3, 0], [1, 0], [0.5, 0]], [1, 0, 0, 1, 0.1], [0.5] * 5)
+    g, op, bc = SquaredEuclidean(2), AffineColinear(0.5, [0.0, 0.0]), synthetic_constants()
+    rec = audit_descent(tr, g, op, bc)
+    assert rec.worst_t == 1 and rec.worst_violation > 0
+    assert_audits_match_loops(tr, g, op, bc)
+
+
+def test_cross_term_tie_reports_the_first_noisy_step():
+    # steps 0 and 2 share x = s_{t+1} - eta = [0.1, 0] and eta = [1, 0]: |<x, eta>| > D(x, 0) / 2
+    eta = [1.0, 0.0]
+    tr = synthetic_trace([[0, 0], [1.1, 0], [1, 1], [1.1, 0], [1, 0]], [1, 1, 1, 1, 1], [0.5] * 5,
+                         etas=[eta, [0, 0], eta, [0.01, 0]])
+    g, op = SquaredEuclidean(2), AffineColinear(0.5, [0.0, 0.0])
+    bc = BoundConstants(gamma_hat=0.25, kappa=0.0, delta0=0.0, mu=1.0, L=1.0, K=0.0)  # C0 = 0
+    rec = audit_cross_term(tr, g, bc)
+    assert rec.worst_t == 0 and rec.worst_violation > 0 and rec.note == "3 noisy steps"
+    assert_audits_match_loops(tr, g, op, bc)
+
+
+def test_recursion_tie_reports_the_first_binding_step():
+    # bounds (1 - e_{t+1}/e_t)(t+2)/2: 0.5 at t = 0, 0.75 at t = 1, 0.5 at t = 2
+    tr = synthetic_trace([[1, 0]] * 4, [1.0, 0.5, 0.25, 0.1875], [0.5] * 4)
+    beta_max, rec = audit_recursion(tr, synthetic_constants())
+    assert beta_max == 0.5 and rec.worst_t == 0
+    assert_audits_match_loops(tr, SquaredEuclidean(2), AffineColinear(0.5, [0.0, 0.0]), synthetic_constants())
+
+
+def test_recursion_infeasible_reports_the_last_zero_step():
+    tr = synthetic_trace([[1, 0]] * 5, [0.0, 1.0, 0.0, 1.0, 0.5], [0.5] * 5)
+    beta_max, rec = audit_recursion(tr, synthetic_constants())
+    assert beta_max == 0.0 and rec.worst_t == 2 and not rec.passed
+    assert rec == CheckRecord(**oracles.recursion_loop(tr, synthetic_constants())[1])
+
+
+def test_audits_with_exactly_one_noisy_step():
+    cfg = noisy_config(iterations=300)
+    tr = run(cfg)
+    kept = tr.etas[117].copy()
+    tr.etas[:] = 0.0
+    tr.etas[117] = kept
+    bc = measure_constants(tr, cfg)
+    rec = audit_cross_term(tr, cfg.geometry, bc)
+    assert rec.note == "1 noisy steps" and rec.worst_t == 117
+    assert_audits_match_loops(tr, cfg.geometry, cfg.operator, bc)
+
+
+def test_audits_on_a_clean_trace():
+    cfg = colinear_config(iterations=300)
+    tr = run(cfg)
+    bc = measure_constants(tr, cfg)
+    assert audit_cross_term(tr, cfg.geometry, bc).vacuous
+    assert_audits_match_loops(tr, cfg.geometry, cfg.operator, bc)
+
+
+def test_audits_on_an_empty_trace():
+    tr = synthetic_trace([[1, 0]], [0.5], [1.0])
+    g, op, bc = SquaredEuclidean(2), AffineColinear(0.5, [0.0, 0.0]), synthetic_constants()
+    assert audit_descent(tr, g, op, bc).worst_t == -1
+    assert_audits_match_loops(tr, g, op, bc)
+
+
+def test_contraction_skip_tol_masks_some_pairs():
+    g, op = SquaredEuclidean(2), AffineColinear(0.5, [1.0, -1.0])
+    pts = g.sample_point(np.random.default_rng(3), 2 * 64)
+    bases = g.divergence(pts[0::2], pts[1::2])
+    skip_tol = float(np.median(bases))
+    assert 0 < np.sum(bases < skip_tol) < 64
+    got = estimate_contraction(op, g, n_pairs=64, rng_seed=3, skip_tol=skip_tol)
+    assert got == oracles.contraction_loop(op, g, n_pairs=64, rng_seed=3, skip_tol=skip_tol)
+
+
+def test_contraction_all_pairs_degenerate():
+    g, op = SquaredEuclidean(2), AffineColinear(0.5, [1.0, -1.0])
+    for estimate in (estimate_contraction, oracles.contraction_loop):
+        with pytest.raises(ValueError, match="all sampled pairs were degenerate"):
+            estimate(op, g, n_pairs=16, rng_seed=0, skip_tol=np.inf)

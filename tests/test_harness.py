@@ -20,6 +20,8 @@ from bregiter.harness import (
     read_trace_csv,
     run_to_dir,
 )
+from bregiter.engine import EngineError, run
+from bregiter.geometry import DomainError
 from bregiter.operators import AffineColinear, FixedPointError
 
 BASE = {
@@ -207,6 +209,55 @@ def test_fixed_point_failure_is_an_engine_error(tmp_path, monkeypatch, capsys):
                      parallel=1, quiet=True) == 0
     rows = (tmp_path / "s" / "index.csv").read_text().splitlines()[1:]
     assert len(rows) == 6 and all("error: fixed point not found" in row for row in rows)
+    capsys.readouterr()
+
+
+def test_domain_error_formats_plain_floats(tmp_path, capsys):
+    raw = base_config(s0=[0.5, 0.5])
+    raw["geometry"] = {"kind": "negative-entropy", "dim": 2}
+    raw["operator"] = {"kind": "affine-rotation", "params": {"gamma": 0.8, "theta": 0.5, "target": [0.5, 0.5]}}
+    assert cmd_run(write_config(tmp_path / "c.json", raw), str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert "point must sum to 1 within 1e-12, got 0.902178318946436" in err
+    assert "np.float64" not in err
+
+
+def nan_on_rows(monkeypatch, rows):
+    """Make AffineColinear map the given points (and only those) to nan."""
+    bad = [np.asarray(r, dtype=float) for r in rows]
+    plain = AffineColinear.apply
+
+    def apply(self, s, t=0):
+        s = np.asarray(s, dtype=float)
+        hit = np.zeros(s.shape[:-1], dtype=bool)
+        for r in bad:
+            hit |= np.all(s == r, axis=-1)
+        return np.where(hit[..., None], np.nan, plain(self, s, t))
+
+    monkeypatch.setattr(AffineColinear, "apply", apply)
+
+
+@pytest.mark.parametrize("bad_rows, culprit", [
+    ((15, 20), "s_ref"),  # T(s') of pair 7 comes before T(s) of pair 10
+    ((40, 41), "point"),  # T(s) before T(s') of the same pair
+])
+def test_contraction_fault_reports_first_pair_in_draw_order(tmp_path, monkeypatch, capsys, bad_rows, culprit):
+    raw = base_config()
+    cfg = from_dict(raw)
+    pts = cfg.geometry.sample_point(np.random.default_rng(cfg.seed + 1), 2 * cfg.contraction_pairs)
+    nan_on_rows(monkeypatch, pts[list(bad_rows)])
+    with pytest.raises(DomainError) as loop:
+        oracles.contraction_loop(cfg.operator, cfg.geometry, cfg.contraction_pairs, cfg.seed + 1,
+                                 cfg.tolerances["degenerate_pair"])
+    assert str(loop.value) == f"{culprit} contains non-finite entries"
+    expected = f"operator is incompatible with the geometry's domain: {loop.value}"
+
+    with pytest.raises(EngineError) as exc_info:
+        run(cfg)
+    assert str(exc_info.value) == expected and exc_info.value.t == -1
+    out = tmp_path / "out"
+    assert cmd_run(write_config(tmp_path / "c.json", raw), str(out)) == 1
+    assert json.loads((out / "state_dump.json").read_text()) == {"error": expected, "t": -1, "state": [0.0, 0.0]}
     capsys.readouterr()
 
 
