@@ -21,7 +21,7 @@ from .analysis import (
     measure_constants,
 )
 from .config import ConfigError, RunConfig, config_digest, from_dict, from_file
-from .engine import CENSORED, EngineError, Schedule, Trace, iterations_to_epsilon, make_schedule, run
+from .engine import CENSORED, EngineError, Schedule, Trace, iterations_to_epsilon, run
 from .geometry import (
     DomainError,
     Geometry,
@@ -29,7 +29,6 @@ from .geometry import (
     Quadratic,
     SquaredEuclidean,
     certify_constants,
-    make_geometry,
     three_point_residual,
 )
 from .operators import (
@@ -41,7 +40,6 @@ from .operators import (
     GradientStep,
     Operator,
     estimate_contraction,
-    make_operator,
     unrolled_depth,
 )
 from .perturbation import PerturbationModel
@@ -82,9 +80,6 @@ __all__ = [
     "from_file",
     "gronwall_envelope",
     "iterations_to_epsilon",
-    "make_geometry",
-    "make_operator",
-    "make_schedule",
     "measure_constants",
     "run",
     "three_point_residual",

@@ -9,17 +9,20 @@ it is stable under key reordering of the file and changes with any value.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .engine import Schedule, make_schedule
-from .geometry import Geometry, make_geometry
-from .operators import Operator, make_operator
+from .engine import Schedule
+from .geometry import Geometry, NegativeEntropy, Quadratic, SquaredEuclidean
+from .operators import AffineColinear, AffineRotation, Bellman, ExpGradientStep, GradientStep, Operator
 from .perturbation import PerturbationModel
 
 
@@ -42,6 +45,21 @@ _TOP_OPTIONAL = {
 #: states are retained by default only up to this dimension
 RETAIN_DIM_LIMIT = 10
 
+#: block -> kind -> constructor.  A constructor's keyword parameters are the
+#: kind's params (required when they have no default), except dim and
+#: context_y, which other keys of the block fill; a param annotated ArrayLike
+#: takes a list of numbers (nested for matrices), any other param a number.
+KINDS = {
+    "geometry": {cls.kind: cls for cls in (SquaredEuclidean, Quadratic, NegativeEntropy)},
+    "operator": {cls.kind: cls for cls in (AffineColinear, AffineRotation, GradientStep,
+                                           ExpGradientStep, Bellman)},
+    "schedule": {
+        "accelerated": lambda: Schedule("accelerated"),
+        "constant": lambda c: Schedule("constant", c=c),
+        "polynomial": lambda c=1.0, p=1.0: Schedule("polynomial", c=c, p=p),
+    },
+}
+
 
 def _expect_mapping(d: Any, path: str) -> dict:
     if not isinstance(d, dict):
@@ -55,19 +73,83 @@ def _expect_keys(d: dict, required: set, optional: set, path: str):
         raise ConfigError(f"{path} is missing required key(s) {missing}")
     unknown = sorted(set(d) - required - optional)
     if unknown:
-        raise ConfigError(f"{path} has unknown key(s) {unknown}")
+        raise ConfigError(f"{path} has unknown key(s) {unknown}; known: {sorted(required | optional)}")
 
 
-def _expect_int(v: Any, path: str) -> int:
+def _expect_int(v: Any, path: str, minimum: int | None = None) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{path} must be an integer, got {v!r}")
+    if minimum is not None and v < minimum:
+        raise ConfigError(f"{path} must be >= {minimum}, got {v}")
     return v
 
 
-def _expect_number(v: Any, path: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+def _is_number(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _expect_number(v: Any, path: str, positive: bool = False) -> float:
+    if not _is_number(v):
         raise ConfigError(f"{path} must be a number, got {v!r}")
+    if positive and not v > 0:
+        raise ConfigError(f"{path} must be > 0, got {float(v)}")
     return float(v)
+
+
+def _is_array(v: Any) -> bool:
+    """Whether v is a list of numbers or of such lists; numpy judges the shape."""
+    return isinstance(v, list) and all(_is_number(x) or _is_array(x) for x in v)
+
+
+def _expect_array(v: Any, path: str) -> list:
+    if not _is_array(v):
+        raise ConfigError(f"{path} must be a list of numbers")
+    return v
+
+
+def _expect_finite(v: Any, path: str = ""):
+    """Reject the first NaN, infinity or integer past the float range in a parsed JSON value."""
+    if isinstance(v, (int, float)) and not -sys.float_info.max <= v <= sys.float_info.max:
+        raise ConfigError(f"{path} must be a finite number, got {v!r}")
+    if isinstance(v, dict):
+        for key, x in v.items():
+            _expect_finite(x, f"{path}.{key}" if path else key)
+    elif isinstance(v, list):
+        for i, x in enumerate(v):
+            _expect_finite(x, f"{path}[{i}]")
+
+
+_signature = functools.cache(inspect.signature)
+
+
+def _build(block: str, d: Any, required: dict, optional: dict):
+    """Check a kind block against KINDS and construct its object.
+
+    required and optional map the block's keys besides kind and params to
+    their checkers; each checked value is passed to the constructor by name.
+    """
+    d = _expect_mapping(d, block)
+    _expect_keys(d, {"kind", *required}, {"params", *optional}, block)
+    kind, kinds = d["kind"], KINDS[block]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{block}: unknown kind {kind!r}; known: {sorted(kinds)}")
+    params = _expect_mapping(d.get("params", {}), f"{block}.params")
+    checks = {**required, **optional}
+    schema = {name: p for name, p in _signature(kinds[kind]).parameters.items() if name not in checks}
+    missing = [name for name, p in schema.items() if p.default is p.empty and name not in params]
+    if missing:
+        raise ConfigError(f"{block}: kind {kind!r} requires params {missing}")
+    unknown = sorted(set(params) - set(schema))
+    if unknown:
+        raise ConfigError(f"{block}: unknown params {unknown} for kind {kind!r}; known: {sorted(schema)}")
+    for name, v in params.items():
+        check = _expect_array if schema[name].annotation == "ArrayLike" else _expect_number
+        check(v, f"{block}.params.{name}")
+    given = {key: checks[key](d[key], f"{block}.{key}") for key in checks if key in d}
+    try:
+        return kinds[kind](**given, **params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{block}: {exc}") from exc
 
 
 @dataclass
@@ -112,40 +194,14 @@ def from_dict(d: dict, allow_sweep: bool = False) -> RunConfig:
     if "sweep" in d and not allow_sweep:
         raise ConfigError("config contains a sweep block; expand it with the sweep command")
 
-    gd = _expect_mapping(d["geometry"], "geometry")
-    _expect_keys(gd, {"kind", "dim"}, {"params"}, "geometry")
-    dim = _expect_int(gd["dim"], "geometry.dim")
-    try:
-        geometry = make_geometry(gd["kind"], dim, _expect_mapping(gd.get("params", {}), "geometry.params"))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"geometry: {exc}") from exc
-
-    od = _expect_mapping(d["operator"], "operator")
-    _expect_keys(od, {"kind"}, {"params", "context_y"}, "operator")
-    if "context_y" in od and not isinstance(od["context_y"], list):
-        raise ConfigError("operator.context_y must be a list")
-    try:
-        operator = make_operator(
-            od["kind"], _expect_mapping(od.get("params", {}), "operator.params"),
-            od.get("context_y"),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"operator: {exc}") from exc
+    _expect_finite(d)
+    geometry = _build("geometry", d["geometry"], {"dim": _expect_int}, {})
+    operator = _build("operator", d["operator"], {}, {"context_y": _expect_array})
     if operator.dim != geometry.dim:
         raise ConfigError(
             f"operator dimension {operator.dim} does not match geometry.dim {geometry.dim}"
         )
-
-    sd = _expect_mapping(d["schedule"], "schedule")
-    _expect_keys(sd, {"kind"}, {"params"}, "schedule")
-    try:
-        schedule = make_schedule(sd["kind"], sd.get("params", {}))
-    except ValueError as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
+    schedule = _build("schedule", d["schedule"], {}, {})
 
     pd = d.get("perturbation")
     if pd is None:
@@ -170,17 +226,11 @@ def from_dict(d: dict, allow_sweep: bool = False) -> RunConfig:
         raise ConfigError(f"operator kind 'exp-gradient-step' maps the probability simplex; "
                           f"it needs geometry kind 'negative-entropy', got {geometry.kind!r}")
 
-    s0 = d["s0"]
-    if not isinstance(s0, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in s0
-    ):
-        raise ConfigError("s0 must be a list of numbers")
+    s0 = _expect_array(d["s0"], "s0")
     if len(s0) != geometry.dim:
         raise ConfigError(f"s0 has dimension {len(s0)}, geometry.dim is {geometry.dim}")
 
-    iterations = _expect_int(d["iterations"], "iterations")
-    if iterations < 1:
-        raise ConfigError(f"iterations must be >= 1, got {iterations}")
+    iterations = _expect_int(d["iterations"], "iterations", minimum=1)
     seed = _expect_int(d["seed"], "seed")
 
     retain = d.get("retain_states")
@@ -193,26 +243,14 @@ def from_dict(d: dict, allow_sweep: bool = False) -> RunConfig:
     td = d.get("tolerances")
     if td is not None:
         td = _expect_mapping(td, "tolerances")
-        unknown = sorted(set(td) - set(TOLERANCE_DEFAULTS))
-        if unknown:
-            raise ConfigError(
-                f"tolerances has unknown name(s) {unknown}; known: {sorted(TOLERANCE_DEFAULTS)}"
-            )
+        _expect_keys(td, set(), set(TOLERANCE_DEFAULTS), "tolerances")
         for k, v in td.items():
-            v = _expect_number(v, f"tolerances.{k}")
-            if not v > 0:
-                raise ConfigError(f"tolerances.{k} must be > 0, got {v}")
-            tolerances[k] = v
+            tolerances[k] = _expect_number(v, f"tolerances.{k}", positive=True)
 
     eps_list = d.get("eps_list", [])
     if not isinstance(eps_list, list):
         raise ConfigError("eps_list must be a list of positive numbers")
-    eps_out = []
-    for i, v in enumerate(eps_list):
-        v = _expect_number(v, f"eps_list[{i}]")
-        if not v > 0:
-            raise ConfigError(f"eps_list[{i}] must be > 0, got {v}")
-        eps_out.append(v)
+    eps_list = [_expect_number(v, f"eps_list[{i}]", positive=True) for i, v in enumerate(eps_list)]
 
     window = d.get("rate_window")
     if window is not None:
@@ -226,10 +264,7 @@ def from_dict(d: dict, allow_sweep: bool = False) -> RunConfig:
             )
         window = (lo, hi)
 
-    pairs = d.get("contraction_pairs", 256)
-    pairs = _expect_int(pairs, "contraction_pairs")
-    if pairs < 1:
-        raise ConfigError(f"contraction_pairs must be >= 1, got {pairs}")
+    pairs = _expect_int(d.get("contraction_pairs", 256), "contraction_pairs", minimum=1)
 
     cfg = RunConfig(
         geometry=geometry,
@@ -241,7 +276,7 @@ def from_dict(d: dict, allow_sweep: bool = False) -> RunConfig:
         seed=seed,
         retain_states=retain,
         tolerances=tolerances,
-        eps_list=eps_out,
+        eps_list=eps_list,
         rate_window=window,
         contraction_pairs=pairs,
         raw=d,

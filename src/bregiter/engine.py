@@ -67,27 +67,6 @@ class Schedule:
         return self.c / (t + 1) ** self.p
 
 
-def make_schedule(kind: str, params: dict | None = None) -> Schedule:
-    params = dict(params or {})
-    if kind == "accelerated":
-        if params:
-            raise ValueError(f"accelerated schedule takes no params, got {sorted(params)}")
-        return Schedule(kind)
-    if kind == "constant":
-        extra = set(params) - {"c"}
-        if extra:
-            raise ValueError(f"unknown schedule params: {sorted(extra)}")
-        if "c" not in params:
-            raise ValueError("constant schedule requires params.c")
-        return Schedule(kind, c=params["c"])
-    if kind == "polynomial":
-        extra = set(params) - {"c", "p"}
-        if extra:
-            raise ValueError(f"unknown schedule params: {sorted(extra)}")
-        return Schedule(kind, c=params.get("c", 1.0), p=params.get("p", 1.0))
-    raise ValueError(f"unknown schedule kind {kind!r}; known: {SCHEDULE_KINDS}")
-
-
 class EngineError(RuntimeError):
     """Run failure at a specific iteration; carries the offending state."""
 

@@ -15,6 +15,7 @@ certified by sampling (see ``certify_constants``), not derived symbolically.
 from __future__ import annotations
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 
 class DomainError(ValueError):
@@ -37,6 +38,21 @@ def _as_vector(s, dim: int, name: str = "point") -> np.ndarray:
     if not np.isfinite(s).all():
         raise DomainError(f"{name} contains non-finite entries")
     return s
+
+
+def _spd_eigenvalues(a: np.ndarray, n: int) -> np.ndarray:
+    """Ascending eigenvalues of a, which must be a finite symmetric positive definite (n, n) matrix."""
+    if a.shape != (n, n):
+        raise ValueError(f"A must have shape ({n}, {n}), got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("A contains non-finite entries")
+    scale = max(1.0, float(np.abs(a).max()))
+    if float(np.abs(a - a.T).max()) > 1e-12 * scale:
+        raise ValueError("A must be symmetric")
+    eig = np.linalg.eigvalsh(a)
+    if eig[0] <= 0:
+        raise ValueError(f"A must be positive definite (min eigenvalue {eig[0]:g})")
+    return eig
 
 
 def _scalar(v):
@@ -139,18 +155,9 @@ class Quadratic(Geometry):
 
     kind = "quadratic"
 
-    def __init__(self, dim: int, a):
+    def __init__(self, dim: int, a: ArrayLike):
         a = np.asarray(a, dtype=float)
-        if a.shape != (dim, dim):
-            raise ValueError(f"A must have shape ({dim}, {dim}), got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("A contains non-finite entries")
-        scale = max(1.0, float(np.abs(a).max()))
-        if float(np.abs(a - a.T).max()) > 1e-12 * scale:
-            raise ValueError("A must be symmetric")
-        eig = np.linalg.eigvalsh(a)
-        if eig[0] <= 0:
-            raise ValueError(f"A must be positive definite (min eigenvalue {eig[0]:g})")
+        eig = _spd_eigenvalues(a, dim)
         super().__init__(dim, eig[0], eig[-1])
         self.a = a.copy()
         self.a.setflags(write=False)
@@ -236,35 +243,6 @@ class NegativeEntropy(Geometry):
             )
         s = np.clip(s, self.rho, None)
         return s / s.sum()
-
-
-_KINDS = {
-    SquaredEuclidean.kind: SquaredEuclidean,
-    Quadratic.kind: Quadratic,
-    NegativeEntropy.kind: NegativeEntropy,
-}
-
-
-def make_geometry(kind: str, dim: int, params: dict | None = None) -> Geometry:
-    """Build a geometry from its config form (kind, dim, kind-specific params)."""
-    params = dict(params or {})
-    if kind == SquaredEuclidean.kind:
-        extra = set(params)
-    elif kind == Quadratic.kind:
-        if "a" not in params:
-            raise ValueError("quadratic geometry requires params.a")
-        extra = set(params) - {"a"}
-    elif kind == NegativeEntropy.kind:
-        extra = set(params) - {"rho"}
-    else:
-        raise ValueError(f"unknown geometry kind {kind!r}; known: {sorted(_KINDS)}")
-    if extra:
-        raise ValueError(f"unknown geometry params for kind {kind!r}: {sorted(extra)}")
-    if kind == SquaredEuclidean.kind:
-        return SquaredEuclidean(dim)
-    if kind == Quadratic.kind:
-        return Quadratic(dim, params["a"])
-    return NegativeEntropy(dim, params.get("rho", 1e-6))
 
 
 def three_point_residual(g: Geometry, u, v, w) -> float:

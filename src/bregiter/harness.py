@@ -234,8 +234,8 @@ def _sweep_point(args: tuple) -> dict:
     """Worker for one sweep point; returns an index row, never raises."""
     axis_values, point_cfg, out_root = args
     row = {f"axis:{k}": v for k, v in axis_values.items()}
+    digest = cfgmod.config_digest(point_cfg)
     try:
-        digest = cfgmod.config_digest(point_cfg)
         sub = Path(out_root) / digest[:12]
         summary = run_to_dir(point_cfg, sub)
         eps_ts = {
@@ -250,7 +250,7 @@ def _sweep_point(args: tuple) -> dict:
             gamma_hat=summary["gamma_hat"], e_final=summary["e_final"], **eps_ts,
         )
     except (ConfigError, EngineError, ValueError) as exc:
-        row.update(digest=cfgmod.config_digest(point_cfg), status=f"error: {exc}")
+        row.update(digest=digest, status=f"error: {exc}")
     return row
 
 

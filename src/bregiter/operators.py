@@ -18,8 +18,9 @@ import itertools
 import math
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .geometry import DomainError, Geometry, NegativeEntropy, SquaredEuclidean
+from .geometry import DomainError, Geometry, NegativeEntropy, SquaredEuclidean, _spd_eigenvalues
 
 
 class FixedPointError(RuntimeError):
@@ -86,7 +87,7 @@ class AffineColinear(Operator):
 
     kind = "affine-colinear"
 
-    def __init__(self, gamma: float, target, context_y=None):
+    def __init__(self, gamma: float, target: ArrayLike, context_y=None):
         target = np.asarray(target, dtype=float)
         if target.ndim != 1:
             raise ValueError("target must be a 1-d vector")
@@ -109,7 +110,7 @@ class AffineRotation(Operator):
 
     kind = "affine-rotation"
 
-    def __init__(self, gamma: float, theta: float, target, context_y=None):
+    def __init__(self, gamma: float, theta: float, target: ArrayLike, context_y=None):
         target = np.asarray(target, dtype=float)
         if target.shape != (2,):
             raise ValueError("affine-rotation is planar: target must have dimension 2")
@@ -139,18 +140,12 @@ class GradientStep(Operator):
 
     kind = "gradient-step"
 
-    def __init__(self, a, b, step: float, context_y=None):
+    def __init__(self, a: ArrayLike, b: ArrayLike, step: float, context_y=None):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if b.ndim != 1:
             raise ValueError("b must be a 1-d vector")
-        if a.shape != (b.size, b.size):
-            raise ValueError(f"A must have shape ({b.size}, {b.size}), got {a.shape}")
-        scale = max(1.0, float(np.abs(a).max()))
-        if float(np.abs(a - a.T).max()) > 1e-12 * scale:
-            raise ValueError("A must be symmetric")
-        if np.linalg.eigvalsh(a)[0] <= 0:
-            raise ValueError("A must be positive definite")
+        _spd_eigenvalues(a, b.size)
         if not step > 0:
             raise ValueError(f"step must be > 0, got {step}")
         super().__init__(b.size, context_y)
@@ -177,7 +172,7 @@ class ExpGradientStep(Operator):
 
     kind = "exp-gradient-step"
 
-    def __init__(self, q, step: float, rho: float = 1e-6, context_y=None):
+    def __init__(self, q: ArrayLike, step: float, rho: float = 1e-6, context_y=None):
         q = np.asarray(q, dtype=float)
         if q.ndim != 1:
             raise ValueError("q must be a 1-d vector")
@@ -225,7 +220,7 @@ class Bellman(Operator):
 
     ENUMERATION_LIMIT = 8
 
-    def __init__(self, transitions, rewards, discount: float, context_y=None):
+    def __init__(self, transitions: ArrayLike, rewards: ArrayLike, discount: float, context_y=None):
         p = np.asarray(transitions, dtype=float)
         r = np.asarray(rewards, dtype=float)
         if r.ndim != 2:
@@ -276,39 +271,6 @@ class Bellman(Operator):
             v_pi = np.linalg.solve(eye - self.discount * p_pi, r_pi)
             best = np.maximum(best, v_pi)
         return best
-
-
-def make_operator(kind: str, params: dict, context_y=None) -> Operator:
-    """Build an operator from its config form."""
-    params = dict(params)
-
-    def take(required, optional=()):
-        missing = [k for k in required if k not in params]
-        if missing:
-            raise ValueError(f"operator kind {kind!r} requires params {missing}")
-        extra = set(params) - set(required) - set(optional)
-        if extra:
-            raise ValueError(f"unknown operator params for kind {kind!r}: {sorted(extra)}")
-
-    if kind == AffineColinear.kind:
-        take(["gamma", "target"])
-        return AffineColinear(params["gamma"], params["target"], context_y)
-    if kind == AffineRotation.kind:
-        take(["gamma", "theta", "target"])
-        return AffineRotation(params["gamma"], params["theta"], params["target"], context_y)
-    if kind == GradientStep.kind:
-        take(["a", "b", "step"])
-        return GradientStep(params["a"], params["b"], params["step"], context_y)
-    if kind == ExpGradientStep.kind:
-        take(["q", "step"], optional=["rho"])
-        return ExpGradientStep(params["q"], params["step"], params.get("rho", 1e-6), context_y)
-    if kind == Bellman.kind:
-        take(["transitions", "rewards", "discount"])
-        return Bellman(params["transitions"], params["rewards"], params["discount"], context_y)
-    raise ValueError(
-        f"unknown operator kind {kind!r}; known: "
-        f"{[AffineColinear.kind, AffineRotation.kind, GradientStep.kind, ExpGradientStep.kind, Bellman.kind]}"
-    )
 
 
 def estimate_contraction(op: Operator, g: Geometry, n_pairs: int = 256,

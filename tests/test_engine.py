@@ -8,7 +8,6 @@ from bregiter.engine import (
     EngineError,
     Schedule,
     iterations_to_epsilon,
-    make_schedule,
     run,
 )
 
@@ -56,8 +55,6 @@ def test_schedule_validation():
         Schedule("constant", c=0.0)
     with pytest.raises(ValueError):
         Schedule("warmup")
-    with pytest.raises(ValueError):
-        make_schedule("accelerated", {"c": 0.5})  # takes no parameters
 
 
 def test_alpha_in_unit_interval():

@@ -12,7 +12,6 @@ from bregiter.geometry import (
     Quadratic,
     SquaredEuclidean,
     certify_constants,
-    make_geometry,
     three_point_residual,
 )
 
@@ -202,20 +201,6 @@ def test_quadratic_rejects_indefinite_matrix():
 def test_entropy_rejects_infeasible_floor():
     with pytest.raises(ValueError):
         NegativeEntropy(4, rho=0.3)  # rho*dim >= 1 leaves no interior
-
-
-def test_factory_rejects_unknown_kind_and_params():
-    with pytest.raises(ValueError):
-        make_geometry("hyperbolic", 2, {})
-    with pytest.raises(ValueError):
-        make_geometry("squared-euclidean", 2, {"rho": 0.1})
-
-
-def test_factory_builds_each_kind():
-    assert make_geometry("squared-euclidean", 2, {}).kind == "squared-euclidean"
-    g = make_geometry("quadratic", 2, {"a": [[2.0, 0.0], [0.0, 1.0]]})
-    assert g.kind == "quadratic"
-    assert make_geometry("negative-entropy", 3, {"rho": 1e-6}).kind == "negative-entropy"
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 import json
+import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bregiter import config as cfgmod
@@ -43,6 +47,9 @@ def base_config(**overrides):
 def write_config(path, raw):
     path.write_text(json.dumps(raw))
     return str(path)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +120,187 @@ def test_noisy_negative_entropy_config_rejected():
 
 
 def test_exp_gradient_off_simplex_geometry_exit_two(tmp_path, capsys):
-    config = Path(__file__).resolve().parent.parent / "configs" / "exp_gradient.json"
+    config = CONFIGS / "exp_gradient.json"
     overrides = ["geometry.kind=squared-euclidean", "geometry.params={}"]
     assert cmd_run(str(config), str(tmp_path / "out"), overrides=overrides) == 2
     err = capsys.readouterr().err
     assert "exp-gradient-step" in err and "negative-entropy" in err and "squared-euclidean" in err
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# the kind table
+
+
+BAD_BLOCKS = {
+    # inputs of the deleted make_geometry, make_operator and make_schedule tests
+    "unknown-geometry-kind": ("geometry", {"kind": "hyperbolic", "dim": 2},
+                              r"geometry: unknown kind 'hyperbolic'; known: \["),
+    "unknown-geometry-param": ("geometry", {"kind": "squared-euclidean", "dim": 2, "params": {"rho": 0.1}},
+                               r"geometry: unknown params \['rho'\] for kind 'squared-euclidean'"),
+    "missing-operator-param": ("operator", {"kind": "affine-colinear", "params": {"gamma": 0.5}},
+                               r"operator: kind 'affine-colinear' requires params \['target'\]"),
+    "unknown-operator-param": ("operator", {"kind": "affine-colinear",
+                                            "params": {"gamma": 0.5, "target": [0.0], "extra": 1}},
+                               r"operator: unknown params \['extra'\] for kind 'affine-colinear'; "
+                               r"known: \['gamma', 'target'\]"),
+    "unknown-operator-kind": ("operator", {"kind": "unknown-kind", "params": {}},
+                              "operator: unknown kind 'unknown-kind'"),
+    "accelerated-takes-no-params": ("schedule", {"kind": "accelerated", "params": {"c": 0.5}},
+                                    r"schedule: unknown params \['c'\]"),
+    # the rest of the table's checks
+    "missing-geometry-param": ("geometry", {"kind": "quadratic", "dim": 2},
+                               r"geometry: kind 'quadratic' requires params \['a'\]"),
+    "kind-not-a-string": ("geometry", {"kind": ["quadratic"], "dim": 2}, r"geometry: unknown kind \['quadratic'\]"),
+    "missing-dim": ("geometry", {"kind": "squared-euclidean"}, r"geometry is missing required key\(s\) \['dim'\]"),
+    "float-dim": ("geometry", {"kind": "squared-euclidean", "dim": 2.0}, "geometry.dim must be an integer"),
+    "list-rho": ("geometry", {"kind": "negative-entropy", "dim": 2, "params": {"rho": [1]}},
+                 r"geometry.params.rho must be a number, got \[1\]"),
+    "null-in-matrix": ("geometry", {"kind": "quadratic", "dim": 2, "params": {"a": [[1.0, None], [None, 1.0]]}},
+                       "geometry.params.a must be a list of numbers"),
+    "indefinite-matrix": ("geometry", {"kind": "quadratic", "dim": 2, "params": {"a": [[1.0, 2.0], [2.0, 1.0]]}},
+                          "geometry: A must be positive definite"),
+    "string-gamma": ("operator", {"kind": "affine-colinear", "params": {"gamma": "x", "target": [2.0, -1.0]}},
+                     "operator.params.gamma must be a number, got 'x'"),
+    "bool-gamma": ("operator", {"kind": "affine-colinear", "params": {"gamma": True, "target": [2.0, -1.0]}},
+                   "operator.params.gamma must be a number"),
+    "string-target": ("operator", {"kind": "affine-colinear", "params": {"gamma": 0.5, "target": "2, -1"}},
+                      "operator.params.target must be a list of numbers"),
+    "ragged-target": ("operator", {"kind": "affine-colinear", "params": {"gamma": 0.5, "target": [[2.0], [-1.0, 0.0]]}},
+                      "operator: "),
+    "gamma-out-of-range": ("operator", {"kind": "affine-colinear", "params": {"gamma": 1.5, "target": [2.0, -1.0]}},
+                           r"operator: gamma must lie in \[0, 1\)"),
+    "number-context": ("operator", {"kind": "affine-colinear", "params": {"gamma": 0.5, "target": [2.0, -1.0]},
+                                    "context_y": 3},
+                       "operator.context_y must be a list of numbers"),
+    "overflowing-matrix": ("operator", {"kind": "gradient-step",
+                                        "params": {"a": [[1.0, 1e308], [1e308, 1.0]], "b": [1.0, 1.0], "step": 0.1}},
+                           "operator: A must be positive definite"),
+    "unknown-schedule-kind": ("schedule", {"kind": "warmup"}, "schedule: unknown kind 'warmup'"),
+    "missing-schedule-param": ("schedule", {"kind": "constant"}, r"schedule: kind 'constant' requires params \['c'\]"),
+    "string-c": ("schedule", {"kind": "constant", "params": {"c": "0.5"}},
+                 "schedule.params.c must be a number, got '0.5'"),
+    "c-out-of-range": ("schedule", {"kind": "constant", "params": {"c": 1.5}},
+                       r"schedule: schedule c must lie in \(0, 1\]"),
+    "unknown-schedule-param": ("schedule", {"kind": "polynomial", "params": {"c": 0.5, "q": 1}},
+                               r"schedule: unknown params \['q'\]"),
+}
+
+
+@pytest.mark.parametrize("block, value, match", BAD_BLOCKS.values(), ids=BAD_BLOCKS.keys())
+def test_kind_table_rejects_bad_blocks(block, value, match):
+    with pytest.raises(ConfigError, match=match):
+        from_dict(base_config(**{block: value}))
+
+
+MDP = {"transitions": oracles.MDP_TRANSITIONS, "rewards": oracles.MDP_REWARDS, "discount": 0.9}
+GOOD_BLOCKS = {
+    "squared-euclidean": ({"geometry": {"kind": "squared-euclidean", "dim": 2}}, lambda c: c.geometry.mu == 1.0),
+    "quadratic": ({"geometry": {"kind": "quadratic", "dim": 2, "params": {"a": [[2.0, 0.0], [0.0, 1.0]]}}},
+                  lambda c: (c.geometry.mu, c.geometry.L) == (1.0, 2.0)),
+    "negative-entropy": ({"geometry": {"kind": "negative-entropy", "dim": 2}, "s0": [0.5, 0.5]},
+                         lambda c: c.geometry.rho == 1e-6),
+    "affine-colinear": ({"operator": {"kind": "affine-colinear", "params": {"gamma": 0.5, "target": [2.0, -1.0]}}},
+                        lambda c: c.operator.gamma == 0.5),
+    "affine-rotation": ({"operator": {"kind": "affine-rotation",
+                                      "params": {"gamma": 0.5, "theta": 1, "target": [2.0, -1.0]}}},
+                        lambda c: c.operator.theta == 1.0),
+    "gradient-step": ({"operator": {"kind": "gradient-step", "params": {"a": [[2, 0], [0, 1]], "b": [1, 1], "step": 0.5}}},
+                      lambda c: c.operator.step == 0.5),
+    "exp-gradient-step": ({"geometry": {"kind": "negative-entropy", "dim": 3}, "s0": [0.5, 0.3, 0.2],
+                           "operator": {"kind": "exp-gradient-step", "params": {"q": [0.5, 0.3, 0.2], "step": 0.5}}},
+                          lambda c: c.operator.rho == 1e-6),
+    "bellman": ({"operator": {"kind": "bellman", "params": MDP, "context_y": [[[0.0, 0.1], [0.0, 0.0]]]}},
+                lambda c: c.operator.discount == 0.9 and len(c.operator.context_y) == 1),
+    "accelerated": ({"schedule": {"kind": "accelerated"}}, lambda c: c.schedule.alpha(2) == 0.5),
+    "constant": ({"schedule": {"kind": "constant", "params": {"c": 0.25}}}, lambda c: c.schedule.alpha(9) == 0.25),
+    "polynomial-defaults": ({"schedule": {"kind": "polynomial"}},
+                            lambda c: (c.schedule.c, c.schedule.p) == (1.0, 1.0)),
+    "polynomial": ({"schedule": {"kind": "polynomial", "params": {"c": 0.5, "p": 2}}},
+                   lambda c: c.schedule.alpha(1) == 0.125),
+}
+
+
+@pytest.mark.parametrize("blocks, check", GOOD_BLOCKS.values(), ids=GOOD_BLOCKS.keys())
+def test_kind_table_builds_each_kind(blocks, check):
+    cfg = from_dict(base_config(**json.loads(json.dumps(blocks))))
+    for block in ("geometry", "operator", "schedule"):
+        if block in blocks:
+            assert getattr(cfg, block).kind == blocks[block]["kind"]
+    assert check(cfg)
+
+
+@pytest.mark.parametrize("config, overrides, field", [
+    ("affine_accel.json", ['operator.params.gamma="x"'], "operator.params.gamma"),
+    ("affine_accel.json", ["schedule.kind=constant", 'schedule.params={"c":"0.5"}'], "schedule.params.c"),
+    ("exp_gradient.json", ["geometry.params.rho=[1]"], "geometry.params.rho"),
+    ("affine_random_noise.json", ["perturbation.delta0=NaN"], "perturbation.delta0"),
+    ("affine_random_noise.json", ["perturbation.kappa=Infinity"], "perturbation.kappa"),
+    ("affine_random_noise.json", ["perturbation.kappa=-1e400"], "perturbation.kappa"),
+    ("affine_random_noise.json", ["perturbation.kappa=" + "9" * 400], "perturbation.kappa"),
+])
+def test_bad_param_types_and_non_finite_numbers_exit_two(tmp_path, capsys, config, overrides, field):
+    out = tmp_path / "out"
+    assert cmd_run(str(CONFIGS / config), str(out), overrides=overrides) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field} must be ")
+    assert not out.exists()
+
+
+def test_non_finite_sweep_axis_exit_two(tmp_path, capsys):
+    raw = json.loads((CONFIGS / "affine_random_noise.json").read_text())
+    raw["sweep"] = {"perturbation.delta0": [0.001, math.nan]}
+    out = tmp_path / "s"
+    assert cmd_sweep(write_config(tmp_path / "c.json", raw), str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: sweep.perturbation.delta0[1] must be a finite number, got nan\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("operator", [
+    {"kind": "affine-rotation", "params": {"gamma": 0.0, "theta": 0.5, "target": [0.3, 0.7]}},
+    {"kind": "affine-rotation", "params": {"gamma": 0.5, "theta": 0.0, "target": [0.3, 0.7]}},
+    {"kind": "gradient-step", "params": {"a": [[1.0, 0.0], [0.0, 1.0]], "b": [0.3, 0.7], "step": 0.5}},
+], ids=["rotation-gamma-0", "rotation-theta-0", "gradient-step-identity"])
+def test_simplex_corner_cases_of_euclidean_operators_run(tmp_path, operator):
+    # these kinds are not simplex maps, yet these instances keep the simplex:
+    # a kind-by-kind ban on negative-entropy would reject working configs
+    raw = base_config(geometry={"kind": "negative-entropy", "dim": 2}, operator=operator, s0=[0.5, 0.5])
+    assert cmd_run(write_config(tmp_path / "c.json", raw), str(tmp_path / "out"), quiet=True) == 0
+
+
+def _override_paths():
+    paths = []
+    for path in sorted(CONFIGS.glob("*.json")):
+        raw = json.loads(path.read_text())
+        keys = [f"{block}.kind" for block in ("geometry", "operator", "schedule")]
+        keys += [f"{block}.params.{name}" for block in ("geometry", "operator", "schedule")
+                 for name in raw[block].get("params", {})]
+        keys += [f"perturbation.{name}" for name in ("mode", "delta0", "kappa", "injection")]
+        paths += [(path.name, key) for key in keys]
+    return paths
+
+
+JSON_SCALARS = st.one_of(st.text(max_size=4), st.booleans(), st.none())
+NON_NUMERIC = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3),
+                        st.dictionaries(st.text(max_size=3), JSON_SCALARS, max_size=2))
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_override_paths()), st.one_of(NON_NUMERIC, NON_FINITE))
+def test_config_faults_exit_cleanly(target, value):
+    name, key = target
+    raw = json.loads((CONFIGS / name).read_text())
+    for drop in ("sweep", "eps_list", "rate_window"):
+        raw.pop(drop, None)
+    raw["iterations"] = 5
+    raw = apply_overrides(raw, [f"{key}={json.dumps(value)}"])
+    with tempfile.TemporaryDirectory() as tmp:
+        code = cmd_run(write_config(Path(tmp) / "c.json", raw), str(Path(tmp) / "out"), quiet=True)
+    assert code in (0, 1, 2)
+    if isinstance(value, float):
+        assert code == 2
 
 
 # ---------------------------------------------------------------------------

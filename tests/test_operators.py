@@ -14,7 +14,6 @@ from bregiter.operators import (
     ExpGradientStep,
     GradientStep,
     estimate_contraction,
-    make_operator,
     unrolled_depth,
 )
 
@@ -208,17 +207,6 @@ def test_bellman_rejects_bad_tables():
         Bellman(t * 0.5, r, 0.9)  # rows no longer sum to 1
     with pytest.raises(ValueError):
         Bellman(t, r, 1.0)  # discount at 1
-
-
-def test_factory_builds_and_rejects():
-    op = make_operator("affine-colinear", {"gamma": 0.5, "target": [2.0, -1.0]})
-    assert op.kind == "affine-colinear"
-    with pytest.raises(ValueError):
-        make_operator("affine-colinear", {"gamma": 0.5})
-    with pytest.raises(ValueError):
-        make_operator("affine-colinear", {"gamma": 0.5, "target": [0.0], "extra": 1})
-    with pytest.raises(ValueError):
-        make_operator("unknown-kind", {})
 
 
 # ---------------------------------------------------------------------------
