@@ -317,3 +317,120 @@ def contraction_loop(op, g, n_pairs=256, rng_seed=0, skip_tol=1e-14):
     if used == 0:
         raise ValueError("all sampled pairs were degenerate; cannot estimate contraction")
     return worst
+
+
+# ---------------------------------------------------------------------------
+# step-by-step reference for the whole averaged loop
+#
+# The checked loop the engine ran before it recorded e_t and ||T(s_t) - s_t||^2
+# in blocks: every step evaluates the public, checked divergence and
+# projection of the geometry in cfg, and perturbations are drawn by a frozen
+# copy of the sampler.  A failure is a RunFailure with the engine's message
+# and iteration.
+
+
+class RunFailure(RuntimeError):
+    def __init__(self, message, t):
+        super().__init__(message)
+        self.t = t
+
+
+def _start_loop(cfg):
+    g = cfg.geometry
+    s_star = cfg.operator.fixed_point(geometry=g, tol=cfg.tolerances["fixed_point"])
+    g.check_point(s_star, "fixed point")
+    return s_star, g.project(g.check_point(np.asarray(cfg.s0, dtype=float), "s0"))
+
+
+def _settle_loop(g, s_next, t):
+    if not np.all(np.isfinite(s_next)):
+        raise RunFailure(f"non-finite state at iteration {t}", t)
+    try:
+        return g.project(s_next)
+    except ValueError as exc:
+        raise RunFailure(f"domain escape at iteration {t}: {exc}", t) from exc
+
+
+def _unit_direction_loop(dim, rng):
+    while True:
+        d = rng.standard_normal(dim)
+        n = float(np.linalg.norm(d))
+        if n > 1e-12:
+            return d / n
+
+
+def perturbation_loop(pm, g, s_t, s_star, e_t, alpha_t, rng):
+    """eta for one step: direction, then budget fraction, scaled to its divergence target."""
+    zero = np.zeros(g.dim)
+    b = pm.delta0 + pm.kappa * e_t
+    if b <= 0:
+        return zero
+    if pm.mode == "random":
+        direction = _unit_direction_loop(g.dim, rng)
+        u = rng.uniform()
+        target = u * u * b
+    else:
+        d = s_t - s_star
+        norm = float(np.linalg.norm(d))
+        direction = _unit_direction_loop(g.dim, rng) if norm == 0.0 else d / norm
+        target = b
+    if target <= 0:
+        return zero
+    eta = direction * np.sqrt(target / g.divergence(direction, zero))
+    if pm.injection == "scaled":
+        eta = eta * alpha_t
+    return eta
+
+
+def run_loop(cfg):
+    """Arrays of the run cfg describes: e, alpha, delta_norm_sq, eta_div, states, etas, final_state."""
+    g, op, sched, pm = cfg.geometry, cfg.operator, cfg.schedule, cfg.perturbation
+    T = cfg.iterations
+    s_star, s = _start_loop(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    noisy = not pm.is_zero
+    e, alpha, delta_sq, eta_div = np.empty(T + 1), np.empty(T + 1), np.empty(T + 1), np.zeros(T + 1)
+    states = np.empty((T + 1, g.dim)) if cfg.retain_states else None
+    etas = np.zeros((T, g.dim)) if cfg.retain_states else None
+    zero = np.zeros(g.dim)
+    for t in range(T + 1):
+        e[t] = e_t = g.divergence(s, s_star)
+        alpha[t] = al = sched.alpha(t)
+        ts = op.apply(s, t)
+        delta = ts - s
+        delta_sq[t] = float(np.dot(delta, delta))
+        if states is not None:
+            states[t] = s
+        if t == T:
+            break
+        s_next = (1.0 - al) * s + al * ts
+        if noisy:
+            eta = perturbation_loop(pm, g, s, s_star, e_t, al, rng)
+            if np.any(eta):
+                eta_div[t] = g.divergence(eta, zero)
+            if etas is not None:
+                etas[t] = eta
+            s_next = s_next + eta
+        s = _settle_loop(g, s_next, t)
+    return dict(e=e, alpha=alpha, delta_norm_sq=delta_sq, eta_div=eta_div, states=states, etas=etas,
+                final_state=s)
+
+
+def passages_loop(cfg, eps_list, cap):
+    """First t <= cap with D(s_t, s_star) <= eps for each eps of a clean run from s0; -1 if none."""
+    g, op, sched = cfg.geometry, cfg.operator, cfg.schedule
+    s_star, s = _start_loop(cfg)
+    t, d = 0, g.divergence(s, s_star)
+    found = {}
+    while True:
+        for eps in eps_list:
+            if eps not in found and d <= eps:
+                found[eps] = t
+        if len(found) == len(set(eps_list)) or t >= cap:
+            return [found.get(eps, -1) for eps in eps_list]
+        al = sched.alpha(t)
+        s = _settle_loop(g, (1.0 - al) * s + al * op.apply(s, t), t)
+        t += 1
+        d = g.divergence(s, s_star)
+        if not math.isfinite(d):
+            raise RunFailure(f"non-finite divergence at iteration {t}", t)
