@@ -399,10 +399,13 @@ def gronwall_envelope(e0: float, bc: BoundConstants, T: int) -> tuple[np.ndarray
         raise ValueError(f"gronwall envelope needs beta > 0, got {bc.beta!r}")
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
-    env = np.empty(T + 1)
-    env[0] = e0
-    for t in range(T):
-        env[t + 1] = (1.0 - 2.0 * bc.beta / (t + 2)) * env[t] + bc.noise_term(t)
+    beta, x = float(bc.beta), float(e0)
+    k = 2.0 * (1.0 + float(bc.C0)) * float(bc.delta0)  # noise_term(t) = k / (t + 2)
+    env = [x]
+    for t in range(T):  # plain floats: the bits of the numpy recursion, at half its cost
+        x = (1.0 - 2.0 * beta / (t + 2)) * x + k / (t + 2)
+        env.append(x)
+    env = np.array(env)
     tt = np.arange(T + 1, dtype=float)
     closed = e0 / (tt + 1) ** 2 + (2.0 * (1.0 + bc.C0) * bc.delta0 / bc.beta) / (tt + 1)
     return env, closed

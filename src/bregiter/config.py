@@ -304,6 +304,8 @@ def load_config_file(path: str | Path) -> dict:
         raise ConfigError(
             f"config file {path} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return _expect_mapping(d, "config")
 
 
@@ -323,7 +325,7 @@ def apply_overrides(d: dict, overrides: list[str]) -> dict:
             raise ConfigError(f"override {item!r} has an empty key")
         try:
             parsed = json.loads(value)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer past the digit limit: a literal string
             parsed = value
         node = out
         parts = key.split(".")

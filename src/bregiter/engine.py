@@ -36,6 +36,9 @@ PASSAGE_CAP = 10**7
 
 SCHEDULE_KINDS = ("accelerated", "constant", "polynomial")
 
+#: rows of s_t and T(s_t) that run buffers between block passes for e_t and ||T(s_t) - s_t||^2
+BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -129,18 +132,31 @@ def _start(cfg: RunConfig, contraction: bool = False) -> tuple[np.ndarray, np.nd
     return s_star, s, gamma_hat
 
 
-def _settle(g, s_next: np.ndarray, t: int) -> np.ndarray:
-    """Project the state produced by step t back onto the geometry's domain."""
-    if not np.all(np.isfinite(s_next)):
+def _step(g, s: np.ndarray, ts: np.ndarray, al: float, t: int, eta: np.ndarray | None = None) -> np.ndarray:
+    """s_{t+1} from s_t, T(s_t) and alpha_t (plus eta_t on noisy runs), settled on the domain.
+
+    The one step of run and _passages.  It runs unchecked but for one
+    finiteness check and the geometry's drift repair: s_t, s_star and every
+    state before them were checked or settled already.
+    """
+    s_next = (1.0 - al) * s + al * ts
+    if eta is not None:
+        s_next = s_next + eta
+    if not np.isfinite(s_next).all():
         raise EngineError(f"non-finite state at iteration {t}", t, s_next)
     try:
-        return g.project(s_next)
+        return g._project(s_next)
     except DomainError as exc:
         raise EngineError(f"domain escape at iteration {t}: {exc}", t, s_next) from exc
 
 
 def run(cfg: RunConfig) -> Trace:
-    """Execute the averaged iteration described by cfg and return its trace."""
+    """Execute the averaged iteration described by cfg and return its trace.
+
+    The loop records s_t and T(s_t) in (BLOCK, dim) buffers and fills e_t and
+    ||T(s_t) - s_t||^2 one block at a time; the batched maps give each row
+    the bits of a per-step call.
+    """
     g, op, sched, pm = cfg.geometry, cfg.operator, cfg.schedule, cfg.perturbation
     T = cfg.iterations
     s_star, s, gamma_hat = _start(cfg, contraction=True)
@@ -163,27 +179,33 @@ def run(cfg: RunConfig) -> Trace:
     states = np.empty((T + 1, g.dim)) if cfg.retain_states else None
     etas = np.zeros((T, g.dim)) if cfg.retain_states else None
     zero = np.zeros(g.dim)
+    block_s = np.empty((min(BLOCK, T + 1), g.dim))
+    block_ts = np.empty_like(block_s)
 
     for t in range(T + 1):  # row T records the final state; no step follows it
-        e[t] = e_t = g.divergence(s, s_star)
         alpha[t] = al = sched.alpha(t)
         ts = op.apply(s, t)
-        delta = ts - s
-        delta_sq[t] = float(np.dot(delta, delta))
-        if states is not None:
-            states[t] = s
+        i = t % BLOCK
+        block_s[i] = s
+        block_ts[i] = ts
+        if i == BLOCK - 1 or t == T:
+            done = slice(t - i, t + 1)
+            e[done] = g._divergence(block_s[:i + 1], s_star)
+            d = block_ts[:i + 1] - block_s[:i + 1]
+            delta_sq[done] = np.vecdot(d, d)
+            if states is not None:
+                states[done] = block_s[:i + 1]
         if t == T:
             break
 
-        s_next = (1.0 - al) * s + al * ts
+        eta = None
         if noisy:
-            eta = pm.sample(g, s, s_star, e_t, al, rng)
-            if np.any(eta):
-                eta_div[t] = g.divergence(eta, zero)
+            eta = pm.sample(g, s, s_star, g._divergence(s, s_star), al, rng)
+            if eta.any():
+                eta_div[t] = g._divergence(eta, zero)
             if etas is not None:
                 etas[t] = eta
-            s_next = s_next + eta
-        s = _settle(g, s_next, t)
+        s = _step(g, s, ts, al, t, eta)
 
     rows = np.arange(T + 1)
     return Trace(
@@ -222,10 +244,9 @@ def _passages(cfg: RunConfig, s_star: np.ndarray, e, s: np.ndarray,
     todo = sorted(set(eps_list) - set(found), reverse=True)  # largest target is met first
     t = e.size - 1
     while todo and t < cap:
-        al = sched.alpha(t)
-        s = _settle(g, (1.0 - al) * s + al * op.apply(s, t), t)
+        s = _step(g, s, op.apply(s, t), sched.alpha(t), t)
         t += 1
-        d = g.divergence(s, s_star)
+        d = g._divergence(s, s_star)
         if not math.isfinite(d):
             raise EngineError(f"non-finite divergence at iteration {t}", t, s)
         if t % 100_000 == 0:

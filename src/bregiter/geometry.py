@@ -57,7 +57,7 @@ def _spd_eigenvalues(a: np.ndarray, n: int) -> np.ndarray:
 
 def _scalar(v):
     """A reduction over the last axis: a python float for one point, the array for a batch."""
-    return float(v) if np.ndim(v) == 0 else v
+    return float(v) if v.ndim == 0 else v
 
 
 class Geometry:
@@ -68,6 +68,10 @@ class Geometry:
     over the coordinates use np.vecdot and stacked np.matmul, which give each
     row the same bits as the 1-d call (einsum, tensordot, a 2-d @ and
     sum-of-products do not, since BLAS dot kernels fuse multiply-adds).
+
+    The public maps check their points; _divergence and _project are the
+    same maps without the checks, for points that were already checked
+    (the engine checks s0 and s_star once and then runs unchecked).
     """
 
     kind = "base"
@@ -104,6 +108,10 @@ class Geometry:
         return int(np.argmin(np.isfinite(rows).all(axis=1))), "contains non-finite entries"
 
     def divergence(self, s, s_ref):
+        """D(s, s_ref) of checked points: a float, or one value per row of a batch."""
+        return self._divergence(self.check_point(s), self.check_point(s_ref, "s_ref"))
+
+    def _divergence(self, s: np.ndarray, s_ref: np.ndarray):
         raise NotImplementedError
 
     def grad(self, s) -> np.ndarray:
@@ -118,7 +126,11 @@ class Geometry:
 
     def project(self, s) -> np.ndarray:
         """Repair floating-point drift; raise DomainError if s is truly outside."""
-        return self.check_point(s)
+        return self._project(self.check_point(s))
+
+    def _project(self, s: np.ndarray) -> np.ndarray:
+        """project for a finite point of the right shape."""
+        return s
 
     def __repr__(self):  # pragma: no cover - debug aid
         return f"{type(self).__name__}(dim={self.dim}, mu={self.mu}, L={self.L})"
@@ -132,8 +144,8 @@ class SquaredEuclidean(Geometry):
     def __init__(self, dim: int):
         super().__init__(dim, 1.0, 1.0)
 
-    def divergence(self, s, s_ref):
-        d = self.check_point(s) - self.check_point(s_ref, "s_ref")
+    def _divergence(self, s, s_ref):
+        d = s - s_ref
         return _scalar(0.5 * np.vecdot(d, d))
 
     def grad(self, s) -> np.ndarray:
@@ -162,8 +174,8 @@ class Quadratic(Geometry):
         self.a = a.copy()
         self.a.setflags(write=False)
 
-    def divergence(self, s, s_ref):
-        d = self.check_point(s) - self.check_point(s_ref, "s_ref")
+    def _divergence(self, s, s_ref):
+        d = s - s_ref
         return _scalar(0.5 * np.vecdot(np.matmul(d[..., None, :], self.a)[..., 0, :], d))
 
     def grad(self, s) -> np.ndarray:
@@ -216,10 +228,8 @@ class NegativeEntropy(Geometry):
             return i, f"leaves the rho-interior: min entry {rows[i].min():g} < rho = {self.rho:g}"
         return i, f"must sum to 1 within {self.SUM_TOL:g}, got {float(sums[i])!r}"
 
-    def divergence(self, s, s_ref):
-        s = self.check_point(s)
-        r = self.check_point(s_ref, "s_ref")
-        return _scalar((s * (np.log(s) - np.log(r))).sum(axis=-1))
+    def _divergence(self, s, s_ref):
+        return _scalar((s * (np.log(s) - np.log(s_ref))).sum(axis=-1))
 
     def grad(self, s) -> np.ndarray:
         return 1.0 + np.log(self.check_point(s))
@@ -235,7 +245,10 @@ class NegativeEntropy(Geometry):
         return p * (1.0 - 2.0 * self.rho * self.dim) + 2.0 * self.rho
 
     def project(self, s) -> np.ndarray:
-        s = _as_vector(s, self.dim)
+        # drift is checked against the looser repair tolerances, not the domain's
+        return self._project(_as_vector(s, self.dim))
+
+    def _project(self, s) -> np.ndarray:
         if float(s.min()) < self.rho * (1 - 1e-6) or abs(float(s.sum()) - 1.0) > 1e-9:
             raise DomainError(
                 "simplex drift exceeds repairable tolerance: "

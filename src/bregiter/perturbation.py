@@ -81,7 +81,7 @@ class PerturbationModel:
 
         if target <= 0:
             return zero
-        base = g.divergence(direction, zero)
+        base = g._divergence(direction, zero)
         eta = direction * np.sqrt(target / base)
         if self.injection == "scaled":
             eta = eta * alpha_t

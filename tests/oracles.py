@@ -335,11 +335,20 @@ class RunFailure(RuntimeError):
         self.t = t
 
 
-def _start_loop(cfg):
-    g = cfg.geometry
-    s_star = cfg.operator.fixed_point(geometry=g, tol=cfg.tolerances["fixed_point"])
-    g.check_point(s_star, "fixed point")
-    return s_star, g.project(g.check_point(np.asarray(cfg.s0, dtype=float), "s0"))
+def _start_loop(cfg, contraction=False):
+    """s_star and the projected s0; a domain error here fails the run at t = -1."""
+    g, op = cfg.geometry, cfg.operator
+    try:
+        s_star = op.fixed_point(geometry=g, tol=cfg.tolerances["fixed_point"])
+        g.check_point(s_star, "fixed point")
+        s = g.project(g.check_point(np.asarray(cfg.s0, dtype=float), "s0"))
+        if contraction:
+            contraction_loop(op, g, cfg.contraction_pairs, cfg.seed + 1, cfg.tolerances["degenerate_pair"])
+    except ValueError as exc:
+        if type(exc).__name__ != "DomainError":
+            raise
+        raise RunFailure(f"operator is incompatible with the geometry's domain: {exc}", -1) from exc
+    return s_star, s
 
 
 def _settle_loop(g, s_next, t):
@@ -386,7 +395,7 @@ def run_loop(cfg):
     """Arrays of the run cfg describes: e, alpha, delta_norm_sq, eta_div, states, etas, final_state."""
     g, op, sched, pm = cfg.geometry, cfg.operator, cfg.schedule, cfg.perturbation
     T = cfg.iterations
-    s_star, s = _start_loop(cfg)
+    s_star, s = _start_loop(cfg, contraction=True)
     rng = np.random.default_rng(cfg.seed)
     noisy = not pm.is_zero
     e, alpha, delta_sq, eta_div = np.empty(T + 1), np.empty(T + 1), np.empty(T + 1), np.zeros(T + 1)

@@ -26,7 +26,8 @@ from bregiter.harness import (
 )
 from bregiter.engine import EngineError, run
 from bregiter.geometry import DomainError
-from bregiter.operators import AffineColinear, FixedPointError
+from bregiter.operators import AffineColinear, ExpGradientStep, FixedPointError
+from bregiter.perturbation import PerturbationModel
 
 BASE = {
     "geometry": {"kind": "squared-euclidean", "dim": 2},
@@ -441,6 +442,74 @@ def test_contraction_fault_reports_first_pair_in_draw_order(tmp_path, monkeypatc
     assert cmd_run(write_config(tmp_path / "c.json", raw), str(out)) == 1
     assert json.loads((out / "state_dump.json").read_text()) == {"error": expected, "t": -1, "state": [0.0, 0.0]}
     capsys.readouterr()
+
+
+def on_step(monkeypatch, cls, name, step, replace):
+    """Make cls.name return replace(its plain result) at the one scalar step given."""
+    plain = getattr(cls, name)
+
+    def method(self, s, t=0):
+        out = plain(self, s, t)
+        return replace(out) if np.ndim(t) == 0 and t == step else out
+
+    monkeypatch.setattr(cls, name, method)
+
+
+def failed_run(tmp_path, capsys, config, t, what):
+    """cmd_run of a shipped config that must stop at step t; returns the dumped error."""
+    out = tmp_path / "out"
+    assert cmd_run(str(CONFIGS / config), str(out), overrides=["iterations=20", "rate_window=null"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"run failed: {what} at iteration {t}")
+    assert err.endswith(f"(state dumped to {out / 'state_dump.json'})\n")
+    dump = json.loads((out / "state_dump.json").read_text())
+    assert dump["t"] == t and err.startswith(f"run failed: {dump['error']} (")
+    return dump["error"]
+
+
+def test_nan_operator_image_stops_the_run(tmp_path, monkeypatch, capsys):
+    on_step(monkeypatch, AffineColinear, "apply", 5, lambda out: np.full_like(out, np.nan))
+    assert failed_run(tmp_path, capsys, "affine_accel.json", 5, "non-finite state") == \
+        "non-finite state at iteration 5"
+
+
+def test_off_simplex_operator_image_is_a_domain_escape(tmp_path, monkeypatch, capsys):
+    on_step(monkeypatch, ExpGradientStep, "apply", 3, lambda out: 0.5 * out)
+    error = failed_run(tmp_path, capsys, "exp_gradient.json", 3, "domain escape")
+    assert error.startswith("domain escape at iteration 3: simplex drift exceeds repairable tolerance")
+
+
+def test_infinite_perturbation_stops_the_run(tmp_path, monkeypatch, capsys):
+    calls = []
+    plain = PerturbationModel.sample
+
+    def sample(self, g, s_t, s_star, e_t, alpha_t, rng):
+        calls.append(None)
+        eta = plain(self, g, s_t, s_star, e_t, alpha_t, rng)
+        return np.full_like(eta, np.inf) if len(calls) == 8 else eta
+
+    monkeypatch.setattr(PerturbationModel, "sample", sample)
+    assert failed_run(tmp_path, capsys, "affine_random_noise.json", 7, "non-finite state") == \
+        "non-finite state at iteration 7"
+
+
+@pytest.mark.parametrize("where", ["file", "override"])
+def test_integer_past_the_digit_limit_exit_two(tmp_path, capsys, where):
+    huge = "1" + "0" * 5000
+    text = (CONFIGS / "affine_accel.json").read_text()
+    overrides = []
+    if where == "file":
+        text = text.replace('"iterations": 10000', f'"iterations": {huge}')
+        assert huge in text
+    else:
+        overrides = [f"iterations={huge}"]
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert cmd_run(str(path), str(out), overrides=overrides) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_run_rejects_sweep_block(tmp_path):

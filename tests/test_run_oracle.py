@@ -6,6 +6,8 @@ unscaled, and states retained or not.  Every recorded array must carry the
 bits of oracles.run_loop, and every failure its message and iteration.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,12 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from bregiter import engine
 from bregiter.config import KINDS, from_dict
-
-
-def spd(rng, dim):
-    m = rng.standard_normal((dim, dim))
-    a = m @ m.T + dim * np.eye(dim)
-    return (a + a.T) / 2.0
+from test_batch import spd
 
 
 def simplex_point(rng, dim):
@@ -118,11 +115,12 @@ def outcome(f, cfg):
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(PAIRS), st.sampled_from(sorted(SCHEDULES)),
        st.sampled_from(["zero", "random", "adversarial"]), st.sampled_from(["unscaled", "scaled"]),
-       st.booleans(), st.integers(1, 300))
-def test_run_matches_the_checked_loop(seed, pair, schedule, mode, injection, retain, iterations):
+       st.booleans(), st.integers(1, 300), st.sampled_from([1, 2, 7, engine.BLOCK]))
+def test_run_matches_the_checked_loop(seed, pair, schedule, mode, injection, retain, iterations, block):
     cfg = draw_config(seed, pair, schedule, mode, injection, retain, iterations)
     want, want_err = outcome(oracles.run_loop, cfg)
-    got, got_err = outcome(engine.run, cfg)
+    with mock.patch.object(engine, "BLOCK", block):  # short blocks put block ends inside T <= 300
+        got, got_err = outcome(engine.run, cfg)
     assert got_err == want_err
     if want is None:
         return
@@ -135,7 +133,7 @@ def test_run_matches_the_checked_loop(seed, pair, schedule, mode, injection, ret
        st.integers(1, 200), st.lists(st.floats(0.0, 12.0), min_size=1, max_size=4))
 def test_first_passages_match_the_checked_loop(seed, pair, schedule, iterations, decades):
     cfg = draw_config(seed, pair, schedule, "zero", "unscaled", False, iterations)
-    cap = 2000
+    cap = 600
     s_star, s0, _ = engine._start(cfg)
     e0 = cfg.geometry.divergence(s0, s_star)
     eps_list = [max(e0, 1e-300) * 10.0 ** -k for k in decades]
