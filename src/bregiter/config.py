@@ -76,11 +76,17 @@ def _expect_keys(d: dict, required: set, optional: set, path: str):
         raise ConfigError(f"{path} has unknown key(s) {unknown}; known: {sorted(required | optional)}")
 
 
+def _echo(v: Any) -> str:
+    """repr(v) for an error message, cut after 60 characters with the full length noted."""
+    text = repr(v)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
 def _expect_int(v: Any, path: str, minimum: int | None = None) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path} must be an integer, got {v!r}")
+        raise ConfigError(f"{path} must be an integer, got {_echo(v)}")
     if minimum is not None and v < minimum:
-        raise ConfigError(f"{path} must be >= {minimum}, got {v}")
+        raise ConfigError(f"{path} must be >= {minimum}, got {_echo(v)}")
     return v
 
 
@@ -90,7 +96,7 @@ def _is_number(v: Any) -> bool:
 
 def _expect_number(v: Any, path: str, positive: bool = False) -> float:
     if not _is_number(v):
-        raise ConfigError(f"{path} must be a number, got {v!r}")
+        raise ConfigError(f"{path} must be a number, got {_echo(v)}")
     if positive and not v > 0:
         raise ConfigError(f"{path} must be > 0, got {float(v)}")
     return float(v)
@@ -110,7 +116,7 @@ def _expect_array(v: Any, path: str) -> list:
 def _expect_finite(v: Any, path: str = ""):
     """Reject the first NaN, infinity or integer past the float range in a parsed JSON value."""
     if isinstance(v, (int, float)) and not -sys.float_info.max <= v <= sys.float_info.max:
-        raise ConfigError(f"{path} must be a finite number, got {v!r}")
+        raise ConfigError(f"{path} must be a finite number, got {_echo(v)}")
     if isinstance(v, dict):
         for key, x in v.items():
             _expect_finite(x, f"{path}.{key}" if path else key)

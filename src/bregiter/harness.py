@@ -15,9 +15,10 @@ import hashlib
 import json
 import sys
 import time
+import warnings
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,19 @@ from . import __version__, analysis, config as cfgmod, engine
 from .config import ConfigError
 from .engine import EngineError
 
-TRACE_HEADER = ["t", "e_t", "a_t", "alpha_t", "delta_norm_sq", "eta_div"]
+#: trace.csv columns in file order: header name, engine.Trace attribute, printf format
+TRACE_COLUMNS = (
+    ("t", "t", "%d"),
+    ("e_t", "e", "%.16e"),
+    ("a_t", "a", "%.16e"),
+    ("alpha_t", "alpha", "%.16e"),
+    ("delta_norm_sq", "delta_norm_sq", "%.16e"),
+    ("eta_div", "eta_div", "%.16e"),
+)
+TRACE_HEADER = [name for name, _, _ in TRACE_COLUMNS]
+
+#: trace rows formatted per write; formatting a whole long trace at once holds all its text in memory
+WRITE_BLOCK = 4096
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -34,60 +47,61 @@ EXIT_CONFIG = 2
 EXIT_NEEDS_STATES = 3
 
 
-def _fmt(x: float) -> str:
-    # fixed 17 significant digits, locale independent
-    return format(float(x), ".16e")
-
-
 def write_trace_csv(path: Path, trace: engine.Trace):
+    """trace.csv of trace in the TRACE_COLUMNS formats, one %-format per WRITE_BLOCK rows."""
+    cols = [getattr(trace, attr) for _, attr, _ in TRACE_COLUMNS]
+    row_fmt = ",".join(fmt for _, _, fmt in TRACE_COLUMNS) + "\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(TRACE_HEADER)
-        for i in range(len(trace)):
-            w.writerow([
-                int(trace.t[i]),
-                _fmt(trace.e[i]),
-                _fmt(trace.a[i]),
-                _fmt(trace.alpha[i]),
-                _fmt(trace.delta_norm_sq[i]),
-                _fmt(trace.eta_div[i]),
-            ])
+        fh.write(",".join(TRACE_HEADER) + "\n")
+        for lo in range(0, len(trace), WRITE_BLOCK):
+            block = [c[lo:lo + WRITE_BLOCK].tolist() for c in cols]
+            fh.write(row_fmt * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
 
 
 def read_trace_csv(path: Path) -> dict[str, np.ndarray]:
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
+    """trace.csv columns by header name; any malformed file is a ConfigError naming the path."""
+    with open(path, errors="replace") as fh:  # bytes that are no text fail below as fields that are no numbers
+        header = fh.readline().rstrip("\n").split(",")
         if header != TRACE_HEADER:
             raise ConfigError(f"{path} has header {header}, expected {TRACE_HEADER}")
-        rows = [row for row in r]
-    cols = {name: np.array([float(row[i]) for row in rows]) for i, name in enumerate(TRACE_HEADER)}
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: rejected below
+                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:  # a field that is no number, or a row whose field count differs
+            raise ConfigError(f"{path} is not a valid trace: {exc}") from exc
+    if rows.shape[0] == 0:
+        raise ConfigError(f"{path} has a header but no rows")
+    if rows.shape[1] != len(TRACE_COLUMNS):
+        raise ConfigError(f"{path} has {rows.shape[1]} fields per row, expected {len(TRACE_COLUMNS)}")
+    # contiguous copies: a BLAS dot product over a strided column can round differently
+    cols = dict(zip(TRACE_HEADER, rows.T.copy()))
     cols["t"] = cols["t"].astype(int)
     return cols
 
 
+def load_run(run_dir: Path) -> engine.Trace:
+    """The Trace a run directory records: trace.csv, states.npz if kept, and meta from summary.json."""
+    run_dir = Path(run_dir)
+    cols = read_trace_csv(run_dir / "trace.csv")
+    summary = json.loads((run_dir / "summary.json").read_text())
+    if not isinstance(summary, dict):
+        raise ConfigError(f"{run_dir / 'summary.json'} is not a JSON object")
+    states = etas = None
+    if (run_dir / "states.npz").exists():
+        try:
+            with np.load(run_dir / "states.npz") as npz:
+                states, etas = npz["states"], npz["etas"]
+        except (KeyError, zipfile.BadZipFile) as exc:
+            raise ConfigError(f"{run_dir / 'states.npz'} is not a states archive: {exc}") from exc
+    meta = {key: summary.get(key) for key in ("config_digest", "seed", "gamma_hat", "s_star")}
+    meta["warnings"] = summary.get("warnings", [])
+    return engine.Trace(**{attr: cols[name] for name, attr, _ in TRACE_COLUMNS},
+                        states=states, etas=etas, meta=meta)
+
+
 def write_json(path: Path, obj: dict):
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance for one run directory."""
-
-    config_digest: str
-    tool_version: str
-    started_utc: str
-    finished_utc: str
-    files: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "config_digest": self.config_digest,
-            "tool_version": self.tool_version,
-            "started_utc": self.started_utc,
-            "finished_utc": self.finished_utc,
-            "files": self.files,
-        }
 
 
 def _utcnow() -> str:
@@ -97,20 +111,6 @@ def _utcnow() -> str:
 def _file_entry(path: Path) -> dict:
     data = path.read_bytes()
     return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
-
-
-def _rebuild_trace(trace_cols: dict, run_dir: Path, meta: dict) -> engine.Trace:
-    states = etas = None
-    states_path = run_dir / "states.npz"
-    if states_path.exists():
-        with np.load(states_path) as npz:
-            states = npz["states"]
-            etas = npz["etas"]
-    return engine.Trace(
-        t=trace_cols["t"], e=trace_cols["e_t"], a=trace_cols["a_t"],
-        alpha=trace_cols["alpha_t"], delta_norm_sq=trace_cols["delta_norm_sq"],
-        eta_div=trace_cols["eta_div"], states=states, etas=etas, meta=meta,
-    )
 
 
 def summarize(trace: engine.Trace, cfg: cfgmod.RunConfig) -> dict:
@@ -177,11 +177,10 @@ def run_to_dir(raw_config: dict, out_dir: Path) -> dict:
         p = out_dir / name
         if p.exists():
             files[name] = _file_entry(p)
-    manifest = RunManifest(
-        config_digest=cfg.digest, tool_version=__version__,
-        started_utc=started, finished_utc=_utcnow(), files=files,
-    )
-    write_json(out_dir / "manifest.json", manifest.to_json_dict())
+    write_json(out_dir / "manifest.json", {
+        "config_digest": cfg.digest, "tool_version": __version__,
+        "started_utc": started, "finished_utc": _utcnow(), "files": files,
+    })
     return summary
 
 
@@ -301,28 +300,18 @@ def cmd_audit(run_dir: str, *, quiet: bool = False) -> int:
     """
     run_dir = Path(run_dir)
     try:
-        raw = cfgmod.load_config_file(run_dir / "config.json")
-        cfg = cfgmod.from_dict(raw)
-        cols = read_trace_csv(run_dir / "trace.csv")
-        summary = json.loads((run_dir / "summary.json").read_text())
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+        cfg = cfgmod.from_dict(cfgmod.load_config_file(run_dir / "config.json"))
+        if not (run_dir / "states.npz").exists():  # before trace.csv is parsed
+            print(
+                "audit: states.npz not found; descent and cross-term audits need "
+                "retained states (rerun with retain_states=true)",
+                file=sys.stderr,
+            )
+            return EXIT_NEEDS_STATES
+        trace = load_run(run_dir)
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"audit: cannot load run directory {run_dir}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    meta = {
-        "config_digest": summary.get("config_digest"),
-        "seed": summary.get("seed"),
-        "gamma_hat": summary.get("gamma_hat"),
-        "s_star": summary.get("s_star"),
-        "warnings": summary.get("warnings", []),
-    }
-    trace = _rebuild_trace(cols, run_dir, meta)
-    if trace.states is None:
-        print(
-            "audit: states.npz not found; descent and cross-term audits need "
-            "retained states (rerun with retain_states=true)",
-            file=sys.stderr,
-        )
-        return EXIT_NEEDS_STATES
     report = analysis.build_audit_report(trace, cfg)
     write_json(run_dir / "audit.json", report.to_json_dict())
     if not quiet:

@@ -10,9 +10,13 @@ The last section is different: it holds step-by-step reference loops for the
 audits and the contraction estimate, which the package evaluates as array
 passes.  They use numpy and call the geometry, operator and constants passed
 in one row at a time, so they pin the batched passes to the exact bits, tie
-breaks and error order of a plain replay.
+breaks and error order of a plain replay.  After them come the row-by-row
+trace.csv writer and reader and the run-directory loader that the harness
+used before it formatted and parsed the trace in blocks.
 """
 
+import csv
+import json
 import math
 from fractions import Fraction
 
@@ -443,3 +447,69 @@ def passages_loop(cfg, eps_list, cap):
         d = g.divergence(s, s_star)
         if not math.isfinite(d):
             raise RunFailure(f"non-finite divergence at iteration {t}", t)
+
+
+# ---------------------------------------------------------------------------
+# trace.csv and run directories, row by row
+#
+# The csv-module writer and reader the harness used before its blockwise
+# formatting and np.loadtxt parse, and the Trace fields and meta that the
+# audit rebuilt from a run directory by hand.  They fix the bytes of
+# trace.csv and the bits and dtypes of every column read back.
+
+TRACE_HEADER = ["t", "e_t", "a_t", "alpha_t", "delta_norm_sq", "eta_div"]
+
+
+def _fmt(x):
+    return format(float(x), ".16e")
+
+
+def write_trace_rows(path, trace):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(TRACE_HEADER)
+        for i in range(len(trace)):
+            w.writerow([
+                int(trace.t[i]),
+                _fmt(trace.e[i]),
+                _fmt(trace.a[i]),
+                _fmt(trace.alpha[i]),
+                _fmt(trace.delta_norm_sq[i]),
+                _fmt(trace.eta_div[i]),
+            ])
+
+
+def read_trace_rows(path):
+    with open(path, newline="") as fh:
+        r = csv.reader(fh)
+        header = next(r)
+        if header != TRACE_HEADER:
+            raise ValueError(f"{path} has header {header}, expected {TRACE_HEADER}")
+        rows = [row for row in r]
+    cols = {name: np.array([float(row[i]) for row in rows]) for i, name in enumerate(TRACE_HEADER)}
+    cols["t"] = cols["t"].astype(int)
+    return cols
+
+
+def load_run_fields(run_dir):
+    """Trace fields and meta of a run directory, as the audit assembled them."""
+    cols = read_trace_rows(run_dir / "trace.csv")
+    summary = json.loads((run_dir / "summary.json").read_text())
+    meta = {
+        "config_digest": summary.get("config_digest"),
+        "seed": summary.get("seed"),
+        "gamma_hat": summary.get("gamma_hat"),
+        "s_star": summary.get("s_star"),
+        "warnings": summary.get("warnings", []),
+    }
+    states = etas = None
+    states_path = run_dir / "states.npz"
+    if states_path.exists():
+        with np.load(states_path) as npz:
+            states = npz["states"]
+            etas = npz["etas"]
+    return dict(
+        t=cols["t"], e=cols["e_t"], a=cols["a_t"], alpha=cols["alpha_t"],
+        delta_norm_sq=cols["delta_norm_sq"], eta_div=cols["eta_div"],
+        states=states, etas=etas, meta=meta,
+    )

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -512,6 +513,17 @@ def test_integer_past_the_digit_limit_exit_two(tmp_path, capsys, where):
     assert not out.exists()
 
 
+def test_long_override_value_is_cut_in_the_error(tmp_path, capsys):
+    huge = "1" + "0" * 5000
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(CONFIGS / "affine_accel.json"), "--out", str(out),
+                 "--set", f"iterations={huge}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: iterations must be an integer, got '100")
+    assert err.count("\n") == 1 and len(err) < 200
+    assert "(5003 characters)" in err
+
+
 def test_run_rejects_sweep_block(tmp_path):
     raw = base_config(sweep={"seed": [1, 2]})
     cfg_path = write_config(tmp_path / "c.json", raw)
@@ -625,6 +637,63 @@ def test_audit_exit_three_without_states(tmp_path, capsys):
 def test_audit_missing_directory_exit_two(tmp_path, capsys):
     assert cmd_audit(str(tmp_path / "nothing")) == 2
     capsys.readouterr()
+
+
+MALFORMED_TRACES = {"non-number": b"0,abc,1,1,1,0\n", "short-row": b"0,1,1\n", "header-only": b"",
+                    "not-text": b"0,\xff\xfe,1,1,1,0\n"}
+
+
+def run_with_malformed_trace(tmp_path, body, retain_states=True):
+    cfg_path = write_config(tmp_path / "c.json", base_config(retain_states=retain_states))
+    out = tmp_path / "out"
+    assert cmd_run(cfg_path, str(out), quiet=True) == 0
+    (out / "trace.csv").write_bytes(",".join(TRACE_HEADER).encode() + b"\n" + body)
+    return out
+
+
+@pytest.mark.parametrize("command", ["rate", "audit"])
+@pytest.mark.parametrize("body", MALFORMED_TRACES.values(), ids=MALFORMED_TRACES)
+def test_malformed_trace_exit_two(tmp_path, capsys, command, body):
+    out = run_with_malformed_trace(tmp_path, body)
+    trace = out / "trace.csv"
+    argv = ["rate", "--trace", str(trace)] if command == "rate" else ["audit", "--dir", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command}: cannot ") and str(trace) in err
+    assert not (out / "audit.json").exists()
+
+
+@pytest.mark.parametrize("bad_config, retain_states, code", [
+    (True, False, 2),   # a config that does not load outranks missing states
+    (False, True, 2),   # a malformed trace next to states.npz
+    (False, False, 3),  # without states.npz the trace is never parsed
+])
+def test_audit_exit_precedence(tmp_path, capsys, bad_config, retain_states, code):
+    out = run_with_malformed_trace(tmp_path, MALFORMED_TRACES["non-number"], retain_states)
+    if bad_config:
+        (out / "config.json").write_text("{")
+    assert cmd_audit(str(out)) == code
+    err = capsys.readouterr().err
+    assert ("retain_states" in err) == (code == 3)
+
+
+DAMAGE = {
+    "summary-not-object": lambda out: (out / "summary.json").write_text("[1, 2]"),
+    "states-without-etas": lambda out: np.savez(out / "states.npz", states=np.zeros((301, 2))),
+    "states-truncated": lambda out: (out / "states.npz").write_bytes((out / "states.npz").read_bytes()[:200]),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE.values(), ids=DAMAGE)
+def test_audit_damaged_run_files_exit_two(tmp_path, capsys, damage):
+    cfg_path = write_config(tmp_path / "c.json", base_config(retain_states=True))
+    out = tmp_path / "out"
+    assert cmd_run(cfg_path, str(out), quiet=True) == 0
+    damage(out)
+    assert cmd_audit(str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"audit: cannot load run directory {out}: {out}")
 
 
 # ---------------------------------------------------------------------------
