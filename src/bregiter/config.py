@@ -176,12 +176,31 @@ class RunConfig:
     contraction_pairs: int = 256
     raw: dict = field(default_factory=dict)
 
-    @property
+    @functools.cached_property
     def digest(self) -> str:
         return config_digest(self.raw)
 
     def canonical_json(self) -> str:
         return canonical_json(self.raw)
+
+    @property
+    def loop_key(self) -> str:
+        """Digest of all that engine.run's loop reads; configs with equal keys record equal loops.
+
+        It holds the canonical geometry, operator, schedule, perturbation,
+        s0 and iterations, the resolved retain_states and fixed-point
+        tolerance, and the seed only when the perturbation is not zero: a
+        noise-free loop draws nothing, the seed feeds only the contraction
+        estimate of start-up.  eps_list, rate_window, contraction_pairs and
+        the other tolerances shape start-up or the summary, not the loop.
+        """
+        d = self.raw
+        return config_digest({
+            **{k: d.get(k) for k in ("geometry", "operator", "schedule", "perturbation", "s0", "iterations")},
+            "retain_states": self.retain_states,
+            "fixed_point": self.tolerances["fixed_point"],
+            "seed": None if self.perturbation.is_zero else self.seed,
+        })
 
 
 def canonical_json(d: dict) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import shutil
 import sys
 import time
 import warnings
@@ -76,7 +77,11 @@ def read_trace_csv(path: Path) -> dict[str, np.ndarray]:
         raise ConfigError(f"{path} has {rows.shape[1]} fields per row, expected {len(TRACE_COLUMNS)}")
     # contiguous copies: a BLAS dot product over a strided column can round differently
     cols = dict(zip(TRACE_HEADER, rows.T.copy()))
-    cols["t"] = cols["t"].astype(int)
+    t = cols["t"]
+    bad = np.flatnonzero(~((np.floor(t) == t) & (np.abs(t) < 2.0**63)))  # nan, inf, fractions, past int64
+    if bad.size:
+        raise ConfigError(f"{path} line {bad[0] + 2} has t = {float(t[bad[0]])!r}, expected an integer")
+    cols["t"] = t.astype(int)
     return cols
 
 
@@ -157,16 +162,31 @@ def summarize(trace: engine.Trace, cfg: cfgmod.RunConfig) -> dict:
     return summary
 
 
-def run_to_dir(raw_config: dict, out_dir: Path) -> dict:
-    """Validate, run, and write one run directory; returns the summary dict."""
+def run_to_dir(raw_config: dict, out_dir: Path, loops: dict | None = None) -> dict:
+    """Validate, run, and write one run directory; returns the summary dict.
+
+    loops, kept by a sweep group, maps a loop_key to the Loop and trace.csv
+    of the first point that completed that loop; a later point of the same
+    key reuses both and runs only its own start-up and summary.
+    """
     started = _utcnow()
     cfg = cfgmod.from_dict(raw_config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trace = engine.run(cfg)
+    key = cfg.loop_key if loops is not None else None
+    loop, shared_trace = (loops or {}).get(key, (None, None))
+    trace = engine.run(cfg, loop)
 
     (out_dir / "config.json").write_text(cfg.canonical_json() + "\n")
-    write_trace_csv(out_dir / "trace.csv", trace)
+    if shared_trace is None:
+        write_trace_csv(out_dir / "trace.csv", trace)
+        if loops is not None:
+            for arr in trace.loop:  # later points of the key read these very arrays
+                if arr is not None:
+                    arr.flags.writeable = False
+            loops[key] = (trace.loop, out_dir / "trace.csv")
+    else:
+        shutil.copyfile(shared_trace, out_dir / "trace.csv")
     if trace.states is not None:
         np.savez_compressed(out_dir / "states.npz", states=trace.states, etas=trace.etas)
     summary = summarize(trace, cfg)
@@ -229,14 +249,20 @@ def expand_sweep(raw: dict) -> list[tuple[dict, dict]]:
     return points
 
 
-def _sweep_point(args: tuple) -> dict:
-    """Worker for one sweep point; returns an index row, never raises."""
+def _sweep_group(points: list[tuple]) -> list[dict]:
+    """Worker for the sweep points of one loop key: they share one loop and its trace.csv."""
+    loops = {}
+    return [_sweep_point(point, loops) for point in points]
+
+
+def _sweep_point(args: tuple, loops: dict) -> dict:
+    """One sweep point; returns an index row, never raises."""
     axis_values, point_cfg, out_root = args
     row = {f"axis:{k}": v for k, v in axis_values.items()}
     digest = cfgmod.config_digest(point_cfg)
     try:
         sub = Path(out_root) / digest[:12]
-        summary = run_to_dir(point_cfg, sub)
+        summary = run_to_dir(point_cfg, sub, loops)
         eps_ts = {
             f"t_eps[{item['eps']:g}]": ("" if item["t"] is None else item["t"])
             for item in summary["iterations_to_eps"]
@@ -257,7 +283,8 @@ def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1, *, quiet: bool 
     """Run the Cartesian sweep; per-point failures are recorded, not fatal.
 
     Output is independent of the parallelism level: each point runs under a
-    digest-named subdirectory and index.csv rows are sorted by digest.
+    digest-named subdirectory and index.csv rows are sorted by digest.  Points
+    with one loop_key form one job, which runs their loop once.
     """
     try:
         raw = cfgmod.load_config_file(config_path)
@@ -271,12 +298,18 @@ def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1, *, quiet: bool 
 
     out_root = Path(out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    jobs = [(axis_values, point, str(out_root)) for axis_values, point in points]
+    groups: dict = {}
+    for axis_values, point in points:
+        try:
+            key = cfgmod.from_dict(point).loop_key
+        except ConfigError:
+            key = None  # fails again in its worker, which records the error
+        groups.setdefault(key, []).append((axis_values, point, str(out_root)))
     if parallel == 1:
-        rows = [_sweep_point(job) for job in jobs]
+        rows = [row for group in groups.values() for row in _sweep_group(group)]
     else:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            rows = list(pool.map(_sweep_point, jobs))
+            rows = [row for group_rows in pool.map(_sweep_group, groups.values()) for row in group_rows]
 
     rows.sort(key=lambda r: r["digest"])
     fields = sorted({k for row in rows for k in row})

@@ -296,7 +296,7 @@ def estimate_contraction(op: Operator, g: Geometry, n_pairs: int = 256,
     if fault is not None:
         i, what = fault
         raise DomainError(f"{'s_ref' if i % 2 else 'point'} {what}")
-    ratio = g.divergence(images[0::2], images[1::2]) / base[kept]
+    ratio = g._divergence(images[0::2], images[1::2]) / base[kept]  # _fault checked the images
     ratio = ratio[~np.isnan(ratio)]  # a nan ratio is never the worst
     return max(0.0, float(ratio.max())) if ratio.size else 0.0
 

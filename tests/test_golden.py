@@ -2,7 +2,8 @@
 
 Each config in configs/ runs through cmd_run with iterations capped at CAP
 (a rate_window is rescaled to [CAP/10, CAP]) and, where states are kept,
-through cmd_audit; sweep_gamma.json runs as a sweep.  The digests below were
+through cmd_audit; sweep_gamma.json runs as a sweep, whose index.csv and
+every point's trace.csv and summary.json are pinned.  The digests below were
 recorded once from the code and are literals on purpose: a change that moves
 any artifact byte must re-record them and say why.
 """
@@ -83,6 +84,34 @@ DIGESTS = {
 
 SWEEP_INDEX_DIGEST = "b40440838f4fc033a8d3b5f9ba61d41e23599643e573efb22e3ce6330ab59892"
 
+#: sweep point directory -> digests; points that differ only in seed share trace.csv bytes
+SWEEP_POINT_DIGESTS = {
+    "118af65de326": {
+        "trace.csv": "eb3b0d5ddc462cbe6a8af219df43959f65a0732d2643fe2e078fecd72e1058bd",
+        "summary.json": "4174e05be8c0f460b48fa7956ce1a7ebda630ed8a12de9e29a715d1901eef95f",
+    },
+    "15379e6fd244": {
+        "trace.csv": "af09488ac4c320ccbceb7e18ee6fa71f1ba467c5cfbd615babfcf09ae8e0133f",
+        "summary.json": "ad45c0910d440b2b7c7518187bf8e1bd7ca49e34216610f266c18fd7ae2a6257",
+    },
+    "951064fe995e": {
+        "trace.csv": "af09488ac4c320ccbceb7e18ee6fa71f1ba467c5cfbd615babfcf09ae8e0133f",
+        "summary.json": "a1b9bf31e04c0d12a83d94e1b8e50b51f112878851e03565fe581dcaf99b1211",
+    },
+    "b806aa96e57b": {
+        "trace.csv": "522f24a9b71b9c13681472b0f15251ab6b32792499375f6a3513b06314c7eddc",
+        "summary.json": "afe405e7fcaa2b8f68faca8d478256476fcbcae47f4774a50d9d9672b6e9ee84",
+    },
+    "d89771f08769": {
+        "trace.csv": "eb3b0d5ddc462cbe6a8af219df43959f65a0732d2643fe2e078fecd72e1058bd",
+        "summary.json": "d3e469d4d3e9abda5e123bcda9da595d43999121c2345a378c880edff65706b6",
+    },
+    "ef6485c21e46": {
+        "trace.csv": "522f24a9b71b9c13681472b0f15251ab6b32792499375f6a3513b06314c7eddc",
+        "summary.json": "3f838b96bad5c4310f70f609ebb603dff94879e6f34b553d8f5887aa56a94fc5",
+    },
+}
+
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -119,3 +148,11 @@ def test_sweep_index_matches_recorded_digest(tmp_path):
     out = tmp_path / "sweep"
     assert cmd_sweep(str(CONFIGS / f"{SWEEP}.json"), str(out), quiet=True) == 0
     assert sha256(out / "index.csv") == SWEEP_INDEX_DIGEST
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_sweep_point_artifacts_match_recorded_digests(tmp_path, parallel):
+    out = tmp_path / "sweep"
+    assert cmd_sweep(str(CONFIGS / f"{SWEEP}.json"), str(out), parallel=parallel, quiet=True) == 0
+    points = {d.name: {f: sha256(d / f) for f in ("trace.csv", "summary.json")} for d in out.iterdir() if d.is_dir()}
+    assert points == SWEEP_POINT_DIGESTS

@@ -640,7 +640,8 @@ def test_audit_missing_directory_exit_two(tmp_path, capsys):
 
 
 MALFORMED_TRACES = {"non-number": b"0,abc,1,1,1,0\n", "short-row": b"0,1,1\n", "header-only": b"",
-                    "not-text": b"0,\xff\xfe,1,1,1,0\n"}
+                    "not-text": b"0,\xff\xfe,1,1,1,0\n", "nan-t": b"nan,1,1,1,1,0\n",
+                    "fractional-t": b"0,1,1,1,1,0\n1.5,1,1,1,1,0\n"}
 
 
 def run_with_malformed_trace(tmp_path, body, retain_states=True):

@@ -77,6 +77,10 @@ def test_strategies_cover_the_kind_table():
 
 
 def draw_config(seed, pair, schedule, mode, injection, retain, iterations):
+    return from_dict(draw_raw(seed, pair, schedule, mode, injection, retain, iterations))
+
+
+def draw_raw(seed, pair, schedule, mode, injection, retain, iterations):
     rng = np.random.default_rng(seed)
     gkind, okind = pair
     dim = 2 if okind == "affine-rotation" else int(rng.integers(1, 5))
@@ -95,7 +99,7 @@ def draw_config(seed, pair, schedule, mode, injection, retain, iterations):
     if not simplex:
         raw["perturbation"] = {"mode": mode, "delta0": float(rng.choice([0.0, 1e-3, 0.1])),
                                "kappa": float(rng.choice([0.0, 0.1, 0.5])), "injection": injection}
-    return from_dict(raw)
+    return raw
 
 
 def same_bits(a, b):
