@@ -176,7 +176,7 @@ class RunConfig:
     contraction_pairs: int = 256
     raw: dict = field(default_factory=dict)
 
-    @functools.cached_property
+    @property
     def digest(self) -> str:
         return config_digest(self.raw)
 

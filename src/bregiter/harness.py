@@ -162,29 +162,29 @@ def summarize(trace: engine.Trace, cfg: cfgmod.RunConfig) -> dict:
     return summary
 
 
-def run_to_dir(raw_config: dict, out_dir: Path, loops: dict | None = None) -> dict:
+def run_to_dir(raw_config: dict, out_dir: Path, shared: list | None = None) -> dict:
     """Validate, run, and write one run directory; returns the summary dict.
 
-    loops, kept by a sweep group, maps a loop_key to the Loop and trace.csv
-    of the first point that completed that loop; a later point of the same
-    key reuses both and runs only its own start-up and summary.
+    shared, kept by a sweep group whose points all have one loop_key, is
+    empty until a point of the group completes the loop; it then holds that
+    point's (Loop, trace.csv path), and later points reuse both and run only
+    their own start-up and summary.
     """
     started = _utcnow()
     cfg = cfgmod.from_dict(raw_config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    key = cfg.loop_key if loops is not None else None
-    loop, shared_trace = (loops or {}).get(key, (None, None))
+    loop, shared_trace = shared[0] if shared else (None, None)
     trace = engine.run(cfg, loop)
 
     (out_dir / "config.json").write_text(cfg.canonical_json() + "\n")
     if shared_trace is None:
         write_trace_csv(out_dir / "trace.csv", trace)
-        if loops is not None:
-            for arr in trace.loop:  # later points of the key read these very arrays
+        if shared is not None:
+            for arr in trace.loop:  # later points of the group read these very arrays
                 if arr is not None:
                     arr.flags.writeable = False
-            loops[key] = (trace.loop, out_dir / "trace.csv")
+            shared.append((trace.loop, out_dir / "trace.csv"))
     else:
         shutil.copyfile(shared_trace, out_dir / "trace.csv")
     if trace.states is not None:
@@ -249,20 +249,34 @@ def expand_sweep(raw: dict) -> list[tuple[dict, dict]]:
     return points
 
 
+def _sweep_jobs(groups: list[list], parallel: int) -> list[list]:
+    """The jobs of a sweep: one per loop group, the largest halved until each of parallel workers has one.
+
+    Each half runs the loop once.  Halves stay in place, so the jobs list the
+    points in group order at any parallel.
+    """
+    jobs = list(groups)
+    while len(jobs) < parallel and max(map(len, jobs)) > 1:
+        i = max(range(len(jobs)), key=lambda j: len(jobs[j]))
+        half = len(jobs[i]) // 2
+        jobs[i:i + 1] = [jobs[i][:half], jobs[i][half:]]
+    return jobs
+
+
 def _sweep_group(points: list[tuple]) -> list[dict]:
     """Worker for the sweep points of one loop key: they share one loop and its trace.csv."""
-    loops = {}
-    return [_sweep_point(point, loops) for point in points]
+    shared = []
+    return [_sweep_point(point, shared) for point in points]
 
 
-def _sweep_point(args: tuple, loops: dict) -> dict:
+def _sweep_point(args: tuple, shared: list) -> dict:
     """One sweep point; returns an index row, never raises."""
     axis_values, point_cfg, out_root = args
     row = {f"axis:{k}": v for k, v in axis_values.items()}
     digest = cfgmod.config_digest(point_cfg)
     try:
         sub = Path(out_root) / digest[:12]
-        summary = run_to_dir(point_cfg, sub, loops)
+        summary = run_to_dir(point_cfg, sub, shared)
         eps_ts = {
             f"t_eps[{item['eps']:g}]": ("" if item["t"] is None else item["t"])
             for item in summary["iterations_to_eps"]
@@ -284,7 +298,8 @@ def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1, *, quiet: bool 
 
     Output is independent of the parallelism level: each point runs under a
     digest-named subdirectory and index.csv rows are sorted by digest.  Points
-    with one loop_key form one job, which runs their loop once.
+    with one loop_key form one job, which runs their loop once.  A repeated
+    point runs once and its row is repeated.
     """
     try:
         raw = cfgmod.load_config_file(config_path)
@@ -298,19 +313,27 @@ def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1, *, quiet: bool 
 
     out_root = Path(out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
+    digests = [cfgmod.config_digest(point) for _, point in points]
+    unique = {}  # digest -> its first point; a repeated point runs once and its row is repeated
+    for digest, (axis_values, point) in zip(digests, points):
+        unique.setdefault(digest, (axis_values, point))
     groups: dict = {}
-    for axis_values, point in points:
+    for axis_values, point in unique.values():
         try:
             key = cfgmod.from_dict(point).loop_key
         except ConfigError:
             key = None  # fails again in its worker, which records the error
         groups.setdefault(key, []).append((axis_values, point, str(out_root)))
+    jobs = _sweep_jobs(list(groups.values()), parallel)
     if parallel == 1:
-        rows = [row for group in groups.values() for row in _sweep_group(group)]
+        done = [row for job in jobs for row in _sweep_group(job)]
     else:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            rows = [row for group_rows in pool.map(_sweep_group, groups.values()) for row in group_rows]
+            done = [row for job_rows in pool.map(_sweep_group, jobs) for row in job_rows]
 
+    by_digest = {row["digest"]: row for row in done}
+    rows = [{**by_digest[digest], **{f"axis:{k}": v for k, v in axis_values.items()}}
+            for digest, (axis_values, _) in zip(digests, points)]
     rows.sort(key=lambda r: r["digest"])
     fields = sorted({k for row in rows for k in row})
     fields.sort(key=lambda k: (not k.startswith("axis:"), k != "digest", k))

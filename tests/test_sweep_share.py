@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from bregiter import config, engine
-from bregiter.harness import cmd_run, cmd_sweep, expand_sweep
+from bregiter.harness import _sweep_jobs, cmd_run, cmd_sweep, expand_sweep
 from test_run_oracle import PAIRS, SCHEDULES, draw_raw, outcome, same_bits
 
 
@@ -165,12 +165,13 @@ SWEEP = {
     "seed": 1,
     "retain_states": True,
     "eps_list": [1e-3, 1e-9],
-    # noise-free points group by operator over three seeds; each noisy point is a group of its own
+    # noise-free points group by operator over the seeds; each noisy point is a group of its own,
+    # and the repeated seed 3 gives every point a twin that shares its directory
     "sweep": {
         "operator": [{"kind": "affine-colinear", "params": {"gamma": g, "target": [2.0, -1.0]}}
                      for g in (0.25, 0.5)] + [BLOWUP],
         "perturbation.delta0": [0.0, 0.01],
-        "seed": [1, 2, 3],
+        "seed": [1, 2, 3, 3],
     },
 }
 
@@ -183,7 +184,7 @@ def test_grouped_sweep_points_equal_lone_runs(tmp_path):
     groups = {}
     for _, point in points:
         groups.setdefault(config.from_dict(point).loop_key, []).append(point)
-    assert sorted(len(g) for g in groups.values()) == [1] * 9 + [3] * 3
+    assert sorted(len(g) for g in groups.values()) == [1] * 6 + [2] * 3 + [4] * 3
 
     index = {}
     for parallel in (1, 2, 4):
@@ -193,7 +194,11 @@ def test_grouped_sweep_points_equal_lone_runs(tmp_path):
     assert index[1] == index[2] == index[4]
 
     with open(tmp_path / "p1" / "index.csv", newline="") as fh:
-        status = {row["digest"]: row["status"] for row in csv.DictReader(fh)}
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(points)
+    status = {row["digest"]: row["status"] for row in rows}
+    for seed3, twin in zip(*(iter(r for r in rows if r["axis:seed"] == "3"),) * 2):
+        assert seed3 == twin  # rows sort by digest, so twins are adjacent
     blowups = set()
     for i, (_, point) in enumerate(points):
         digest = config.config_digest(point)
@@ -214,3 +219,29 @@ def test_grouped_sweep_points_equal_lone_runs(tmp_path):
             files = json.loads((sub / "manifest.json").read_text())["files"]
             assert files == json.loads((lone / "manifest.json").read_text())["files"]
     assert blowups == {"error: non-finite state at iteration 3"}
+
+
+def test_sweep_jobs_halve_the_largest_group_until_every_worker_has_one():
+    assert _sweep_jobs([[0, 1, 2, 3, 4]], 1) == [[0, 1, 2, 3, 4]]
+    assert _sweep_jobs([[0, 1, 2, 3, 4]], 4) == [[0], [1], [2], [3, 4]]
+    assert _sweep_jobs([[0, 1], [2, 3, 4]], 3) == [[0, 1], [2], [3, 4]]
+    assert _sweep_jobs([[0], [1], [2]], 4) == [[0], [1], [2]]
+
+
+def test_a_sweep_of_one_loop_key_fans_out(tmp_path):
+    raw = {**SWEEP, "sweep": {"seed": [1, 2, 3, 4, 5]}}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(raw))
+    assert len({config.from_dict(point).loop_key for _, point in expand_sweep(raw)}) == 1
+    index = {}
+    for parallel in (1, 2, 4):
+        out = tmp_path / f"p{parallel}"
+        assert cmd_sweep(str(path), str(out), parallel=parallel, quiet=True) == 0
+        index[parallel] = (out / "index.csv").read_bytes()
+        for sub in sorted(out.iterdir()):
+            if sub.is_dir():
+                ref = tmp_path / "p1" / sub.name
+                for name in ("config.json", "trace.csv", "summary.json", "states.npz"):
+                    assert (sub / name).read_bytes() == (ref / name).read_bytes(), (parallel, name)
+    assert index[1] == index[2] == index[4]
+    assert index[1].count(b",ok,") == 5
