@@ -373,12 +373,8 @@ def audit_induction_step(beta_grid=None, t_grid=None, tol: float = 1e-12) -> Ind
     """
     beta_grid = np.linspace(0.1, 0.9, 9) if beta_grid is None else np.asarray(beta_grid, dtype=float)
     t_grid = np.arange(0, 101) if t_grid is None else np.asarray(t_grid, dtype=int)
-    holds = np.empty((beta_grid.size, t_grid.size), dtype=bool)
-    for i, beta in enumerate(beta_grid):
-        tt = t_grid.astype(float)
-        lhs = (tt + 2) * (tt + 2 - 2 * beta) / (tt + 1) ** 2
-        rhs = 1.0 - 2.0 * beta / (tt + 2)
-        holds[i] = lhs <= rhs + tol
+    beta, tt = beta_grid[:, None], t_grid.astype(float)
+    holds = (tt + 2) * (tt + 2 - 2 * beta) / (tt + 1) ** 2 <= 1.0 - 2.0 * beta / (tt + 2) + tol
     n_total = int(holds.size)
     n_violations = int((~holds).sum())
     return InductionAudit(
@@ -493,15 +489,15 @@ def build_audit_report(trace: Trace, cfg: RunConfig, tol: float | None = None) -
 
 def _audit_three_point(trace: Trace, g: Geometry, tol: float, n_triples: int = 100,
                        seed: int = 0) -> CheckRecord:
-    """Spot-check the three-point identity on triples of recorded states."""
+    """Spot-check the three-point identity on triples of recorded states.
+
+    The worst residual is reported at the first state of its triple, and as
+    (0.0, -1) when no residual is above 0.
+    """
     rng = np.random.default_rng(seed)
-    n = trace.states.shape[0]
-    worst, worst_t = 0.0, -1
-    for _ in range(n_triples):
-        i, j, k = rng.integers(0, n, size=3)
-        r = three_point_residual(g, trace.states[i], trace.states[j], trace.states[k])
-        if r > worst:
-            worst, worst_t = r, int(i)
+    i, j, k = rng.integers(0, trace.states.shape[0], size=(n_triples, 3)).T
+    worst, worst_t = _worst(three_point_residual(g, trace.states[i], trace.states[j], trace.states[k]), i)
+    worst, worst_t = (float(worst), worst_t) if worst > 0 else (0.0, -1)
     return CheckRecord(
         name="three-point-identity", worst_violation=worst, worst_t=worst_t, tol=tol,
         passed=worst <= tol,

@@ -238,7 +238,10 @@ def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray) -> Loop:
 
         eta = None
         if noisy:
-            eta = pm.sample(g, s, s_star, g._divergence(s, s_star), al, rng)
+            try:
+                eta = pm.sample(g, s, s_star, g._divergence(s, s_star), al, rng)
+            except DomainError as exc:
+                raise EngineError(f"perturbation failed at iteration {t}: {exc}", t, s) from exc
             if eta.any():
                 eta_div[t] = g._divergence(eta, zero)
             if etas is not None:

@@ -22,20 +22,15 @@ class DomainError(ValueError):
     """A point violated a geometry's domain; the message names the constraint."""
 
 
-def _as_points(s, dim: int, name: str = "point", batch: bool = False) -> np.ndarray:
-    """s as a float array of shape (dim,), or (B, dim) when batch; shape errors only."""
+def _as_points(s, dim: int, name: str = "point", batch: bool = True, finite: bool = False) -> np.ndarray:
+    """s as a float array of shape (dim,), or (B, dim) when batch; finite rejects nan and inf entries."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 1 and not (batch and s.ndim == 2):
         want = "a 1-d vector or a (B, dim) batch" if batch else "a 1-d vector"
         raise DomainError(f"{name} must be {want}, got shape {s.shape}")
     if s.shape[-1] != dim:
         raise DomainError(f"{name} has dimension {s.shape[-1]}, geometry expects {dim}")
-    return s
-
-
-def _as_vector(s, dim: int, name: str = "point") -> np.ndarray:
-    s = _as_points(s, dim, name)
-    if not np.isfinite(s).all():
+    if finite and not np.isfinite(s).all():
         raise DomainError(f"{name} contains non-finite entries")
     return s
 
@@ -63,11 +58,11 @@ def _scalar(v):
 class Geometry:
     """Base class; concrete geometries implement the four maps below.
 
-    check_point, divergence, grad and sample_point take one point of shape
-    (dim,) or a batch of shape (B, dim), with one body for both: reductions
-    over the coordinates use np.vecdot and stacked np.matmul, which give each
-    row the same bits as the 1-d call (einsum, tensordot, a 2-d @ and
-    sum-of-products do not, since BLAS dot kernels fuse multiply-adds).
+    check_point, divergence, grad, mirror and sample_point take one point
+    of shape (dim,) or a batch of shape (B, dim), with one body for both:
+    reductions over the coordinates use np.vecdot and stacked np.matmul,
+    which give each row the same bits as the 1-d call (einsum, tensordot, a
+    2-d @ and sum-of-products do not: BLAS dot kernels fuse multiply-adds).
 
     The public maps check their points; _divergence and _project are the
     same maps without the checks, for points that were already checked
@@ -94,7 +89,7 @@ class Geometry:
         A batch is checked in one pass; the error names its first offending
         row as name[i] and says what that row breaks, as for a single point.
         """
-        s = _as_points(s, self.dim, name, batch=True)
+        s = _as_points(s, self.dim, name)
         fault = self._fault(s.reshape(-1, self.dim))
         if fault is not None:
             i, what = fault
@@ -152,7 +147,7 @@ class SquaredEuclidean(Geometry):
         return self.check_point(s).copy()
 
     def mirror(self, dual) -> np.ndarray:
-        return _as_vector(dual, self.dim, "dual").copy()
+        return _as_points(dual, self.dim, "dual", finite=True).copy()
 
     def sample_point(self, rng, size=None) -> np.ndarray:
         return rng.standard_normal(self.dim if size is None else (size, self.dim))
@@ -182,7 +177,7 @@ class Quadratic(Geometry):
         return np.matmul(self.a, self.check_point(s)[..., None])[..., 0]
 
     def mirror(self, dual) -> np.ndarray:
-        return np.linalg.solve(self.a, _as_vector(dual, self.dim, "dual"))
+        return np.linalg.solve(self.a, _as_points(dual, self.dim, "dual", finite=True)[..., None])[..., 0]
 
     def sample_point(self, rng, size=None) -> np.ndarray:
         return rng.standard_normal(self.dim if size is None else (size, self.dim))
@@ -235,9 +230,9 @@ class NegativeEntropy(Geometry):
         return 1.0 + np.log(self.check_point(s))
 
     def mirror(self, dual) -> np.ndarray:
-        dual = _as_vector(dual, self.dim, "dual")
-        w = np.exp(dual - dual.max())
-        return w / w.sum()
+        dual = _as_points(dual, self.dim, "dual", finite=True)
+        w = np.exp(dual - dual.max(axis=-1, keepdims=True))
+        return w / w.sum(axis=-1, keepdims=True)
 
     def sample_point(self, rng, size=None) -> np.ndarray:
         # Dirichlet draw squeezed to keep a 2*rho margin off the boundary.
@@ -246,7 +241,7 @@ class NegativeEntropy(Geometry):
 
     def project(self, s) -> np.ndarray:
         # drift is checked against the looser repair tolerances, not the domain's
-        return self._project(_as_vector(s, self.dim))
+        return self._project(_as_points(s, self.dim, batch=False, finite=True))
 
     def _project(self, s) -> np.ndarray:
         if float(s.min()) < self.rho * (1 - 1e-6) or abs(float(s.sum()) - 1.0) > 1e-9:
@@ -258,8 +253,8 @@ class NegativeEntropy(Geometry):
         return s / s.sum()
 
 
-def three_point_residual(g: Geometry, u, v, w) -> float:
-    """Relative residual of the three-point identity at (u, v, w).
+def three_point_residual(g: Geometry, u, v, w):
+    """Relative residual of the three-point identity at (u, v, w), or per row of three batches.
 
     D(u, w) = D(v, w) + <grad(v) - grad(w), u - v> + D(u, v) holds exactly in
     real arithmetic for any Bregman divergence; the returned value is
@@ -268,9 +263,9 @@ def three_point_residual(g: Geometry, u, v, w) -> float:
     u = g.check_point(u, "u")
     v = g.check_point(v, "v")
     w = g.check_point(w, "w")
-    lhs = g.divergence(u, w)
-    rhs = g.divergence(v, w) + float(np.dot(g.grad(v) - g.grad(w), u - v)) + g.divergence(u, v)
-    return abs(lhs - rhs) / max(1.0, abs(lhs))
+    lhs = g._divergence(u, w)
+    rhs = g._divergence(v, w) + np.vecdot(g.grad(v) - g.grad(w), u - v) + g._divergence(u, v)
+    return _scalar(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))
 
 
 def certify_constants(g: Geometry, n_pairs: int = 1000, seed: int = 0) -> dict:
@@ -279,30 +274,21 @@ def certify_constants(g: Geometry, n_pairs: int = 1000, seed: int = 0) -> dict:
     Returns worst-case margins over n_pairs random pairs: nonnegativity of the
     divergence, mu-strong convexity and L-smoothness against ||s - s'||^2 / 2,
     relative mirror-inversion error, and the three-point residual.  Margins are
-    signed so that negative values are violations.
+    signed so that negative values are violations; a nan is never the worst.
     """
     rng = np.random.default_rng(seed)
-    worst = {
-        "divergence_min": np.inf,
-        "strong_convexity_margin": np.inf,
-        "smoothness_margin": np.inf,
-        "mirror_inversion_rel": 0.0,
-        "three_point_residual": 0.0,
+    points = g.sample_point(rng, 3 * n_pairs)
+    s, r, t = points[0::3], points[1::3], points[2::3]  # each pair drew its s, r and t in turn
+    d = s - r
+    sq = 0.5 * np.vecdot(d, d)
+    div = g.divergence(s, r)
+    back = g.mirror(g.grad(s))
+    mirror_rel = np.abs(back - s).max(axis=-1) / np.maximum(1.0, np.abs(s).max(axis=-1))
+    low, high = np.fmin.reduce, np.fmax.reduce  # these skip nans
+    return {
+        "divergence_min": float(low(div, initial=np.inf)),
+        "strong_convexity_margin": float(low(div - g.mu * sq, initial=np.inf)),
+        "smoothness_margin": float(low(g.L * sq - div, initial=np.inf)),
+        "mirror_inversion_rel": float(high(mirror_rel, initial=0.0)),
+        "three_point_residual": float(high(three_point_residual(g, s, r, t), initial=0.0)),
     }
-    for _ in range(n_pairs):
-        s = g.sample_point(rng)
-        r = g.sample_point(rng)
-        d = s - r
-        sq = 0.5 * float(np.dot(d, d))
-        div = g.divergence(s, r)
-        worst["divergence_min"] = min(worst["divergence_min"], div)
-        worst["strong_convexity_margin"] = min(worst["strong_convexity_margin"], div - g.mu * sq)
-        worst["smoothness_margin"] = min(worst["smoothness_margin"], g.L * sq - div)
-        back = g.mirror(g.grad(s))
-        worst["mirror_inversion_rel"] = max(
-            worst["mirror_inversion_rel"],
-            float(np.abs(back - s).max()) / max(1.0, float(np.abs(s).max())),
-        )
-        t = g.sample_point(rng)
-        worst["three_point_residual"] = max(worst["three_point_residual"], three_point_residual(g, s, r, t))
-    return worst

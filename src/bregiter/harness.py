@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__, analysis, config as cfgmod, engine
 from .config import ConfigError
 from .engine import EngineError
+from .geometry import SquaredEuclidean
 
 #: trace.csv columns in file order: header name, engine.Trace attribute, printf format
 TRACE_COLUMNS = (
@@ -162,8 +163,8 @@ def summarize(trace: engine.Trace, cfg: cfgmod.RunConfig) -> dict:
     return summary
 
 
-def run_to_dir(raw_config: dict, out_dir: Path, shared: list | None = None) -> dict:
-    """Validate, run, and write one run directory; returns the summary dict.
+def run_to_dir(cfg: cfgmod.RunConfig, out_dir: Path, shared: list | None = None) -> dict:
+    """Run cfg and write one run directory; returns the summary dict.
 
     shared, kept by a sweep group whose points all have one loop_key, is
     empty until a point of the group completes the loop; it then holds that
@@ -171,7 +172,6 @@ def run_to_dir(raw_config: dict, out_dir: Path, shared: list | None = None) -> d
     their own start-up and summary.
     """
     started = _utcnow()
-    cfg = cfgmod.from_dict(raw_config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     loop, shared_trace = shared[0] if shared else (None, None)
@@ -213,7 +213,7 @@ def cmd_run(config_path: str, out_dir: str, seed: int | None = None,
             raw = cfgmod.apply_overrides(raw, list(overrides))
         if seed is not None:
             raw["seed"] = int(seed)
-        summary = run_to_dir(raw, Path(out_dir))
+        summary = run_to_dir(cfgmod.from_dict(raw), Path(out_dir))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -256,7 +256,7 @@ def _sweep_jobs(groups: list[list], parallel: int) -> list[list]:
     points in group order at any parallel.
     """
     jobs = list(groups)
-    while len(jobs) < parallel and max(map(len, jobs)) > 1:
+    while len(jobs) < parallel and max(map(len, jobs), default=0) > 1:
         i = max(range(len(jobs)), key=lambda j: len(jobs[j]))
         half = len(jobs[i]) // 2
         jobs[i:i + 1] = [jobs[i][:half], jobs[i][half:]]
@@ -270,27 +270,24 @@ def _sweep_group(points: list[tuple]) -> list[dict]:
 
 
 def _sweep_point(args: tuple, shared: list) -> dict:
-    """One sweep point; returns an index row, never raises."""
-    axis_values, point_cfg, out_root = args
-    row = {f"axis:{k}": v for k, v in axis_values.items()}
-    digest = cfgmod.config_digest(point_cfg)
+    """One parsed sweep point; returns its index row without the axis values, never raises."""
+    cfg, out_root = args
+    digest = cfg.digest
     try:
-        sub = Path(out_root) / digest[:12]
-        summary = run_to_dir(point_cfg, sub, shared)
-        eps_ts = {
-            f"t_eps[{item['eps']:g}]": ("" if item["t"] is None else item["t"])
-            for item in summary["iterations_to_eps"]
-        }
-        row.update(
-            digest=digest, status="ok",
-            slope="" if summary["slope"] is None else summary["slope"],
-            r2="" if summary["r2"] is None else summary["r2"],
-            beta_max="" if summary["beta_max"] is None else summary["beta_max"],
-            gamma_hat=summary["gamma_hat"], e_final=summary["e_final"], **eps_ts,
-        )
-    except (ConfigError, EngineError, ValueError) as exc:
-        row.update(digest=digest, status=f"error: {exc}")
-    return row
+        summary = run_to_dir(cfg, Path(out_root) / digest[:12], shared)
+    except (EngineError, ValueError) as exc:
+        return {"digest": digest, "status": f"error: {exc}"}
+    eps_ts = {
+        f"t_eps[{item['eps']:g}]": ("" if item["t"] is None else item["t"])
+        for item in summary["iterations_to_eps"]
+    }
+    return dict(
+        digest=digest, status="ok",
+        slope="" if summary["slope"] is None else summary["slope"],
+        r2="" if summary["r2"] is None else summary["r2"],
+        beta_max="" if summary["beta_max"] is None else summary["beta_max"],
+        gamma_hat=summary["gamma_hat"], e_final=summary["e_final"], **eps_ts,
+    )
 
 
 def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1, *, quiet: bool = False) -> int:
@@ -299,7 +296,8 @@ def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1, *, quiet: bool 
     Output is independent of the parallelism level: each point runs under a
     digest-named subdirectory and index.csv rows are sorted by digest.  Points
     with one loop_key form one job, which runs their loop once.  A repeated
-    point runs once and its row is repeated.
+    point runs once and its row is repeated.  A point that does not parse
+    gets its error row here and no job.
     """
     try:
         raw = cfgmod.load_config_file(config_path)
@@ -314,16 +312,15 @@ def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1, *, quiet: bool 
     out_root = Path(out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     digests = [cfgmod.config_digest(point) for _, point in points]
-    unique = {}  # digest -> its first point; a repeated point runs once and its row is repeated
-    for digest, (axis_values, point) in zip(digests, points):
-        unique.setdefault(digest, (axis_values, point))
-    groups: dict = {}
-    for axis_values, point in unique.values():
+    unique = dict(zip(digests, (point for _, point in points)))  # a repeated point runs once
+    by_digest, groups = {}, {}
+    for digest, point in unique.items():
         try:
-            key = cfgmod.from_dict(point).loop_key
-        except ConfigError:
-            key = None  # fails again in its worker, which records the error
-        groups.setdefault(key, []).append((axis_values, point, str(out_root)))
+            cfg = cfgmod.from_dict(point)
+        except ConfigError as exc:
+            by_digest[digest] = {"digest": digest, "status": f"error: {exc}"}
+            continue
+        groups.setdefault(cfg.loop_key, []).append((cfg, str(out_root)))
     jobs = _sweep_jobs(list(groups.values()), parallel)
     if parallel == 1:
         done = [row for job in jobs for row in _sweep_group(job)]
@@ -331,7 +328,7 @@ def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1, *, quiet: bool 
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             done = [row for job_rows in pool.map(_sweep_group, jobs) for row in job_rows]
 
-    by_digest = {row["digest"]: row for row in done}
+    by_digest.update((row["digest"], row) for row in done)
     rows = [{**by_digest[digest], **{f"axis:{k}": v for k, v in axis_values.items()}}
             for digest, (axis_values, _) in zip(digests, points)]
     rows.sort(key=lambda r: r["digest"])
@@ -346,6 +343,19 @@ def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1, *, quiet: bool 
     if not quiet:
         print(f"sweep: {len(rows)} points, {n_err} failed, index at {out_root / 'index.csv'}")
     return EXIT_OK
+
+
+def _check_states(path: Path, trace: engine.Trace, g) -> None:
+    """ConfigError unless path held T+1 states on g's domain and T finite etas, all of g's dim."""
+    T = trace.iterations
+    try:
+        if trace.states.shape != (T + 1, g.dim) or trace.etas.shape != (T, g.dim):
+            raise ValueError(f"states of shape {trace.states.shape} and etas of shape {trace.etas.shape}, "
+                             f"expected {(T + 1, g.dim)} and {(T, g.dim)}")
+        g.check_point(trace.states, "states")
+        SquaredEuclidean(g.dim).check_point(trace.etas, "etas")  # any finite rows of R^dim
+    except ValueError as exc:  # also an array that holds no numbers
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def cmd_audit(run_dir: str, *, quiet: bool = False) -> int:
@@ -365,6 +375,7 @@ def cmd_audit(run_dir: str, *, quiet: bool = False) -> int:
             )
             return EXIT_NEEDS_STATES
         trace = load_run(run_dir)
+        _check_states(run_dir / "states.npz", trace, cfg.geometry)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"audit: cannot load run directory {run_dir}: {exc}", file=sys.stderr)
         return EXIT_CONFIG

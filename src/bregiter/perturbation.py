@@ -52,7 +52,8 @@ class PerturbationModel:
 
         Draw order is fixed (direction, then budget fraction) so traces are
         reproducible.  Adversarial mode consumes no randomness unless the
-        state sits exactly on the fixed point with budget left to spend.
+        state sits exactly on the fixed point with budget left to spend, and
+        raises DomainError when ||s_t - s_star|| overflows.
         """
         zero = np.zeros(g.dim)
         if self.mode == "zero":
@@ -73,6 +74,8 @@ class PerturbationModel:
         else:  # adversarial
             d = s_t - s_star
             norm = float(np.linalg.norm(d))
+            if norm == np.inf:
+                raise DomainError("||s_t - s_star|| overflows; the adversarial direction is undefined")
             if norm == 0.0:
                 direction = _unit_direction(g.dim, rng)
             else:

@@ -7,12 +7,13 @@ accumulated by plain loops.  The point is that a bug in the package cannot
 hide inside its own oracle.
 
 The last section is different: it holds step-by-step reference loops for the
-audits and the contraction estimate, which the package evaluates as array
-passes.  They use numpy and call the geometry, operator and constants passed
-in one row at a time, so they pin the batched passes to the exact bits, tie
-breaks and error order of a plain replay.  After them come the row-by-row
-trace.csv writer and reader and the run-directory loader that the harness
-used before it formatted and parsed the trace in blocks.
+audits, the geometry certificates and the contraction estimate, which the
+package evaluates as array passes.  They use numpy and call the geometry,
+operator and constants passed in one row at a time, so they pin the batched
+passes to the exact bits, tie breaks and error order of a plain replay.
+After them come the row-by-row trace.csv writer and reader and the
+run-directory loader that the harness used before it formatted and parsed
+the trace in blocks.
 """
 
 import csv
@@ -321,6 +322,79 @@ def contraction_loop(op, g, n_pairs=256, rng_seed=0, skip_tol=1e-14):
     if used == 0:
         raise ValueError("all sampled pairs were degenerate; cannot estimate contraction")
     return worst
+
+
+# ---------------------------------------------------------------------------
+# sample-by-sample references for the geometry certificates, the three-point
+# spot check and the induction grid
+#
+# The loops certify_constants, the three-point audit and audit_induction_step
+# ran before each became one array pass.  certify_loop draws s, r and t of a
+# pair in turn; three_point_audit_loop draws one triple of indices at a time.
+# A worst value is replaced only by a larger (or, for minima, smaller) one,
+# so the first of tied samples is reported and a nan never is.
+
+
+def three_point_loop(g, u, v, w):
+    """|lhs - rhs| / max(1, |lhs|) of the three-point identity at one triple."""
+    u = g.check_point(u, "u")
+    v = g.check_point(v, "v")
+    w = g.check_point(w, "w")
+    lhs = g.divergence(u, w)
+    rhs = g.divergence(v, w) + float(np.dot(g.grad(v) - g.grad(w), u - v)) + g.divergence(u, v)
+    return abs(lhs - rhs) / max(1.0, abs(lhs))
+
+
+def certify_loop(g, n_pairs=1000, seed=0):
+    rng = np.random.default_rng(seed)
+    worst = {
+        "divergence_min": np.inf,
+        "strong_convexity_margin": np.inf,
+        "smoothness_margin": np.inf,
+        "mirror_inversion_rel": 0.0,
+        "three_point_residual": 0.0,
+    }
+    for _ in range(n_pairs):
+        s = g.sample_point(rng)
+        r = g.sample_point(rng)
+        d = s - r
+        sq = 0.5 * float(np.dot(d, d))
+        div = g.divergence(s, r)
+        worst["divergence_min"] = min(worst["divergence_min"], div)
+        worst["strong_convexity_margin"] = min(worst["strong_convexity_margin"], div - g.mu * sq)
+        worst["smoothness_margin"] = min(worst["smoothness_margin"], g.L * sq - div)
+        back = g.mirror(g.grad(s))
+        worst["mirror_inversion_rel"] = max(
+            worst["mirror_inversion_rel"],
+            float(np.abs(back - s).max()) / max(1.0, float(np.abs(s).max())),
+        )
+        t = g.sample_point(rng)
+        worst["three_point_residual"] = max(worst["three_point_residual"], three_point_loop(g, s, r, t))
+    return worst
+
+
+def three_point_audit_loop(trace, g, tol, n_triples=100, seed=0):
+    rng = np.random.default_rng(seed)
+    n = trace.states.shape[0]
+    worst, worst_t = 0.0, -1
+    for _ in range(n_triples):
+        i, j, k = rng.integers(0, n, size=3)
+        r = three_point_loop(g, trace.states[i], trace.states[j], trace.states[k])
+        if r > worst:
+            worst, worst_t = r, int(i)
+    return dict(name="three-point-identity", worst_violation=worst, worst_t=worst_t, tol=tol,
+                passed=worst <= tol)
+
+
+def induction_loop(beta_grid, t_grid, tol=1e-12):
+    """The truth table of the induction-step inequality, one beta at a time."""
+    holds = np.empty((beta_grid.size, t_grid.size), dtype=bool)
+    for i, beta in enumerate(beta_grid):
+        tt = t_grid.astype(float)
+        lhs = (tt + 2) * (tt + 2 - 2 * beta) / (tt + 1) ** 2
+        rhs = 1.0 - 2.0 * beta / (tt + 2)
+        holds[i] = lhs <= rhs + tol
+    return holds
 
 
 # ---------------------------------------------------------------------------

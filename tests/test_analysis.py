@@ -9,6 +9,7 @@ import oracles
 from bregiter.analysis import (
     BoundConstants,
     CheckRecord,
+    _audit_three_point,
     audit_cross_term,
     audit_descent,
     audit_induction_step,
@@ -246,6 +247,15 @@ def test_induction_step_default_grid_count_matches_oracle():
     assert table.n_violations == expected == oracles.DEFAULT_GRID_VIOLATIONS
 
 
+@pytest.mark.parametrize("grids", [(None, None), ([-1.0, 0.0, 0.5, 1.0, 2.5, 7.0], [0, 1, 2, 5, 50, 10**6])],
+                         ids=["default", "custom"])
+def test_induction_table_matches_the_beta_loop(grids):
+    table = audit_induction_step(*grids)
+    assert np.array_equal(table.holds, oracles.induction_loop(table.beta_grid, table.t_grid))
+    if grids[0] is not None:  # beta >= 1 makes some cells hold
+        assert 0 < table.n_violations < table.n_total
+
+
 # ---------------------------------------------------------------------------
 # envelope
 
@@ -374,6 +384,8 @@ def shipped_config(name, **changes):
 
 
 def assert_audits_match_loops(tr, g, op, bc):
+    got, want = _audit_three_point(tr, g, tol=1e-9), oracles.three_point_audit_loop(tr, g, tol=1e-9)
+    assert got == CheckRecord(**want) and repr(got.worst_violation) == repr(want["worst_violation"])
     assert audit_descent(tr, g, op, bc) == CheckRecord(**oracles.descent_loop(tr, g, op, bc))
     assert audit_cross_term(tr, g, bc) == CheckRecord(**oracles.cross_term_loop(tr, g, bc))
     beta_max, rec = audit_recursion(tr, bc)

@@ -2,7 +2,8 @@
 
 A (B, dim) batch must give every row exactly the bits of the 1-d call
 (np.array_equal, not allclose), and a 1-d call the bits of the plain 1-d
-formula the recorded digests were made with (np.dot, @, tensordot, np.sum).
+formula the recorded digests were made with (np.dot, @, tensordot, np.sum,
+np.linalg.solve).
 The maps reduce over coordinates with np.vecdot and stacked np.matmul
 because those keep the per-row BLAS dot order; einsum, tensordot, a 2-d @
 or a sum of products fail these tests on a large share of rows.
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bregiter.geometry import DomainError, NegativeEntropy, Quadratic, SquaredEuclidean
+import oracles
+from bregiter.geometry import DomainError, NegativeEntropy, Quadratic, SquaredEuclidean, three_point_residual
 from bregiter.operators import (
     AffineColinear,
     AffineRotation,
@@ -73,6 +75,15 @@ def plain_grad(g, s):
     return 1.0 + np.log(s)
 
 
+def plain_mirror(g, dual):
+    if g.kind == "squared-euclidean":
+        return dual.copy()
+    if g.kind == "quadratic":
+        return np.linalg.solve(g.a, dual)
+    w = np.exp(dual - dual.max())
+    return w / w.sum()
+
+
 def plain_apply(op, s, t):
     """The 1-d formulas of the operators, one state at a time."""
     if op.kind == "affine-colinear":
@@ -106,6 +117,21 @@ def test_geometry_maps_batch_rowwise(seed, kind, dim, n):
     assert type(g.divergence(s[0], r[0])) is float
     assert np.array_equal(g.divergence(s, r), rowwise(lambda x, y: plain_divergence(g, x, y), s, r))
     assert np.array_equal(g.grad(s), rowwise(lambda x: plain_grad(g, x), s))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, st.sampled_from(GEOMETRY_KINDS), dims, sizes)
+def test_mirror_and_three_point_residual_batch_rowwise(seed, kind, dim, n):
+    rng = np.random.default_rng(seed)
+    g = make_geometry(kind, dim, rng)
+    dual = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    assert np.array_equal(g.mirror(dual), rowwise(g.mirror, dual))
+    assert np.array_equal(g.mirror(dual), rowwise(lambda x: plain_mirror(g, x), dual))
+    u, v, w = (points(g, rng, n) for _ in range(3))
+    residual = three_point_residual(g, u, v, w)
+    assert np.array_equal(residual, rowwise(lambda x, y, z: three_point_residual(g, x, y, z), u, v, w))
+    assert np.array_equal(residual, rowwise(lambda x, y, z: oracles.three_point_loop(g, x, y, z), u, v, w))
+    assert type(three_point_residual(g, u[0], v[0], w[0])) is float
 
 
 @settings(max_examples=60, deadline=None)

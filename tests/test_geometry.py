@@ -147,6 +147,16 @@ def test_certified_margins(g):
     assert cert["three_point_residual"] <= 1e-9
 
 
+@pytest.mark.parametrize("n_pairs", [0, 1, 7, 1000])
+@pytest.mark.parametrize("g", ALL_GEOMETRIES, ids=lambda g: g.kind)
+def test_certified_margins_match_the_pair_loop(g, n_pairs):
+    for seed in (0, 3):
+        got, want = certify_constants(g, n_pairs, seed), oracles.certify_loop(g, n_pairs, seed)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert repr(got[key]) == repr(want[key]) and type(got[key]) is float, key
+
+
 def test_euclidean_constants():
     g = SquaredEuclidean(3)
     assert g.mu == 1.0 and g.L == 1.0

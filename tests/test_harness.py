@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bregiter import config as cfgmod
+from bregiter import config as cfgmod, harness
 from bregiter.cli import main
 from bregiter.config import ConfigError, apply_overrides, config_digest, from_dict
 from bregiter.harness import (
@@ -494,6 +495,32 @@ def test_infinite_perturbation_stops_the_run(tmp_path, monkeypatch, capsys):
         "non-finite state at iteration 7"
 
 
+#: an adversarial target whose distance from s0 = 0 overflows
+OVERFLOW_TARGET = [0.0, 1.3407807929942597e+154]
+OVERFLOW_ERROR = ("perturbation failed at iteration 0: "
+                  "||s_t - s_star|| overflows; the adversarial direction is undefined")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_adversarial_direction_stops_the_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    overrides = [f"operator.params.target={json.dumps(OVERFLOW_TARGET)}", "iterations=5"]
+    assert cmd_run(str(CONFIGS / "affine_adversarial_scaled.json"), str(out), overrides=overrides) == 1
+    assert json.loads((out / "state_dump.json").read_text()) == {"error": OVERFLOW_ERROR, "t": 0, "state": [0.0, 0.0]}
+    assert capsys.readouterr().err.startswith(f"run failed: {OVERFLOW_ERROR} (state dumped to")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_sweep_records_an_overflowing_adversarial_direction(tmp_path):
+    raw = json.loads((CONFIGS / "affine_adversarial_scaled.json").read_text())
+    raw["iterations"] = 5
+    raw["sweep"] = {"operator.params.target": [OVERFLOW_TARGET, [2.0, -1.0]]}
+    assert cmd_sweep(write_config(tmp_path / "c.json", raw), str(tmp_path / "s"), quiet=True) == 0
+    with open(tmp_path / "s" / "index.csv") as fh:
+        status = {row["axis:operator.params.target"]: row["status"] for row in csv.DictReader(fh)}
+    assert status == {json.dumps(OVERFLOW_TARGET): f"error: {OVERFLOW_ERROR}", "[2.0, -1.0]": "ok"}
+
+
 @pytest.mark.parametrize("where", ["file", "override"])
 def test_integer_past_the_digit_limit_exit_two(tmp_path, capsys, where):
     huge = "1" + "0" * 5000
@@ -599,6 +626,17 @@ def test_sweep_continues_past_point_failures(tmp_path):
     assert "ok" in text and "error" in text
 
 
+def test_sweep_point_that_does_not_parse_gets_no_job(tmp_path, monkeypatch):
+    ran = []
+    plain = harness._sweep_point
+    monkeypatch.setattr(harness, "_sweep_point", lambda args, shared: ran.append(args) or plain(args, shared))
+    raw = sweep_config()
+    raw["sweep"] = {"operator.params.gamma": [0.5, 1.5]}
+    assert cmd_sweep(write_config(tmp_path / "c.json", raw), str(tmp_path / "s"), parallel=1, quiet=True) == 0
+    assert [cfg.operator.gamma for cfg, _ in ran] == [0.5]
+    assert "error: operator: gamma" in (tmp_path / "s" / "index.csv").read_text()
+
+
 def test_sweep_without_block_exit_two(tmp_path):
     cfg_path = write_config(tmp_path / "c.json", base_config())
     assert cmd_sweep(cfg_path, str(tmp_path / "s"), quiet=True) == 2
@@ -680,10 +718,31 @@ def test_audit_exit_precedence(tmp_path, capsys, bad_config, retain_states, code
     assert ("retain_states" in err) == (code == 3)
 
 
+def rewrite_states(**change):
+    """Damage that rewrites states.npz with the named arrays passed through change[name]."""
+    def damage(out):
+        with np.load(out / "states.npz") as npz:
+            arrays = {name: change.get(name, np.asarray)(npz[name]) for name in npz.files}
+        np.savez(out / "states.npz", **arrays)
+    return damage
+
+
+def nan_row(a, row=5):
+    a = a.copy()
+    a[row] = np.nan
+    return a
+
+
 DAMAGE = {
     "summary-not-object": lambda out: (out / "summary.json").write_text("[1, 2]"),
     "states-without-etas": lambda out: np.savez(out / "states.npz", states=np.zeros((301, 2))),
     "states-truncated": lambda out: (out / "states.npz").write_bytes((out / "states.npz").read_bytes()[:200]),
+    "states-nan-row": rewrite_states(states=nan_row),
+    "states-cut-to-10-rows": rewrite_states(states=lambda a: a[:10]),
+    "states-wrong-dim": rewrite_states(states=lambda a: a[:, :1]),
+    "etas-nan-row": rewrite_states(etas=nan_row),
+    "etas-cut-to-10-rows": rewrite_states(etas=lambda a: a[:10]),
+    "etas-no-numbers": rewrite_states(etas=lambda a: np.full(a.shape, "x")),
 }
 
 
@@ -754,6 +813,6 @@ def test_module_entry_point(tmp_path):
 
 
 def test_run_to_dir_returns_summary(tmp_path):
-    summary = run_to_dir(base_config(), tmp_path / "out")
+    summary = run_to_dir(from_dict(base_config()), tmp_path / "out")
     assert summary["e0"] == 2.5
     assert summary["gamma_hat"] == pytest.approx(0.25, abs=1e-9)
