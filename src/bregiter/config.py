@@ -14,7 +14,7 @@ import hashlib
 import inspect
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -171,10 +171,10 @@ class RunConfig:
     seed: int
     retain_states: bool
     tolerances: dict
-    eps_list: list[float] = field(default_factory=list)
-    rate_window: tuple[int, int] | None = None
-    contraction_pairs: int = 256
-    raw: dict = field(default_factory=dict)
+    eps_list: list[float]
+    rate_window: tuple[int, int] | None
+    contraction_pairs: int
+    raw: dict
 
     @property
     def digest(self) -> str:

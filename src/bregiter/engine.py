@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -107,10 +107,6 @@ class Trace:
     def iterations(self) -> int:
         return self.t.size - 1
 
-    @property
-    def loop(self) -> Loop:
-        return Loop(*(getattr(self, name) for name in Loop._fields))
-
 
 def _start(cfg: RunConfig, contraction: bool = False) -> tuple[np.ndarray, np.ndarray, float | None]:
     """Fixed point, projected s0 and gamma_hat (None unless contraction).
@@ -122,7 +118,7 @@ def _start(cfg: RunConfig, contraction: bool = False) -> tuple[np.ndarray, np.nd
     try:
         s_star = op.fixed_point(geometry=g, tol=cfg.tolerances["fixed_point"])
         g.check_point(s_star, "fixed point")
-        s = g.project(g.check_point(s0, "s0"))
+        s = g._project(g.check_point(s0, "s0"))
         gamma_hat = estimate_contraction(
             op, g, n_pairs=cfg.contraction_pairs, rng_seed=cfg.seed + 1,
             skip_tol=cfg.tolerances["degenerate_pair"],
@@ -154,24 +150,12 @@ def _step(g, s: np.ndarray, ts: np.ndarray, al: float, t: int, eta: np.ndarray |
         raise EngineError(f"domain escape at iteration {t}: {exc}", t, s_next) from exc
 
 
-class Loop(NamedTuple):
-    """Arrays the averaged loop records; RunConfig.loop_key fixes every bit of them."""
-
-    e: np.ndarray
-    alpha: np.ndarray
-    delta_norm_sq: np.ndarray
-    eta_div: np.ndarray
-    states: np.ndarray | None
-    etas: np.ndarray | None
-    final_state: np.ndarray
-
-
-def run(cfg: RunConfig, loop: Loop | None = None) -> Trace:
+def run(cfg: RunConfig, like: Trace | None = None) -> Trace:
     """Execute the averaged iteration described by cfg and return its trace.
 
     Start-up (fixed point, s0, the seeded contraction estimate, warnings and
-    meta) runs for every call.  loop, the Loop of an earlier run whose config
-    has the same loop_key, stands in for the loop itself.
+    meta) runs for every call.  like, the Trace of an earlier run whose config
+    has the same loop_key, stands in for the loop: the result shares its arrays.
     """
     pm = cfg.perturbation
     s_star, s, gamma_hat = _start(cfg, contraction=True)
@@ -183,11 +167,8 @@ def run(cfg: RunConfig, loop: Loop | None = None) -> Trace:
             "accelerated bounds are vacuous"
         )
         log.warning(warnings[-1])
-    if loop is None:
-        loop = _loop(cfg, s_star, s)
-    rows = np.arange(cfg.iterations + 1)
-    return Trace(
-        t=rows, a=loop.e * (rows + 1.0) ** 2, **loop._asdict(),
+    return replace(
+        like if like is not None else _loop(cfg, s_star, s),
         meta={
             "config_digest": cfg.digest,
             "seed": cfg.seed,
@@ -198,8 +179,8 @@ def run(cfg: RunConfig, loop: Loop | None = None) -> Trace:
     )
 
 
-def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray) -> Loop:
-    """The loop of run from the projected s0 s.
+def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray) -> Trace:
+    """The loop of run from the projected s0 s, as a Trace with empty meta.
 
     It records s_t and T(s_t) in (BLOCK, dim) buffers and fills e_t and
     ||T(s_t) - s_t||^2 one block at a time; the batched maps give each row
@@ -247,7 +228,9 @@ def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray) -> Loop:
             if etas is not None:
                 etas[t] = eta
         s = _step(g, s, ts, al, t, eta)
-    return Loop(e, alpha, delta_sq, eta_div, states, etas, s)
+    rows = np.arange(T + 1)
+    return Trace(t=rows, e=e, a=e * (rows + 1.0) ** 2, alpha=alpha, delta_norm_sq=delta_sq,
+                 eta_div=eta_div, states=states, etas=etas, final_state=s)
 
 
 def _passages(cfg: RunConfig, s_star: np.ndarray, e, s: np.ndarray,

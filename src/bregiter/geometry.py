@@ -64,8 +64,8 @@ class Geometry:
     which give each row the same bits as the 1-d call (einsum, tensordot, a
     2-d @ and sum-of-products do not: BLAS dot kernels fuse multiply-adds).
 
-    The public maps check their points; _divergence and _project are the
-    same maps without the checks, for points that were already checked
+    The public maps check their points; _divergence, _grad and _project are
+    the same maps without the checks, for points that were already checked
     (the engine checks s0 and s_star once and then runs unchecked).
     """
 
@@ -110,6 +110,9 @@ class Geometry:
         raise NotImplementedError
 
     def grad(self, s) -> np.ndarray:
+        return self._grad(self.check_point(s))
+
+    def _grad(self, s: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def mirror(self, dual) -> np.ndarray:
@@ -143,8 +146,8 @@ class SquaredEuclidean(Geometry):
         d = s - s_ref
         return _scalar(0.5 * np.vecdot(d, d))
 
-    def grad(self, s) -> np.ndarray:
-        return self.check_point(s).copy()
+    def _grad(self, s) -> np.ndarray:
+        return s.copy()
 
     def mirror(self, dual) -> np.ndarray:
         return _as_points(dual, self.dim, "dual", finite=True).copy()
@@ -173,8 +176,8 @@ class Quadratic(Geometry):
         d = s - s_ref
         return _scalar(0.5 * np.vecdot(np.matmul(d[..., None, :], self.a)[..., 0, :], d))
 
-    def grad(self, s) -> np.ndarray:
-        return np.matmul(self.a, self.check_point(s)[..., None])[..., 0]
+    def _grad(self, s) -> np.ndarray:
+        return np.matmul(self.a, s[..., None])[..., 0]
 
     def mirror(self, dual) -> np.ndarray:
         return np.linalg.solve(self.a, _as_points(dual, self.dim, "dual", finite=True)[..., None])[..., 0]
@@ -226,8 +229,8 @@ class NegativeEntropy(Geometry):
     def _divergence(self, s, s_ref):
         return _scalar((s * (np.log(s) - np.log(s_ref))).sum(axis=-1))
 
-    def grad(self, s) -> np.ndarray:
-        return 1.0 + np.log(self.check_point(s))
+    def _grad(self, s) -> np.ndarray:
+        return 1.0 + np.log(s)
 
     def mirror(self, dual) -> np.ndarray:
         dual = _as_points(dual, self.dim, "dual", finite=True)
@@ -264,7 +267,7 @@ def three_point_residual(g: Geometry, u, v, w):
     v = g.check_point(v, "v")
     w = g.check_point(w, "w")
     lhs = g._divergence(u, w)
-    rhs = g._divergence(v, w) + np.vecdot(g.grad(v) - g.grad(w), u - v) + g._divergence(u, v)
+    rhs = g._divergence(v, w) + np.vecdot(g._grad(v) - g._grad(w), u - v) + g._divergence(u, v)
     return _scalar(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))
 
 

@@ -168,23 +168,23 @@ def run_to_dir(cfg: cfgmod.RunConfig, out_dir: Path, shared: list | None = None)
 
     shared, kept by a sweep group whose points all have one loop_key, is
     empty until a point of the group completes the loop; it then holds that
-    point's (Loop, trace.csv path), and later points reuse both and run only
+    point's (Trace, trace.csv path), and later points reuse both and run only
     their own start-up and summary.
     """
     started = _utcnow()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    loop, shared_trace = shared[0] if shared else (None, None)
-    trace = engine.run(cfg, loop)
+    like, shared_trace = shared[0] if shared else (None, None)
+    trace = engine.run(cfg, like)
 
     (out_dir / "config.json").write_text(cfg.canonical_json() + "\n")
     if shared_trace is None:
         write_trace_csv(out_dir / "trace.csv", trace)
         if shared is not None:
-            for arr in trace.loop:  # later points of the group read these very arrays
-                if arr is not None:
+            for arr in vars(trace).values():  # later points of the group read these very arrays
+                if isinstance(arr, np.ndarray):
                     arr.flags.writeable = False
-            shared.append((trace.loop, out_dir / "trace.csv"))
+            shared.append((trace, out_dir / "trace.csv"))
     else:
         shutil.copyfile(shared_trace, out_dir / "trace.csv")
     if trace.states is not None:
@@ -205,7 +205,7 @@ def run_to_dir(cfg: cfgmod.RunConfig, out_dir: Path, shared: list | None = None)
 
 
 def cmd_run(config_path: str, out_dir: str, seed: int | None = None,
-            overrides: list[str] | None = None, *, quiet: bool = False) -> int:
+            overrides: list[str] | None = None) -> int:
     """Execute one run; exit 0 on success, 2 on config errors, 1 on run failures."""
     try:
         raw = cfgmod.load_config_file(config_path)
@@ -223,11 +223,10 @@ def cmd_run(config_path: str, out_dir: str, seed: int | None = None,
         write_json(dump, {"error": str(exc), "t": exc.t, "state": exc.state.tolist()})
         print(f"run failed: {exc} (state dumped to {dump})", file=sys.stderr)
         return EXIT_RUNTIME
-    if not quiet:
-        print(json.dumps({
-            "digest": summary["config_digest"], "e_final": summary["e_final"],
-            "slope": summary["slope"], "warnings": summary["warnings"],
-        }))
+    print(json.dumps({
+        "digest": summary["config_digest"], "e_final": summary["e_final"],
+        "slope": summary["slope"], "warnings": summary["warnings"],
+    }))
     return EXIT_OK
 
 
@@ -290,7 +289,7 @@ def _sweep_point(args: tuple, shared: list) -> dict:
     )
 
 
-def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1, *, quiet: bool = False) -> int:
+def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1) -> int:
     """Run the Cartesian sweep; per-point failures are recorded, not fatal.
 
     Output is independent of the parallelism level: each point runs under a
@@ -340,8 +339,7 @@ def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1, *, quiet: bool 
         for row in rows:
             w.writerow(row)
     n_err = sum(1 for row in rows if row["status"] != "ok")
-    if not quiet:
-        print(f"sweep: {len(rows)} points, {n_err} failed, index at {out_root / 'index.csv'}")
+    print(f"sweep: {len(rows)} points, {n_err} failed, index at {out_root / 'index.csv'}")
     return EXIT_OK
 
 
@@ -358,7 +356,7 @@ def _check_states(path: Path, trace: engine.Trace, g) -> None:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def cmd_audit(run_dir: str, *, quiet: bool = False) -> int:
+def cmd_audit(run_dir: str) -> int:
     """Audit a completed run directory; findings go to audit.json.
 
     Exit 0 even when checks fail (violations are findings); exit 3 when the
@@ -381,14 +379,13 @@ def cmd_audit(run_dir: str, *, quiet: bool = False) -> int:
         return EXIT_CONFIG
     report = analysis.build_audit_report(trace, cfg)
     write_json(run_dir / "audit.json", report.to_json_dict())
-    if not quiet:
-        for check in report.checks:
-            status = "vacuous" if check.vacuous else ("pass" if check.passed else "FINDING")
-            print(f"{check.name}: {status} (worst violation {check.worst_violation:.3e})")
-        print(
-            f"induction-step: {report.induction.n_violations}/{report.induction.n_total} "
-            "grid cells violate the claimed inequality"
-        )
+    for check in report.checks:
+        status = "vacuous" if check.vacuous else ("pass" if check.passed else "FINDING")
+        print(f"{check.name}: {status} (worst violation {check.worst_violation:.3e})")
+    print(
+        f"induction-step: {report.induction.n_violations}/{report.induction.n_total} "
+        "grid cells violate the claimed inequality"
+    )
     return EXIT_OK
 
 

@@ -24,11 +24,7 @@ from .geometry import DomainError, Geometry, NegativeEntropy, SquaredEuclidean, 
 
 
 class FixedPointError(RuntimeError):
-    """Iterative fixed-point search failed to converge; carries the residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
+    """Iterative fixed-point search failed to converge."""
 
 
 class Operator:
@@ -57,17 +53,11 @@ class Operator:
     def apply(self, s: np.ndarray, t: int = 0) -> np.ndarray:
         raise NotImplementedError
 
-    def _default_geometry(self) -> Geometry:
-        return SquaredEuclidean(self.dim)
-
-    def _iteration_start(self) -> np.ndarray:
-        return np.zeros(self.dim)
-
     def fixed_point(self, geometry: Geometry | None = None, tol: float = 1e-14,
                     max_iter: int = 10**6) -> np.ndarray:
-        """Iterative fallback: repeat apply until the divergence step is <= tol."""
-        g = geometry if geometry is not None else self._default_geometry()
-        s = self._iteration_start()
+        """Iterative fallback from 0: repeat apply until the divergence step is <= tol."""
+        g = geometry if geometry is not None else SquaredEuclidean(self.dim)
+        s = np.zeros(self.dim)
         residual = math.inf
         for _ in range(max_iter):
             nxt = self.apply(s, 0)
@@ -77,8 +67,7 @@ class Operator:
                 return s
         raise FixedPointError(
             f"{self.kind} fixed point did not converge in {max_iter} iterations "
-            f"(last divergence step {residual:g})",
-            residual,
+            f"(last divergence step {residual:g})"
         )
 
 
@@ -165,9 +154,10 @@ class ExpGradientStep(Operator):
     """Multiplicative update toward a target distribution q on the simplex.
 
     T(p) is proportional to p * exp(-step * grad KL(p || q)) renormalized,
-    then clamped back to the rho-interior.  At p = q the exponent is constant
-    across entries and dies in the normalization, so q is exactly the fixed
-    point.
+    then brought back to the rho-interior: the k entries below rho are held
+    at rho and the rest rescaled to fill 1 - k rho.  At p = q the exponent is
+    constant across entries and dies in the normalization, so q is exactly
+    the fixed point.
     """
 
     kind = "exp-gradient-step"
@@ -192,17 +182,19 @@ class ExpGradientStep(Operator):
         gkl = np.log(p) - np.log(self.q) + 1.0
         w = p * np.exp(-self.step * gkl)
         w = w / w.sum(axis=-1, keepdims=True)
-        w = np.clip(w, self.rho, None)
-        return w / w.sum(axis=-1, keepdims=True)
+        held = w < self.rho
+        if not held.any():
+            return w / w.sum(axis=-1, keepdims=True)
+        # each pass holds more entries of some row; rho * dim < 1 keeps one free, so < dim passes
+        while True:
+            free = np.where(held, 0.0, w).sum(axis=-1, keepdims=True)
+            out = np.where(held, self.rho, w / free * (1.0 - self.rho * held.sum(axis=-1, keepdims=True)))
+            if not (out < self.rho).any():
+                return out  # a row that holds nothing has the bits of w / w.sum(), times exactly 1.0
+            held |= out < self.rho
 
     def fixed_point(self, geometry=None, tol=1e-14, max_iter=10**6):
         return self.q.copy()
-
-    def _default_geometry(self):
-        return NegativeEntropy(self.dim, self.rho)
-
-    def _iteration_start(self):
-        return np.full(self.dim, 1.0 / self.dim)
 
 
 class Bellman(Operator):

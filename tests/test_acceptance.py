@@ -200,8 +200,8 @@ def test_accept_8_claim_audits_complete(tmp_path):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(raw))
     out = tmp_path / "out"
-    run_status = cmd_run(str(cfg_path), str(out), quiet=True)
-    audit_status = cmd_audit(str(out), quiet=True)
+    run_status = cmd_run(str(cfg_path), str(out))
+    audit_status = cmd_audit(str(out))
     rep = json.loads((out / "audit.json").read_text())
     checks = {c["name"]: c for c in rep["checks"]}
     cross_ok = checks["cross-term"]["worst_violation"] == 0.0 and not checks["cross-term"]["vacuous"]
@@ -221,15 +221,15 @@ def test_accept_9_determinism(tmp_path):
     raw["sweep"] = {"operator.params.gamma": [0.25, 0.5, 0.75], "seed": [1, 2]}
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(raw))
-    cmd_sweep(str(cfg_path), str(tmp_path / "s1"), parallel=1, quiet=True)
-    cmd_sweep(str(cfg_path), str(tmp_path / "s4"), parallel=4, quiet=True)
+    cmd_sweep(str(cfg_path), str(tmp_path / "s1"), parallel=1)
+    cmd_sweep(str(cfg_path), str(tmp_path / "s4"), parallel=4)
     sweep_ok = (tmp_path / "s1" / "index.csv").read_bytes() == (tmp_path / "s4" / "index.csv").read_bytes()
 
     single = colinear_raw(iterations=500)
     run_path = tmp_path / "r.json"
     run_path.write_text(json.dumps(single))
-    cmd_run(str(run_path), str(tmp_path / "a"), quiet=True)
-    cmd_run(str(run_path), str(tmp_path / "b"), quiet=True)
+    cmd_run(str(run_path), str(tmp_path / "a"))
+    cmd_run(str(run_path), str(tmp_path / "b"))
     rerun_ok = (tmp_path / "a" / "trace.csv").read_bytes() == (tmp_path / "b" / "trace.csv").read_bytes()
     ok = report(
         9, "determinism",

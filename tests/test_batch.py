@@ -94,8 +94,16 @@ def plain_apply(op, s, t):
         return s - op.step * (op.a @ s - op.b)
     if op.kind == "exp-gradient-step":
         w = s * np.exp(-op.step * (np.log(s) - np.log(op.q) + 1.0))
-        w = np.clip(w / w.sum(), op.rho, None)
-        return w / w.sum()
+        w = w / w.sum()
+        held = w < op.rho
+        out = w / w.sum()
+        while held.any():  # hold the entries below rho at rho, rescale the others to fill the rest
+            out = w / np.where(held, 0.0, w).sum() * (1.0 - op.rho * held.sum())
+            out[held] = op.rho
+            if not (out < op.rho).any():
+                break
+            held |= out < op.rho
+        return out
     r = op.rewards + op.context_y[t % len(op.context_y)]
     return (r + op.discount * np.tensordot(op.transitions, s, axes=([2], [0]))).max(axis=1)
 
@@ -181,6 +189,32 @@ def test_operator_apply_batch_rowwise(seed, kind, dim, n):
     assert np.array_equal(op.apply(s, t), rowwise(lambda x, ti: op.apply(x, int(ti)), s, t))
     assert np.array_equal(op.apply(s, 0), rowwise(op.apply, s))
     assert np.array_equal(op.apply(s, t), rowwise(lambda x, ti: plain_apply(op, x, int(ti)), s, t))
+
+
+def test_exp_gradient_images_stay_in_the_rho_interior():
+    # at step 3 some images have entries below rho before the hold; renormalising after a clip left them there
+    g = NegativeEntropy(3, rho=1e-6)
+    op = ExpGradientStep([0.5, 0.3, 0.2], 3.0)
+    s = g.sample_point(np.random.default_rng(0), 512)
+    images = op.apply(s)
+    assert (images == op.rho).any()
+    g.check_point(images, "image")
+    assert np.array_equal(images, rowwise(lambda x: plain_apply(op, x, 0), s))
+
+
+def test_exp_gradient_hold_takes_a_second_pass():
+    # q[0] is just below rho, so it is held; the rescale then pushes q[1], just above rho, below it
+    rho = 1e-6
+    q = np.array([rho * (1 - 9e-10), np.nextafter(rho, 1.0), 0.5, 0.0])
+    q[3] = 1.0 - q[:3].sum()
+    g = NegativeEntropy(4, rho)
+    op = ExpGradientStep(q, 0.5)
+    rows = np.vstack([q, g.sample_point(np.random.default_rng(1), 7)])
+    images = op.apply(rows)
+    np.testing.assert_array_equal(images[0, :2], [rho, rho])
+    g.check_point(images, "image")
+    assert np.array_equal(images, rowwise(lambda x: plain_apply(op, x, 0), rows))
+    assert np.array_equal(images, rowwise(op.apply, rows))
 
 
 def test_bellman_context_rows_follow_their_step():

@@ -4,6 +4,8 @@ Each demo runs in its own interpreter on the checkout's src/, and its stdout
 must hash to the sha256 recorded from the code before the geometry
 certificates and the three-point audit became array passes.  A change that
 moves a printed digit fails here; a new demo needs its digest recorded.
+Demos run under -W error::RuntimeWarning, the filter the test suite sets for
+itself, so a demo that starts to warn fails too.
 """
 
 import hashlib
@@ -34,7 +36,7 @@ def test_every_demo_has_a_recorded_digest():
 @pytest.mark.parametrize("name", sorted(STDOUT_SHA256))
 def test_demo_stdout_matches_recorded_digest(name):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(DEMOS / f"{name}.py")], capture_output=True,
-                          env={**os.environ, "PYTHONPATH": path}, cwd=ROOT, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(DEMOS / f"{name}.py")],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": path}, cwd=ROOT, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[name], proc.stdout.decode()

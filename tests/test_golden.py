@@ -130,8 +130,8 @@ def run_digests(name, tmp_path):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(capped(name)))
     out = tmp_path / name
-    assert cmd_run(str(path), str(out), quiet=True) == 0
-    assert cmd_audit(str(out), quiet=True) == (0 if (out / "states.npz").exists() else 3)
+    assert cmd_run(str(path), str(out)) == 0
+    assert cmd_audit(str(out)) == (0 if (out / "states.npz").exists() else 3)
     return {f: sha256(out / f) for f in FILES if (out / f).exists()}
 
 
@@ -146,13 +146,13 @@ def test_run_artifacts_match_recorded_digests(tmp_path, name):
 
 def test_sweep_index_matches_recorded_digest(tmp_path):
     out = tmp_path / "sweep"
-    assert cmd_sweep(str(CONFIGS / f"{SWEEP}.json"), str(out), quiet=True) == 0
+    assert cmd_sweep(str(CONFIGS / f"{SWEEP}.json"), str(out)) == 0
     assert sha256(out / "index.csv") == SWEEP_INDEX_DIGEST
 
 
 @pytest.mark.parametrize("parallel", [1, 2])
 def test_sweep_point_artifacts_match_recorded_digests(tmp_path, parallel):
     out = tmp_path / "sweep"
-    assert cmd_sweep(str(CONFIGS / f"{SWEEP}.json"), str(out), parallel=parallel, quiet=True) == 0
+    assert cmd_sweep(str(CONFIGS / f"{SWEEP}.json"), str(out), parallel=parallel) == 0
     points = {d.name: {f: sha256(d / f) for f in ("trace.csv", "summary.json")} for d in out.iterdir() if d.is_dir()}
     assert points == SWEEP_POINT_DIGESTS

@@ -131,6 +131,13 @@ def test_exp_gradient_off_simplex_geometry_exit_two(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_exp_gradient_step_three_run_exits_zero(tmp_path, capsys):
+    # its contraction estimate used to map sampled pairs below rho
+    overrides = ["operator.params.step=3", "iterations=10", "rate_window=null"]
+    assert cmd_run(str(CONFIGS / "exp_gradient.json"), str(tmp_path / "out"), overrides=overrides) == 0
+    assert json.loads(capsys.readouterr().out)["e_final"] < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # the kind table
 
@@ -269,7 +276,7 @@ def test_simplex_corner_cases_of_euclidean_operators_run(tmp_path, operator):
     # these kinds are not simplex maps, yet these instances keep the simplex:
     # a kind-by-kind ban on negative-entropy would reject working configs
     raw = base_config(geometry={"kind": "negative-entropy", "dim": 2}, operator=operator, s0=[0.5, 0.5])
-    assert cmd_run(write_config(tmp_path / "c.json", raw), str(tmp_path / "out"), quiet=True) == 0
+    assert cmd_run(write_config(tmp_path / "c.json", raw), str(tmp_path / "out")) == 0
 
 
 def _override_paths():
@@ -300,7 +307,7 @@ def test_config_faults_exit_cleanly(target, value):
     raw["iterations"] = 5
     raw = apply_overrides(raw, [f"{key}={json.dumps(value)}"])
     with tempfile.TemporaryDirectory() as tmp:
-        code = cmd_run(write_config(Path(tmp) / "c.json", raw), str(Path(tmp) / "out"), quiet=True)
+        code = cmd_run(write_config(Path(tmp) / "c.json", raw), str(Path(tmp) / "out"))
     assert code in (0, 1, 2)
     if isinstance(value, float):
         assert code == 2
@@ -313,7 +320,7 @@ def test_config_faults_exit_cleanly(target, value):
 def test_run_writes_all_artifacts(tmp_path):
     cfg_path = write_config(tmp_path / "c.json", base_config(retain_states=True))
     out = tmp_path / "out"
-    assert cmd_run(cfg_path, str(out), quiet=True) == 0
+    assert cmd_run(cfg_path, str(out)) == 0
     for name in ("config.json", "trace.csv", "states.npz", "summary.json", "manifest.json"):
         assert (out / name).exists(), name
     manifest = json.loads((out / "manifest.json").read_text())
@@ -326,7 +333,7 @@ def test_run_writes_all_artifacts(tmp_path):
 def test_trace_csv_schema_and_precision(tmp_path):
     cfg_path = write_config(tmp_path / "c.json", base_config(iterations=5))
     out = tmp_path / "out"
-    cmd_run(cfg_path, str(out), quiet=True)
+    cmd_run(cfg_path, str(out))
     lines = (out / "trace.csv").read_text().splitlines()
     assert lines[0] == "t,e_t,a_t,alpha_t,delta_norm_sq,eta_div"
     assert len(lines) == 7  # header + 6 rows
@@ -341,7 +348,7 @@ def test_trace_csv_schema_and_precision(tmp_path):
 def test_run_iterations_override_yields_two_rows(tmp_path):
     cfg_path = write_config(tmp_path / "c.json", base_config())
     out = tmp_path / "out"
-    assert cmd_run(cfg_path, str(out), overrides=["iterations=1"], quiet=True) == 0
+    assert cmd_run(cfg_path, str(out), overrides=["iterations=1"]) == 0
     assert len((out / "trace.csv").read_text().splitlines()) == 3  # header + t=0, t=1
 
 
@@ -350,15 +357,15 @@ def test_run_rerun_is_bitwise_identical(tmp_path):
         perturbation={"mode": "random", "delta0": 1e-3, "kappa": 0.1, "injection": "unscaled"}
     )
     cfg_path = write_config(tmp_path / "c.json", raw)
-    cmd_run(cfg_path, str(tmp_path / "a"), quiet=True)
-    cmd_run(cfg_path, str(tmp_path / "b"), quiet=True)
+    cmd_run(cfg_path, str(tmp_path / "a"))
+    cmd_run(cfg_path, str(tmp_path / "b"))
     assert (tmp_path / "a" / "trace.csv").read_bytes() == (tmp_path / "b" / "trace.csv").read_bytes()
 
 
 def test_run_seed_flag_overrides_config(tmp_path):
     cfg_path = write_config(tmp_path / "c.json", base_config())
     out = tmp_path / "out"
-    cmd_run(cfg_path, str(out), seed=9, quiet=True)
+    cmd_run(cfg_path, str(out), seed=9)
     assert json.loads((out / "config.json").read_text())["seed"] == 9
 
 
@@ -383,7 +390,7 @@ def test_run_engine_error_exit_one_with_dump(tmp_path, capsys):
 
 def test_fixed_point_failure_is_an_engine_error(tmp_path, monkeypatch, capsys):
     def no_fixed_point(self, geometry=None, tol=1e-14, max_iter=10**6):
-        raise FixedPointError("did not converge", 1.0)
+        raise FixedPointError("did not converge")
 
     monkeypatch.setattr(AffineColinear, "fixed_point", no_fixed_point)
     out = tmp_path / "out"
@@ -391,7 +398,7 @@ def test_fixed_point_failure_is_an_engine_error(tmp_path, monkeypatch, capsys):
     dump = json.loads((out / "state_dump.json").read_text())
     assert dump["t"] == -1 and "fixed point" in dump["error"]
     assert cmd_sweep(write_config(tmp_path / "s.json", sweep_config()), str(tmp_path / "s"),
-                     parallel=1, quiet=True) == 0
+                     parallel=1) == 0
     rows = (tmp_path / "s" / "index.csv").read_text().splitlines()[1:]
     assert len(rows) == 6 and all("error: fixed point not found" in row for row in rows)
     capsys.readouterr()
@@ -515,7 +522,7 @@ def test_sweep_records_an_overflowing_adversarial_direction(tmp_path):
     raw = json.loads((CONFIGS / "affine_adversarial_scaled.json").read_text())
     raw["iterations"] = 5
     raw["sweep"] = {"operator.params.target": [OVERFLOW_TARGET, [2.0, -1.0]]}
-    assert cmd_sweep(write_config(tmp_path / "c.json", raw), str(tmp_path / "s"), quiet=True) == 0
+    assert cmd_sweep(write_config(tmp_path / "c.json", raw), str(tmp_path / "s")) == 0
     with open(tmp_path / "s" / "index.csv") as fh:
         status = {row["axis:operator.params.target"]: row["status"] for row in csv.DictReader(fh)}
     assert status == {json.dumps(OVERFLOW_TARGET): f"error: {OVERFLOW_ERROR}", "[2.0, -1.0]": "ok"}
@@ -554,7 +561,7 @@ def test_long_override_value_is_cut_in_the_error(tmp_path, capsys):
 def test_run_rejects_sweep_block(tmp_path):
     raw = base_config(sweep={"seed": [1, 2]})
     cfg_path = write_config(tmp_path / "c.json", raw)
-    assert cmd_run(cfg_path, str(tmp_path / "out"), quiet=True) == 2
+    assert cmd_run(cfg_path, str(tmp_path / "out")) == 2
 
 
 def test_summary_iteration_counts(tmp_path):
@@ -564,7 +571,7 @@ def test_summary_iteration_counts(tmp_path):
     eps_list = [1e-6, 1e-4, 3.0, 2.77e-5, 5e-6, 1e-4, 2.5]
     raw = base_config(eps_list=eps_list)
     out = tmp_path / "out"
-    cmd_run(write_config(tmp_path / "c.json", raw), str(out), quiet=True)
+    cmd_run(write_config(tmp_path / "c.json", raw), str(out))
     summary = json.loads((out / "summary.json").read_text())
     got = [(item["eps"], item["t"], item["censored"]) for item in summary["iterations_to_eps"]]
     assert got == [(eps, oracles.iters_to_eps(2.5, eps), False) for eps in eps_list]
@@ -592,8 +599,8 @@ def test_sweep_expansion_counts():
 
 def test_sweep_serial_and_parallel_agree(tmp_path):
     cfg_path = write_config(tmp_path / "c.json", sweep_config())
-    assert cmd_sweep(cfg_path, str(tmp_path / "s1"), parallel=1, quiet=True) == 0
-    assert cmd_sweep(cfg_path, str(tmp_path / "s4"), parallel=4, quiet=True) == 0
+    assert cmd_sweep(cfg_path, str(tmp_path / "s1"), parallel=1) == 0
+    assert cmd_sweep(cfg_path, str(tmp_path / "s4"), parallel=4) == 0
     a = (tmp_path / "s1" / "index.csv").read_bytes()
     b = (tmp_path / "s4" / "index.csv").read_bytes()
     assert a == b
@@ -604,7 +611,7 @@ def test_sweep_serial_and_parallel_agree(tmp_path):
 
 def test_sweep_runs_live_in_digest_directories(tmp_path):
     cfg_path = write_config(tmp_path / "c.json", sweep_config())
-    cmd_sweep(cfg_path, str(tmp_path / "s"), parallel=1, quiet=True)
+    cmd_sweep(cfg_path, str(tmp_path / "s"), parallel=1)
     rows = (tmp_path / "s" / "index.csv").read_text().splitlines()[1:]
     header = (tmp_path / "s" / "index.csv").read_text().splitlines()[0].split(",")
     digest_col = header.index("digest")
@@ -620,7 +627,7 @@ def test_sweep_continues_past_point_failures(tmp_path):
     # gamma = 1.5 is rejected at operator construction for that point only
     raw["sweep"] = {"operator.params.gamma": [0.5, 1.5]}
     cfg_path = write_config(tmp_path / "c.json", raw)
-    assert cmd_sweep(cfg_path, str(tmp_path / "s"), parallel=1, quiet=True) == 0
+    assert cmd_sweep(cfg_path, str(tmp_path / "s"), parallel=1) == 0
     text = (tmp_path / "s" / "index.csv").read_text()
     assert len(text.splitlines()) == 3
     assert "ok" in text and "error" in text
@@ -632,19 +639,19 @@ def test_sweep_point_that_does_not_parse_gets_no_job(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_sweep_point", lambda args, shared: ran.append(args) or plain(args, shared))
     raw = sweep_config()
     raw["sweep"] = {"operator.params.gamma": [0.5, 1.5]}
-    assert cmd_sweep(write_config(tmp_path / "c.json", raw), str(tmp_path / "s"), parallel=1, quiet=True) == 0
+    assert cmd_sweep(write_config(tmp_path / "c.json", raw), str(tmp_path / "s"), parallel=1) == 0
     assert [cfg.operator.gamma for cfg, _ in ran] == [0.5]
     assert "error: operator: gamma" in (tmp_path / "s" / "index.csv").read_text()
 
 
 def test_sweep_without_block_exit_two(tmp_path):
     cfg_path = write_config(tmp_path / "c.json", base_config())
-    assert cmd_sweep(cfg_path, str(tmp_path / "s"), quiet=True) == 2
+    assert cmd_sweep(cfg_path, str(tmp_path / "s")) == 2
 
 
 def test_sweep_empty_block_exit_two(tmp_path):
     cfg_path = write_config(tmp_path / "c.json", base_config(sweep={}))
-    assert cmd_sweep(cfg_path, str(tmp_path / "s"), quiet=True) == 2
+    assert cmd_sweep(cfg_path, str(tmp_path / "s")) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +661,7 @@ def test_sweep_empty_block_exit_two(tmp_path):
 def test_audit_writes_report(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "c.json", base_config(retain_states=True))
     out = tmp_path / "out"
-    cmd_run(cfg_path, str(out), quiet=True)
+    cmd_run(cfg_path, str(out))
     assert cmd_audit(str(out)) == 0
     report = json.loads((out / "audit.json").read_text())
     names = {c["name"] for c in report["checks"]}
@@ -667,7 +674,7 @@ def test_audit_writes_report(tmp_path, capsys):
 def test_audit_exit_three_without_states(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "c.json", base_config(retain_states=False))
     out = tmp_path / "out"
-    cmd_run(cfg_path, str(out), quiet=True)
+    cmd_run(cfg_path, str(out))
     assert cmd_audit(str(out)) == 3
     assert "retain_states" in capsys.readouterr().err
 
@@ -685,7 +692,7 @@ MALFORMED_TRACES = {"non-number": b"0,abc,1,1,1,0\n", "short-row": b"0,1,1\n", "
 def run_with_malformed_trace(tmp_path, body, retain_states=True):
     cfg_path = write_config(tmp_path / "c.json", base_config(retain_states=retain_states))
     out = tmp_path / "out"
-    assert cmd_run(cfg_path, str(out), quiet=True) == 0
+    assert cmd_run(cfg_path, str(out)) == 0
     (out / "trace.csv").write_bytes(",".join(TRACE_HEADER).encode() + b"\n" + body)
     return out
 
@@ -750,10 +757,60 @@ DAMAGE = {
 def test_audit_damaged_run_files_exit_two(tmp_path, capsys, damage):
     cfg_path = write_config(tmp_path / "c.json", base_config(retain_states=True))
     out = tmp_path / "out"
-    assert cmd_run(cfg_path, str(out), quiet=True) == 0
+    assert cmd_run(cfg_path, str(out)) == 0
     damage(out)
     assert cmd_audit(str(out)) == 2
     assert capsys.readouterr().err.startswith(f"audit: cannot load run directory {out}: {out}")
+
+
+def test_audit_of_finite_states_that_overflow_exits_zero(tmp_path):
+    out = tmp_path / "out"
+    assert cmd_run(str(CONFIGS / "affine_random_noise.json"), str(out), overrides=["iterations=20"]) == 0
+
+    def huge(a, row, value):
+        a = a.copy()
+        a[row] = [value, 0.0]
+        return a
+    rewrite_states(states=lambda a: huge(a, 5, 1.5e308), etas=lambda a: huge(a, 4, -1.5e308))(out)
+    proc = subprocess.run([sys.executable, "-m", "bregiter.cli", "audit", "--dir", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert (out / "audit.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# what run, sweep and audit print
+
+
+def test_run_prints_one_summary_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path / "c.json", base_config()), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    want = {"digest": summary["config_digest"], "e_final": summary["e_final"],
+            "slope": summary["slope"], "warnings": summary["warnings"]}
+    assert capsys.readouterr().out == json.dumps(want) + "\n"
+
+
+def test_sweep_prints_its_point_count(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(CONFIGS / "sweep_gamma.json"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"sweep: 6 points, 0 failed, index at {out / 'index.csv'}\n"
+
+
+def test_audit_prints_one_line_per_check(tmp_path, capsys):
+    out = tmp_path / "out"
+    cmd_run(write_config(tmp_path / "c.json", base_config(retain_states=True)), str(out))
+    capsys.readouterr()
+    assert main(["audit", "--dir", str(out)]) == 0
+    report = json.loads((out / "audit.json").read_text())
+    names = [c["name"] for c in report["checks"]]
+    assert names == ["three-point-identity", "descent", "cross-term", "recursion", "envelope-domination"]
+    statuses = ["pass", "pass", "vacuous", "pass", "pass"]
+    want = [f"{c['name']}: {status} (worst violation {c['worst_violation']:.3e})"
+            for c, status in zip(report["checks"], statuses)]
+    want.append(f"induction-step: {oracles.DEFAULT_GRID_VIOLATIONS}/909 grid cells violate the claimed inequality")
+    assert capsys.readouterr().out.splitlines() == want
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +820,8 @@ def test_audit_damaged_run_files_exit_two(tmp_path, capsys, damage):
 def test_rate_prints_json(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "c.json", base_config(iterations=2000))
     out = tmp_path / "out"
-    cmd_run(cfg_path, str(out), quiet=True)
+    cmd_run(cfg_path, str(out))
+    capsys.readouterr()  # run's summary line
     assert cmd_rate(str(out / "trace.csv"), window=(100, 2000)) == 0
     fit = json.loads(capsys.readouterr().out)
     assert fit["slope"] == pytest.approx(-2.0, abs=1e-3)
@@ -773,7 +831,7 @@ def test_rate_prints_json(tmp_path, capsys):
 def test_rate_short_window_exit_two(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "c.json", base_config())
     out = tmp_path / "out"
-    cmd_run(cfg_path, str(out), quiet=True)
+    cmd_run(cfg_path, str(out))
     assert cmd_rate(str(out / "trace.csv"), window=(295, 299)) == 2
     capsys.readouterr()
 

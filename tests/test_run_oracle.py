@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -135,6 +135,7 @@ def test_run_matches_the_checked_loop(seed, pair, schedule, mode, injection, ret
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(PAIRS), st.sampled_from(sorted(SCHEDULES)),
        st.integers(1, 200), st.lists(st.floats(0.0, 12.0), min_size=1, max_size=4))
+@example(0, ("negative-entropy", "exp-gradient-step"), "accelerated", 1, [0.0])  # an image left the rho-interior
 def test_first_passages_match_the_checked_loop(seed, pair, schedule, iterations, decades):
     cfg = draw_config(seed, pair, schedule, "zero", "unscaled", False, iterations)
     cap = 600

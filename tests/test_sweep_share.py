@@ -127,7 +127,7 @@ def test_a_loop_serves_every_config_of_its_key(seed, pair, schedule, mode, injec
         if first_err[1] >= 0:  # a failed loop is not shared; the twin's fails alike unless its start-up fails first
             assert fresh_err == first_err or fresh_err[1] == -1
         return
-    shared, shared_err = outcome(lambda c: engine.run(c, first.loop), twin)
+    shared, shared_err = outcome(lambda c: engine.run(c, first), twin)
     assert shared_err == fresh_err
     if fresh is None:
         return
@@ -189,7 +189,7 @@ def test_grouped_sweep_points_equal_lone_runs(tmp_path):
     index = {}
     for parallel in (1, 2, 4):
         out = tmp_path / f"p{parallel}"
-        assert cmd_sweep(str(path), str(out), parallel=parallel, quiet=True) == 0
+        assert cmd_sweep(str(path), str(out), parallel=parallel) == 0
         index[parallel] = (out / "index.csv").read_bytes()
     assert index[1] == index[2] == index[4]
 
@@ -204,7 +204,7 @@ def test_grouped_sweep_points_equal_lone_runs(tmp_path):
         digest = config.config_digest(point)
         lone = tmp_path / f"lone{i}"
         (tmp_path / f"point{i}.json").write_text(json.dumps(point))
-        code = cmd_run(str(tmp_path / f"point{i}.json"), str(lone), quiet=True)
+        code = cmd_run(str(tmp_path / f"point{i}.json"), str(lone))
         if code == 1:
             error = json.loads((lone / "state_dump.json").read_text())["error"]
             assert status[digest] == f"error: {error}"
@@ -236,7 +236,7 @@ def test_a_sweep_of_one_loop_key_fans_out(tmp_path):
     index = {}
     for parallel in (1, 2, 4):
         out = tmp_path / f"p{parallel}"
-        assert cmd_sweep(str(path), str(out), parallel=parallel, quiet=True) == 0
+        assert cmd_sweep(str(path), str(out), parallel=parallel) == 0
         index[parallel] = (out / "index.csv").read_bytes()
         for sub in sorted(out.iterdir()):
             if sub.is_dir():

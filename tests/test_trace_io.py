@@ -75,7 +75,7 @@ def test_load_run_matches_the_hand_built_trace(tmp_path):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(raw))
     run_dir = tmp_path / "run"
-    assert cmd_run(str(cfg_path), str(run_dir), quiet=True) == 0
+    assert cmd_run(str(cfg_path), str(run_dir)) == 0
 
     trace, expected = load_run(run_dir), oracles.load_run_fields(run_dir)
     assert trace.meta == expected["meta"] and trace.meta["warnings"]
