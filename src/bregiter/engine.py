@@ -142,12 +142,17 @@ def _step(g, s: np.ndarray, ts: np.ndarray, al: float, t: int, eta: np.ndarray |
     s_next = (1.0 - al) * s + al * ts
     if eta is not None:
         s_next = s_next + eta
-    if not np.isfinite(s_next).all():
+    if not _finite(s_next):
         raise EngineError(f"non-finite state at iteration {t}", t, s_next)
     try:
         return g._project(s_next)
     except DomainError as exc:
         raise EngineError(f"domain escape at iteration {t}: {exc}", t, s_next) from exc
+
+
+def _finite(x: np.ndarray) -> bool:
+    """np.isfinite(x).all(), without the cost of a reduction."""
+    return np.isfinite(x).tobytes() == b"\x01" * x.size
 
 
 def run(cfg: RunConfig, like: Trace | None = None) -> Trace:
@@ -182,9 +187,9 @@ def run(cfg: RunConfig, like: Trace | None = None) -> Trace:
 def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray) -> Trace:
     """The loop of run from the projected s0 s, as a Trace with empty meta.
 
-    It records s_t and T(s_t) in (BLOCK, dim) buffers and fills e_t and
-    ||T(s_t) - s_t||^2 one block at a time; the batched maps give each row
-    the bits of a per-step call.
+    It records s_t and T(s_t) in (BLOCK, dim) buffers and fills e_t (noisy
+    steps keep their budget's) and ||T(s_t) - s_t||^2 one block at a time;
+    the batched maps give each row the bits of a per-step call.
     """
     g, op, sched, pm = cfg.geometry, cfg.operator, cfg.schedule, cfg.perturbation
     T = cfg.iterations
@@ -197,7 +202,6 @@ def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray) -> Trace:
     eta_div = np.zeros(T + 1)
     states = np.empty((T + 1, g.dim)) if cfg.retain_states else None
     etas = np.zeros((T, g.dim)) if cfg.retain_states else None
-    zero = np.zeros(g.dim)
     block_s = np.empty((min(BLOCK, T + 1), g.dim))
     block_ts = np.empty_like(block_s)
 
@@ -207,9 +211,12 @@ def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray) -> Trace:
         i = t % BLOCK
         block_s[i] = s
         block_ts[i] = ts
+        if noisy:
+            e[t] = e_t = g._divergence(s, s_star)
         if i == BLOCK - 1 or t == T:
             done = slice(t - i, t + 1)
-            e[done] = g._divergence(block_s[:i + 1], s_star)
+            if not noisy:
+                e[done] = g._divergence(block_s[:i + 1], s_star)
             d = block_ts[:i + 1] - block_s[:i + 1]
             delta_sq[done] = np.vecdot(d, d)
             if states is not None:
@@ -220,11 +227,11 @@ def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray) -> Trace:
         eta = None
         if noisy:
             try:
-                eta = pm.sample(g, s, s_star, g._divergence(s, s_star), al, rng)
+                eta = pm.sample(g, s, s_star, e_t, al, rng)
             except DomainError as exc:
                 raise EngineError(f"perturbation failed at iteration {t}: {exc}", t, s) from exc
-            if eta.any():
-                eta_div[t] = g._divergence(eta, zero)
+            if eta is not g.zero:  # sample returns g.zero for every eta it does not draw
+                eta_div[t] = g._divergence(eta, g.zero)
             if etas is not None:
                 etas[t] = eta
         s = _step(g, s, ts, al, t, eta)

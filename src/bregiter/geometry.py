@@ -82,6 +82,8 @@ class Geometry:
         self.dim = dim
         self.mu = float(mu)
         self.L = float(L)
+        self.zero = np.zeros(dim)  # read-only; perturbations return it for every eta they do not draw
+        self.zero.setflags(write=False)
 
     def check_point(self, s, name: str = "point") -> np.ndarray:
         """Validate a point or a (B, dim) batch and return it as a float array.
@@ -247,13 +249,29 @@ class NegativeEntropy(Geometry):
         return self._project(_as_points(s, self.dim, batch=False, finite=True))
 
     def _project(self, s) -> np.ndarray:
-        if float(s.min()) < self.rho * (1 - 1e-6) or abs(float(s.sum()) - 1.0) > 1e-9:
-            raise DomainError(
-                "simplex drift exceeds repairable tolerance: "
-                f"min entry {s.min():g}, sum {float(s.sum())!r}"
-            )
-        s = np.clip(s, self.rho, None)
-        return s / s.sum()
+        low, total = float(s.min()), float(s.sum())
+        if low < self.rho * (1 - 1e-6) or abs(total - 1.0) > 1e-9:
+            raise DomainError(f"simplex drift exceeds repairable tolerance: min entry {low:g}, sum {total!r}")
+        return s / total if low >= self.rho else hold_at_rho(s, self.rho)
+
+
+def hold_at_rho(w: np.ndarray, rho: float) -> np.ndarray:
+    """w / w.sum() over the last axis, brought into the rho-interior of the simplex.
+
+    The k entries of a row below rho are held at rho and the rest rescaled to
+    fill 1 - k rho, again while a rescaled entry drops below rho; rho * dim < 1
+    keeps one entry free, so this takes fewer than dim passes.  A row that
+    holds nothing has the bits of w / w.sum().
+    """
+    held = w < rho
+    if not held.any():
+        return w / w.sum(axis=-1, keepdims=True)
+    while True:
+        free = np.where(held, 0.0, w).sum(axis=-1, keepdims=True)
+        out = np.where(held, rho, w / free * (1.0 - rho * held.sum(axis=-1, keepdims=True)))
+        if not (out < rho).any():
+            return out  # a row that holds nothing has the bits of w / w.sum(), times exactly 1.0
+        held |= out < rho
 
 
 def three_point_residual(g: Geometry, u, v, w):

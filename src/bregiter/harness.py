@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import shutil
 import sys
 import time
@@ -356,6 +357,17 @@ def _check_states(path: Path, trace: engine.Trace, g) -> None:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _check_summary(path: Path, meta: dict, g) -> None:
+    """ConfigError unless the summary at path gave an s_star on g's domain and a finite gamma_hat."""
+    gamma_hat = meta["gamma_hat"]
+    try:
+        g.check_point(meta["s_star"], "s_star")
+        if isinstance(gamma_hat, bool) or not isinstance(gamma_hat, (int, float)) or not math.isfinite(gamma_hat):
+            raise ValueError(f"gamma_hat must be a finite number, got {gamma_hat!r}")
+    except (TypeError, ValueError, OverflowError) as exc:  # also non-numbers in s_star, or a huge int
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def cmd_audit(run_dir: str) -> int:
     """Audit a completed run directory; findings go to audit.json.
 
@@ -374,6 +386,7 @@ def cmd_audit(run_dir: str) -> int:
             return EXIT_NEEDS_STATES
         trace = load_run(run_dir)
         _check_states(run_dir / "states.npz", trace, cfg.geometry)
+        _check_summary(run_dir / "summary.json", trace.meta, cfg.geometry)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"audit: cannot load run directory {run_dir}: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,7 +20,7 @@ import math
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .geometry import DomainError, Geometry, NegativeEntropy, SquaredEuclidean, _spd_eigenvalues
+from .geometry import DomainError, Geometry, NegativeEntropy, SquaredEuclidean, _spd_eigenvalues, hold_at_rho
 
 
 class FixedPointError(RuntimeError):
@@ -181,17 +181,7 @@ class ExpGradientStep(Operator):
         p = np.asarray(p, dtype=float)
         gkl = np.log(p) - np.log(self.q) + 1.0
         w = p * np.exp(-self.step * gkl)
-        w = w / w.sum(axis=-1, keepdims=True)
-        held = w < self.rho
-        if not held.any():
-            return w / w.sum(axis=-1, keepdims=True)
-        # each pass holds more entries of some row; rho * dim < 1 keeps one free, so < dim passes
-        while True:
-            free = np.where(held, 0.0, w).sum(axis=-1, keepdims=True)
-            out = np.where(held, self.rho, w / free * (1.0 - self.rho * held.sum(axis=-1, keepdims=True)))
-            if not (out < self.rho).any():
-                return out  # a row that holds nothing has the bits of w / w.sum(), times exactly 1.0
-            held |= out < self.rho
+        return hold_at_rho(w / w.sum(axis=-1, keepdims=True), self.rho)
 
     def fixed_point(self, geometry=None, tol=1e-14, max_iter=10**6):
         return self.q.copy()

@@ -5,13 +5,16 @@ b = delta0 + kappa * e_t.  Random mode draws a uniform direction and uses a
 uniformly drawn fraction of the budget; adversarial mode spends the whole
 budget pushing straight away from the fixed point.  Magnitudes are scaled so
 the emitted divergence D(eta, 0) hits its target exactly, which on squared
-Euclidean geometry reduces to ||eta|| = u * sqrt(2 b / mu).  Perturbations
-are only defined where 0 and s + eta stay in the domain, so negative-entropy
-geometry is rejected.
+Euclidean geometry reduces to ||eta|| = u * sqrt(2 b / mu).  The draws of
+one step are rng.standard_normal(dim) per try at a direction (a try is
+redrawn while its norm is at most 1e-12), then rng.random() for the budget
+fraction u in random mode.  Perturbations are only defined where 0 and
+s + eta stay in the domain, so negative-entropy geometry is rejected.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,12 +53,15 @@ class PerturbationModel:
                e_t: float, alpha_t: float, rng: np.random.Generator) -> np.ndarray:
         """Draw eta for one step; deterministic given the rng state.
 
-        Draw order is fixed (direction, then budget fraction) so traces are
-        reproducible.  Adversarial mode consumes no randomness unless the
-        state sits exactly on the fixed point with budget left to spend, and
-        raises DomainError when ||s_t - s_star|| overflows.
+        Draw order is fixed so traces are reproducible: random mode draws
+        rng.standard_normal(dim) per try at a direction, then rng.random()
+        for the budget fraction.  Adversarial mode consumes no randomness
+        unless the state sits exactly on the fixed point with budget left to
+        spend (then it draws a random direction), and raises DomainError when
+        ||s_t - s_star|| overflows.  Every eta it does not draw is g.zero,
+        which is read-only.
         """
-        zero = np.zeros(g.dim)
+        zero = g.zero
         if self.mode == "zero":
             return zero
         if g.kind == "negative-entropy":
@@ -69,12 +75,12 @@ class PerturbationModel:
 
         if self.mode == "random":
             direction = _unit_direction(g.dim, rng)
-            u = rng.uniform()
+            u = rng.random()
             target = u * u * b
         else:  # adversarial
             d = s_t - s_star
-            norm = float(np.linalg.norm(d))
-            if norm == np.inf:
+            norm = math.sqrt(d.dot(d))  # np.linalg.norm's formula for a 1-d float vector
+            if norm == math.inf:
                 raise DomainError("||s_t - s_star|| overflows; the adversarial direction is undefined")
             if norm == 0.0:
                 direction = _unit_direction(g.dim, rng)
@@ -85,7 +91,7 @@ class PerturbationModel:
         if target <= 0:
             return zero
         base = g._divergence(direction, zero)
-        eta = direction * np.sqrt(target / base)
+        eta = direction * math.sqrt(target / base)
         if self.injection == "scaled":
             eta = eta * alpha_t
         return eta
@@ -94,6 +100,6 @@ class PerturbationModel:
 def _unit_direction(dim: int, rng: np.random.Generator) -> np.ndarray:
     while True:
         d = rng.standard_normal(dim)
-        n = float(np.linalg.norm(d))
+        n = math.sqrt(d.dot(d))
         if n > 1e-12:
             return d / n

@@ -7,6 +7,7 @@ from bregiter.engine import (
     CENSORED,
     EngineError,
     Schedule,
+    _finite,
     iterations_to_epsilon,
     run,
 )
@@ -250,3 +251,20 @@ def test_iterations_to_epsilon_rejects_noise():
 def test_iterations_to_epsilon_rejects_nonpositive_eps():
     with pytest.raises(ValueError):
         iterations_to_epsilon(colinear_config(), 0.0)
+
+
+#: rows the step's finiteness check must judge as np.isfinite(x).all() does
+FINITENESS_CASES = {
+    "nan": [np.nan], "inf": [np.inf], "-inf": [-np.inf], "one-nan": [1.0, np.nan],
+    "nan-inf": [np.nan, np.inf], "-inf-and-inf": [-np.inf, np.inf],
+    "largest": [1e308, 1e308], "largest-both-signs": [1.7976931348623157e308, -1.7976931348623157e308],
+    "-0": [-0.0], "0-and-0": [0.0, -0.0], "subnormals": [5e-324, -5e-324, 2.2250738585072014e-308 / 3],
+    "plain": [1.0, 2.0], "1024-last-nan": np.r_[np.ones(1023), np.nan],
+    "1024-last-inf": np.r_[np.ones(1023), -np.inf], "1024-finite": np.ones(1024),
+}
+
+
+@pytest.mark.parametrize("x", FINITENESS_CASES.values(), ids=FINITENESS_CASES)
+def test_the_step_finiteness_check_agrees_with_isfinite_all(x):
+    x = np.asarray(x, dtype=float)
+    assert _finite(x) is bool(np.isfinite(x).all())

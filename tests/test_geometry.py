@@ -225,6 +225,23 @@ def test_entropy_projection_repairs_drift():
     g.check_point(p)
 
 
+def test_entropy_projection_holds_entries_at_rho():
+    # a clip at rho and then a renormalisation would leave the low entry below check_point's floor
+    rho = 1e-6
+    g = NegativeEntropy(3, rho=rho)
+    low = rho * (1 - 0.9e-6)
+    s = np.array([low, 0.5, 0.5 - low + 0.99999e-9])
+    for p in (g._project(s), g.project(s)):
+        g.check_point(p)
+        assert p.min() == rho
+
+
+def test_entropy_projection_keeps_the_bits_of_a_row_that_holds_nothing():
+    g = NegativeEntropy(3, rho=1e-6)
+    s = np.array([0.5, 0.3, 0.2]) * (1.0 + 3e-10)
+    assert g.project(s).tobytes() == (s / s.sum()).tobytes()
+
+
 def test_entropy_projection_rejects_gross_escape():
     g = NegativeEntropy(3, rho=1e-6)
     with pytest.raises(DomainError):

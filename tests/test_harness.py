@@ -740,8 +740,23 @@ def nan_row(a, row=5):
     return a
 
 
+def rewrite_summary(**change):
+    """Damage that sets the named fields of summary.json to the values in change."""
+    def damage(out):
+        summary = json.loads((out / "summary.json").read_text())
+        (out / "summary.json").write_text(json.dumps({**summary, **change}))
+    return damage
+
+
 DAMAGE = {
     "summary-not-object": lambda out: (out / "summary.json").write_text("[1, 2]"),
+    "summary-s-star-wrong-dim": rewrite_summary(s_star=[1.0]),
+    "summary-s-star-nan": rewrite_summary(s_star=[float("nan"), 0.0]),
+    "summary-s-star-no-numbers": rewrite_summary(s_star=["x", "y"]),
+    "summary-gamma-hat-string": rewrite_summary(gamma_hat="x"),
+    "summary-gamma-hat-null": rewrite_summary(gamma_hat=None),
+    "summary-gamma-hat-infinite": rewrite_summary(gamma_hat=float("inf")),
+    "summary-gamma-hat-huge-int": rewrite_summary(gamma_hat=10**400),
     "states-without-etas": lambda out: np.savez(out / "states.npz", states=np.zeros((301, 2))),
     "states-truncated": lambda out: (out / "states.npz").write_bytes((out / "states.npz").read_bytes()[:200]),
     "states-nan-row": rewrite_states(states=nan_row),

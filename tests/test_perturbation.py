@@ -78,6 +78,17 @@ def test_scaled_injection_multiplies_by_alpha():
     np.testing.assert_allclose(eta_s, 0.25 * eta_u, atol=1e-15)
 
 
+def test_undrawn_eta_is_the_geometry_read_only_zero():
+    cases = [(PerturbationModel("zero"), EUCLID2), (PerturbationModel("random", 0.0, 0.3), QUAD2),
+             (PerturbationModel("adversarial", 0.0, 0.3, "scaled"), EUCLID2)]
+    for pm, g in cases:  # zero mode, then a zero budget
+        eta = _sample(pm, g, [1.0, 1.0], [1.0, 1.0], 0.0)
+        assert eta is g.zero
+        with pytest.raises(ValueError, match="read-only"):
+            eta[0] = 1.0
+    np.testing.assert_array_equal(EUCLID2.zero, [0.0, 0.0])
+
+
 def test_vanishes_at_fixed_point_with_zero_floor():
     for mode in ("random", "adversarial"):
         pm = PerturbationModel(mode, 0.0, 0.3, "unscaled")

@@ -132,6 +132,30 @@ def test_run_matches_the_checked_loop(seed, pair, schedule, mode, injection, ret
         assert same_bits(getattr(got, name), ref), name
 
 
+@pytest.mark.parametrize("gkind", ["squared-euclidean", "quadratic"])
+@pytest.mark.parametrize("mode, injection", [("random", "unscaled"), ("random", "scaled"),
+                                             ("adversarial", "unscaled"), ("adversarial", "scaled")])
+def test_noisy_runs_at_dim_24_past_a_block_match_the_checked_loop(gkind, mode, injection):
+    # the drawn configs stop at dim 4; BLAS dot kernels change with the length of a row
+    rng = np.random.default_rng(24)
+    dim = 24
+    cfg = from_dict({
+        "geometry": {"kind": gkind, "dim": dim, "params": GEOMETRIES[gkind](rng, dim)},
+        "operator": {"kind": "gradient-step", **gradient_step(rng, dim)},
+        "schedule": {"kind": "constant", "params": {"c": 0.5}},  # contracts faster than the noise pushes
+        "s0": (rng.standard_normal(dim) * 3.0).tolist(),
+        "iterations": engine.BLOCK + 301,
+        "seed": 11,
+        "retain_states": True,
+        "perturbation": {"mode": mode, "delta0": 1e-3, "kappa": 1e-3, "injection": injection},
+    })
+    want = oracles.run_loop(cfg)
+    got = engine.run(cfg)
+    assert np.count_nonzero(want["eta_div"]) == cfg.iterations
+    for name, ref in want.items():
+        assert same_bits(getattr(got, name), ref), name
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(PAIRS), st.sampled_from(sorted(SCHEDULES)),
        st.integers(1, 200), st.lists(st.floats(0.0, 12.0), min_size=1, max_size=4))
