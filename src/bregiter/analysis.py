@@ -30,6 +30,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from .engine import Trace
 
 
+DELTA_RATIO_FLOOR = 1e-14  # e_t at or below this is left out of the empirical M
+POWER_LAW_R2 = 0.99  # a rate fit with r2 at least this is reported as a power law
+MIN_FIT_POINTS = 10  # fewest usable rows a rate fit accepts
+THREE_POINT_TRIPLES, THREE_POINT_SEED = 100, 0  # seeded random triples of the three-point spot check
+
+
 class StatesRequiredError(ValueError):
     """The audit needs retained states (and perturbations) in the trace."""
 
@@ -38,10 +44,8 @@ class StatesRequiredError(ValueError):
 class BoundConstants:
     """Measured constants feeding the audited inequalities.
 
-    c_sc, K and C0 have fixed recipes (c_sc = mu, K = sqrt(2/mu),
-    C0 = 2 L^2 K^2 / c_sc); they may be passed explicitly, e.g. when
-    rehydrating from JSON, but a stored C0 inconsistent with its recipe by
-    more than 1e-12 relative is rejected.  M is the empirical worst ratio
+    c_sc, K and C0 derive from mu and L: c_sc = mu, K = sqrt(2/mu) and
+    C0 = 2 L^2 K^2 / c_sc.  M is the empirical worst ratio
     ||T(s_t) - s_t||^2 / e_t and beta an admissible contraction rate; both
     default to NaN until measured.
     """
@@ -51,9 +55,6 @@ class BoundConstants:
     delta0: float
     mu: float
     L: float
-    c_sc: float = float("nan")
-    K: float = float("nan")
-    C0: float = float("nan")
     M: float = float("nan")
     beta: float = float("nan")
 
@@ -62,17 +63,18 @@ class BoundConstants:
             raise ValueError(f"mu must be > 0, got {self.mu}")
         if self.L < self.mu:
             raise ValueError(f"L must be >= mu, got L={self.L}, mu={self.mu}")
-        if math.isnan(self.c_sc):
-            object.__setattr__(self, "c_sc", self.mu)
-        if math.isnan(self.K):
-            object.__setattr__(self, "K", math.sqrt(2.0 / self.mu))
-        recomputed = 2.0 * self.L**2 * self.K**2 / self.c_sc
-        if math.isnan(self.C0):
-            object.__setattr__(self, "C0", recomputed)
-        elif abs(self.C0 - recomputed) > 1e-12 * max(1.0, abs(recomputed)):
-            raise ValueError(
-                f"stored C0 = {self.C0!r} disagrees with recomputed {recomputed!r}"
-            )
+
+    @property
+    def c_sc(self) -> float:
+        return self.mu
+
+    @property
+    def K(self) -> float:
+        return math.sqrt(2.0 / self.mu)
+
+    @property
+    def C0(self) -> float:
+        return 2.0 * self.L**2 * self.K**2 / self.c_sc
 
     def theta(self, alpha_t):
         """Per-step contraction factor 1 - alpha_t (1 - gamma_hat); elementwise on arrays."""
@@ -149,8 +151,14 @@ class InductionAudit:
     beta_grid: np.ndarray
     t_grid: np.ndarray
     holds: np.ndarray
-    n_violations: int
-    n_total: int
+
+    @property
+    def n_violations(self) -> int:
+        return int((~self.holds).sum())
+
+    @property
+    def n_total(self) -> int:
+        return int(self.holds.size)
 
     def to_json_dict(self) -> dict:
         return {
@@ -170,7 +178,6 @@ class AuditReport:
     checks: list[CheckRecord]
     constants: BoundConstants
     beta_max: float
-    M: float
     induction: InductionAudit
     meta: dict = field(default_factory=dict)
 
@@ -180,7 +187,7 @@ class AuditReport:
             "constants": self.constants.to_json_dict(),
             "fitted": {
                 "beta_max": None if not math.isfinite(self.beta_max) else float(self.beta_max),
-                "M": None if not math.isfinite(self.M) else float(self.M),
+                "M": None if not math.isfinite(self.constants.M) else float(self.constants.M),
             },
             "induction": self.induction.to_json_dict(),
             "meta": self.meta,
@@ -199,24 +206,24 @@ def measure_constants(trace: Trace, cfg: RunConfig) -> BoundConstants:
     )
 
 
-def empirical_delta_ratio(trace: Trace, floor: float = 1e-14) -> float:
-    """Empirical M: worst ratio ||T(s_t) - s_t||^2 / e_t over steps with e_t > floor."""
+def empirical_delta_ratio(trace: Trace) -> float:
+    """Empirical M: worst ratio ||T(s_t) - s_t||^2 / e_t over steps with e_t > DELTA_RATIO_FLOOR."""
     e = trace.e[:-1]
     d = trace.delta_norm_sq[:-1]
-    mask = e > floor
+    mask = e > DELTA_RATIO_FLOOR
     if not np.any(mask):
         return float("nan")
     return float(np.max(d[mask] / e[mask]))
 
 
-def fit_rate(trace: Trace, window: tuple[int, int] | None = None,
-             r2_threshold: float = 0.99, min_points: int = 10) -> RateFit:
+def fit_rate(trace: Trace, window: tuple[int, int] | None = None) -> RateFit:
     """Fit log e_t = slope * log(t+1) + b over the window [t_lo, t_hi].
 
     A default window of [T/10, T] is used when none is given.  Rows with
-    e_t <= 0 cannot enter the log fit; the first such row truncates the
-    window (reported via ``truncated``).  Fewer than min_points usable rows
-    is an error, not a silent fit.
+    e_t <= 0 or a non-finite e_t cannot enter the log fit; the first such
+    row truncates the window (reported via ``truncated``).  Fewer than
+    MIN_FIT_POINTS usable rows is an error, not a silent fit.  The fit is a
+    power law when its r2 is at least POWER_LAW_R2.
     """
     e = np.asarray(trace.e if hasattr(trace, "e") else trace, dtype=float)
     T = e.size - 1
@@ -229,14 +236,14 @@ def fit_rate(trace: Trace, window: tuple[int, int] | None = None,
 
     truncated = False
     seg = e[t_lo : t_hi + 1]
-    bad = np.nonzero(seg <= 0)[0]
+    bad = np.flatnonzero(~((seg > 0) & (seg < np.inf)))  # also nan
     if bad.size:
         t_hi = t_lo + int(bad[0]) - 1
         truncated = True
     n = t_hi - t_lo + 1
-    if n < min_points:
+    if n < MIN_FIT_POINTS:
         raise ValueError(
-            f"rate window [{t_lo}, {t_hi}] has {max(n, 0)} usable points, need {min_points}"
+            f"rate window [{t_lo}, {t_hi}] has {max(n, 0)} usable points, need {MIN_FIT_POINTS}"
         )
     tt = np.arange(t_lo, t_hi + 1, dtype=float)
     x = np.log(tt + 1.0)
@@ -248,7 +255,7 @@ def fit_rate(trace: Trace, window: tuple[int, int] | None = None,
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return RateFit(
         slope=float(slope), r2=float(r2), t_lo=t_lo, t_hi=t_hi, n_points=n,
-        truncated=truncated, power_law=bool(r2 >= r2_threshold),
+        truncated=truncated, power_law=bool(r2 >= POWER_LAW_R2),
     )
 
 
@@ -375,12 +382,7 @@ def audit_induction_step(beta_grid=None, t_grid=None, tol: float = 1e-12) -> Ind
     t_grid = np.arange(0, 101) if t_grid is None else np.asarray(t_grid, dtype=int)
     beta, tt = beta_grid[:, None], t_grid.astype(float)
     holds = (tt + 2) * (tt + 2 - 2 * beta) / (tt + 1) ** 2 <= 1.0 - 2.0 * beta / (tt + 2) + tol
-    n_total = int(holds.size)
-    n_violations = int((~holds).sum())
-    return InductionAudit(
-        beta_grid=beta_grid, t_grid=t_grid, holds=holds,
-        n_violations=n_violations, n_total=n_total,
-    )
+    return InductionAudit(beta_grid=beta_grid, t_grid=t_grid, holds=holds)
 
 
 def gronwall_envelope(e0: float, bc: BoundConstants, T: int) -> tuple[np.ndarray, np.ndarray]:
@@ -444,16 +446,17 @@ def compare_feedback_feedforward(cfg: RunConfig, eps: float,
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def build_audit_report(trace: Trace, cfg: RunConfig, tol: float | None = None) -> AuditReport:
+def build_audit_report(trace: Trace, cfg: RunConfig) -> AuditReport:
     """Run every audit that the trace supports and bundle the findings.
 
     State-dependent checks (three-point spot check, descent, cross-term)
     require retained states; traces without them get a report limited to the
-    recursion, induction and envelope checks.  Arithmetic that overflows on
-    finite states runs on without a warning, and its nan rows are never the worst.
+    recursion, induction and envelope checks.  The descent and cross-term
+    checks use the config's audit_violation tolerance.  Arithmetic that
+    overflows on finite states runs on without a warning, and its nan rows
+    are never the worst.
     """
-    if tol is None:
-        tol = cfg.tolerances.get("audit_violation", 1e-10)
+    tol = cfg.tolerances["audit_violation"]
     g, op = cfg.geometry, cfg.operator
     bc = measure_constants(trace, cfg)
     checks: list[CheckRecord] = []
@@ -480,7 +483,7 @@ def build_audit_report(trace: Trace, cfg: RunConfig, tol: float | None = None) -
         ))
 
     return AuditReport(
-        checks=checks, constants=bc, beta_max=beta_max, M=bc.M, induction=induction,
+        checks=checks, constants=bc, beta_max=beta_max, induction=induction,
         meta={
             "config_digest": trace.meta.get("config_digest"),
             "iterations": trace.iterations,
@@ -489,15 +492,14 @@ def build_audit_report(trace: Trace, cfg: RunConfig, tol: float | None = None) -
     )
 
 
-def _audit_three_point(trace: Trace, g: Geometry, tol: float, n_triples: int = 100,
-                       seed: int = 0) -> CheckRecord:
-    """Spot-check the three-point identity on triples of recorded states.
+def _audit_three_point(trace: Trace, g: Geometry, tol: float) -> CheckRecord:
+    """Spot-check the three-point identity on THREE_POINT_TRIPLES seeded triples of recorded states.
 
     The worst residual is reported at the first state of its triple, and as
     (0.0, -1) when no residual is above 0.
     """
-    rng = np.random.default_rng(seed)
-    i, j, k = rng.integers(0, trace.states.shape[0], size=(n_triples, 3)).T
+    rng = np.random.default_rng(THREE_POINT_SEED)
+    i, j, k = rng.integers(0, trace.states.shape[0], size=(THREE_POINT_TRIPLES, 3)).T
     worst, worst_t = _worst(three_point_residual(g, trace.states[i], trace.states[j], trace.states[k]), i)
     worst, worst_t = (float(worst), worst_t) if worst > 0 else (0.0, -1)
     return CheckRecord(

@@ -46,9 +46,10 @@ _TOP_OPTIONAL = {
 RETAIN_DIM_LIMIT = 10
 
 #: block -> kind -> constructor.  A constructor's keyword parameters are the
-#: kind's params (required when they have no default), except dim and
-#: context_y, which other keys of the block fill; a param annotated ArrayLike
-#: takes a list of numbers (nested for matrices), any other param a number.
+#: kind's params (required when they have no default), except those named in
+#: BLOCK_KEYS, which keys of the block beside kind and params fill; a param
+#: annotated ArrayLike takes a list of numbers (nested for matrices), any
+#: other param a number.
 KINDS = {
     "geometry": {cls.kind: cls for cls in (SquaredEuclidean, Quadratic, NegativeEntropy)},
     "operator": {cls.kind: cls for cls in (AffineColinear, AffineRotation, GradientStep,
@@ -127,21 +128,27 @@ def _expect_finite(v: Any, path: str = ""):
 
 _signature = functools.cache(inspect.signature)
 
+#: constructor parameters that a kind block gives as its own keys, not params, with their checkers
+BLOCK_KEYS = {"dim": _expect_int, "context_y": _expect_array}
 
-def _build(block: str, d: Any, required: dict, optional: dict):
+
+def _build(block: str, d: Any):
     """Check a kind block against KINDS and construct its object.
 
-    required and optional map the block's keys besides kind and params to
-    their checkers; each checked value is passed to the constructor by name.
+    The block's keys besides kind and params are the constructor's
+    parameters named in BLOCK_KEYS, required when they have no default; a
+    kind whose constructor lacks such a parameter has no such key.
     """
     d = _expect_mapping(d, block)
-    _expect_keys(d, {"kind", *required}, {"params", *optional}, block)
-    kind, kinds = d["kind"], KINDS[block]
-    if not isinstance(kind, str) or kind not in kinds:
+    kind, kinds = d.get("kind"), KINDS[block]
+    if "kind" in d and (not isinstance(kind, str) or kind not in kinds):
         raise ConfigError(f"{block}: unknown kind {kind!r}; known: {sorted(kinds)}")
+    signature = _signature(kinds[kind]).parameters if "kind" in d else {}
+    keys = {name: p for name, p in signature.items() if name in BLOCK_KEYS}
+    _expect_keys(d, {"kind", *(name for name, p in keys.items() if p.default is p.empty)},
+                 {"params", *keys}, block)
     params = _expect_mapping(d.get("params", {}), f"{block}.params")
-    checks = {**required, **optional}
-    schema = {name: p for name, p in _signature(kinds[kind]).parameters.items() if name not in checks}
+    schema = {name: p for name, p in signature.items() if name not in keys}
     missing = [name for name, p in schema.items() if p.default is p.empty and name not in params]
     if missing:
         raise ConfigError(f"{block}: kind {kind!r} requires params {missing}")
@@ -151,7 +158,7 @@ def _build(block: str, d: Any, required: dict, optional: dict):
     for name, v in params.items():
         check = _expect_array if schema[name].annotation == "ArrayLike" else _expect_number
         check(v, f"{block}.params.{name}")
-    given = {key: checks[key](d[key], f"{block}.{key}") for key in checks if key in d}
+    given = {key: BLOCK_KEYS[key](d[key], f"{block}.{key}") for key in keys if key in d}
     try:
         return kinds[kind](**given, **params)
     except (TypeError, ValueError) as exc:
@@ -179,9 +186,6 @@ class RunConfig:
     @property
     def digest(self) -> str:
         return config_digest(self.raw)
-
-    def canonical_json(self) -> str:
-        return canonical_json(self.raw)
 
     @property
     def loop_key(self) -> str:
@@ -220,13 +224,13 @@ def from_dict(d: dict, allow_sweep: bool = False) -> RunConfig:
         raise ConfigError("config contains a sweep block; expand it with the sweep command")
 
     _expect_finite(d)
-    geometry = _build("geometry", d["geometry"], {"dim": _expect_int}, {})
-    operator = _build("operator", d["operator"], {}, {"context_y": _expect_array})
+    geometry = _build("geometry", d["geometry"])
+    operator = _build("operator", d["operator"])
     if operator.dim != geometry.dim:
         raise ConfigError(
             f"operator dimension {operator.dim} does not match geometry.dim {geometry.dim}"
         )
-    schedule = _build("schedule", d["schedule"], {}, {})
+    schedule = _build("schedule", d["schedule"])
 
     pd = d.get("perturbation")
     if pd is None:

@@ -178,7 +178,7 @@ def run_to_dir(cfg: cfgmod.RunConfig, out_dir: Path, shared: list | None = None)
     like, shared_trace = shared[0] if shared else (None, None)
     trace = engine.run(cfg, like)
 
-    (out_dir / "config.json").write_text(cfg.canonical_json() + "\n")
+    (out_dir / "config.json").write_text(cfgmod.canonical_json(cfg.raw) + "\n")
     if shared_trace is None:
         write_trace_csv(out_dir / "trace.csv", trace)
         if shared is not None:
@@ -358,12 +358,14 @@ def _check_states(path: Path, trace: engine.Trace, g) -> None:
 
 
 def _check_summary(path: Path, meta: dict, g) -> None:
-    """ConfigError unless the summary at path gave an s_star on g's domain and a finite gamma_hat."""
-    gamma_hat = meta["gamma_hat"]
+    """ConfigError unless the summary at path gave an s_star on g's domain, a finite gamma_hat and string warnings."""
+    gamma_hat, warns = meta["gamma_hat"], meta["warnings"]
     try:
         g.check_point(meta["s_star"], "s_star")
         if isinstance(gamma_hat, bool) or not isinstance(gamma_hat, (int, float)) or not math.isfinite(gamma_hat):
             raise ValueError(f"gamma_hat must be a finite number, got {gamma_hat!r}")
+        if not isinstance(warns, list) or not all(isinstance(w, str) for w in warns):
+            raise ValueError(f"warnings must be a list of strings, got {warns!r}")
     except (TypeError, ValueError, OverflowError) as exc:  # also non-numbers in s_star, or a huge int
         raise ConfigError(f"{path}: {exc}") from exc
 

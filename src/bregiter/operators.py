@@ -1,10 +1,10 @@
 """Update operators driving the averaged iteration.
 
-Every operator maps a state to a state via ``apply(s, t)``; the iteration
-index matters only when a context sequence is attached (entries are cycled
-by t).  ``apply`` also takes a (B, dim) batch of states, with an int array t
-of one step per row where the step matters (Bellman); each row gets the bits
-of the 1-d call.  Fixed points come from closed forms where one exists
+Every operator maps a state to a state via ``apply(s, t)``; only Bellman
+reads the iteration index, to cycle its context sequence y_t by t.
+``apply`` also takes a (B, dim) batch of states, with an int array t of one
+step per row where the step matters (Bellman); each row gets the bits of
+the 1-d call.  Fixed points come from closed forms where one exists
 (affine kinds, gradient step, small Bellman problems by policy enumeration)
 and from plain iteration of ``apply`` otherwise.  Contraction factors are always measured
 by pair sampling in a given geometry, never assumed from declared
@@ -27,46 +27,32 @@ class FixedPointError(RuntimeError):
     """Iterative fixed-point search failed to converge."""
 
 
+#: apply calls after which the iterative fixed-point fallback gives up
+FIXED_POINT_MAX_ITER = 10**6
+
+
 class Operator:
     kind = "base"
 
-    def __init__(self, dim: int, context_y=None):
+    def __init__(self, dim: int):
         self.dim = int(dim)
-        if context_y is not None:
-            context_y = [np.asarray(y, dtype=float) for y in context_y]
-            if not context_y:
-                raise ValueError("context_y must be a non-empty sequence when given")
-        self.context_y = context_y
-
-    def context(self, t):
-        """Context value for step t, cycling the attached sequence; None if absent.
-
-        For an int array t the values of its rows are stacked, which needs
-        context entries of one shape.
-        """
-        if self.context_y is None:
-            return None
-        if np.ndim(t) == 0:
-            return self.context_y[t % len(self.context_y)]
-        return np.stack(self.context_y)[np.asarray(t) % len(self.context_y)]
 
     def apply(self, s: np.ndarray, t: int = 0) -> np.ndarray:
         raise NotImplementedError
 
-    def fixed_point(self, geometry: Geometry | None = None, tol: float = 1e-14,
-                    max_iter: int = 10**6) -> np.ndarray:
+    def fixed_point(self, geometry: Geometry | None = None, tol: float = 1e-14) -> np.ndarray:
         """Iterative fallback from 0: repeat apply until the divergence step is <= tol."""
         g = geometry if geometry is not None else SquaredEuclidean(self.dim)
         s = np.zeros(self.dim)
         residual = math.inf
-        for _ in range(max_iter):
+        for _ in range(FIXED_POINT_MAX_ITER):
             nxt = self.apply(s, 0)
             residual = g.divergence(nxt, s)
             s = nxt
             if residual <= tol:
                 return s
         raise FixedPointError(
-            f"{self.kind} fixed point did not converge in {max_iter} iterations "
+            f"{self.kind} fixed point did not converge in {FIXED_POINT_MAX_ITER} iterations "
             f"(last divergence step {residual:g})"
         )
 
@@ -76,13 +62,13 @@ class AffineColinear(Operator):
 
     kind = "affine-colinear"
 
-    def __init__(self, gamma: float, target: ArrayLike, context_y=None):
+    def __init__(self, gamma: float, target: ArrayLike):
         target = np.asarray(target, dtype=float)
         if target.ndim != 1:
             raise ValueError("target must be a 1-d vector")
         if not 0 <= gamma < 1:
             raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-        super().__init__(target.size, context_y)
+        super().__init__(target.size)
         self.gamma = float(gamma)
         self.target = target
 
@@ -90,7 +76,7 @@ class AffineColinear(Operator):
         s = np.asarray(s, dtype=float)
         return self.gamma * s + (1.0 - self.gamma) * self.target
 
-    def fixed_point(self, geometry=None, tol=1e-14, max_iter=10**6):
+    def fixed_point(self, geometry=None, tol=1e-14):
         return self.target.copy()
 
 
@@ -99,13 +85,13 @@ class AffineRotation(Operator):
 
     kind = "affine-rotation"
 
-    def __init__(self, gamma: float, theta: float, target: ArrayLike, context_y=None):
+    def __init__(self, gamma: float, theta: float, target: ArrayLike):
         target = np.asarray(target, dtype=float)
         if target.shape != (2,):
             raise ValueError("affine-rotation is planar: target must have dimension 2")
         if not 0 <= gamma < 1:
             raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-        super().__init__(2, context_y)
+        super().__init__(2)
         self.gamma = float(gamma)
         self.theta = float(theta)
         c, sn = math.cos(self.theta), math.sin(self.theta)
@@ -116,7 +102,7 @@ class AffineRotation(Operator):
         s = np.asarray(s, dtype=float)
         return self.gamma * np.matmul(self.rot, (s - self.target)[..., None])[..., 0] + self.target
 
-    def fixed_point(self, geometry=None, tol=1e-14, max_iter=10**6):
+    def fixed_point(self, geometry=None, tol=1e-14):
         return self.target.copy()
 
 
@@ -129,7 +115,7 @@ class GradientStep(Operator):
 
     kind = "gradient-step"
 
-    def __init__(self, a: ArrayLike, b: ArrayLike, step: float, context_y=None):
+    def __init__(self, a: ArrayLike, b: ArrayLike, step: float):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if b.ndim != 1:
@@ -137,7 +123,7 @@ class GradientStep(Operator):
         _spd_eigenvalues(a, b.size)
         if not step > 0:
             raise ValueError(f"step must be > 0, got {step}")
-        super().__init__(b.size, context_y)
+        super().__init__(b.size)
         self.a = a
         self.b = b
         self.step = float(step)
@@ -146,7 +132,7 @@ class GradientStep(Operator):
         s = np.asarray(s, dtype=float)
         return s - self.step * (np.matmul(self.a, s[..., None])[..., 0] - self.b)
 
-    def fixed_point(self, geometry=None, tol=1e-14, max_iter=10**6):
+    def fixed_point(self, geometry=None, tol=1e-14):
         return np.linalg.solve(self.a, self.b)
 
 
@@ -162,7 +148,7 @@ class ExpGradientStep(Operator):
 
     kind = "exp-gradient-step"
 
-    def __init__(self, q: ArrayLike, step: float, rho: float = 1e-6, context_y=None):
+    def __init__(self, q: ArrayLike, step: float, rho: float = 1e-6):
         q = np.asarray(q, dtype=float)
         if q.ndim != 1:
             raise ValueError("q must be a 1-d vector")
@@ -172,7 +158,7 @@ class ExpGradientStep(Operator):
         # construction reuses the domain checks of the matching geometry
         geom = NegativeEntropy(q.size, rho)
         geom.check_point(q, "q")
-        super().__init__(q.size, context_y)
+        super().__init__(q.size)
         self.q = q
         self.step = float(step)
         self.rho = rho
@@ -183,7 +169,7 @@ class ExpGradientStep(Operator):
         w = p * np.exp(-self.step * gkl)
         return hold_at_rho(w / w.sum(axis=-1, keepdims=True), self.rho)
 
-    def fixed_point(self, geometry=None, tol=1e-14, max_iter=10**6):
+    def fixed_point(self, geometry=None, tol=1e-14):
         return self.q.copy()
 
 
@@ -192,8 +178,8 @@ class Bellman(Operator):
 
     transitions has shape (S, A, S) with each (s, a) row a distribution;
     rewards has shape (S, A); discount lies in [0, 1).  An attached context
-    sequence perturbs rewards additively (off by default); each entry must
-    broadcast to the rewards' shape.  Fixed points use
+    sequence context_y, cycled by t, perturbs rewards additively (off by
+    default); each entry must broadcast to the rewards' shape.  Fixed points use
     policy enumeration when there are at most 8 deterministic policies and
     plain backup iteration otherwise.
     """
@@ -219,12 +205,15 @@ class Bellman(Operator):
             raise ValueError("each transitions[s, a] must sum to 1 within 1e-9")
         if not 0 <= discount < 1:
             raise ValueError(f"discount must lie in [0, 1), got {discount}")
-        super().__init__(n_states, context_y)
-        if self.context_y is not None:
+        super().__init__(n_states)
+        if context_y is not None:
+            if not len(context_y):
+                raise ValueError("context_y must be a non-empty sequence when given")
             try:
-                self.context_y = [np.broadcast_to(y, r.shape) for y in self.context_y]
+                context_y = np.stack([np.broadcast_to(np.asarray(y, dtype=float), r.shape) for y in context_y])
             except ValueError:
                 raise ValueError(f"context_y entries must broadcast to the rewards shape {r.shape}") from None
+        self.context_y = context_y
         self.transitions = p
         self.rewards = r
         self.discount = float(discount)
@@ -234,16 +223,15 @@ class Bellman(Operator):
     def apply(self, v, t=0):
         v = np.asarray(v, dtype=float)
         r = self.rewards
-        y = self.context(t)
-        if y is not None:
-            r = r + y
+        if self.context_y is not None:  # an int array t picks one entry per row
+            r = r + self.context_y[t % len(self.context_y)]
         pv = np.matmul(self.transitions.reshape(-1, self.n_states), v[..., None])
         q = r + self.discount * pv.reshape(v.shape[:-1] + (self.n_states, self.n_actions))
         return q.max(axis=-1)
 
-    def fixed_point(self, geometry=None, tol=1e-14, max_iter=10**6):
+    def fixed_point(self, geometry=None, tol=1e-14):
         if self.n_actions ** self.n_states > self.ENUMERATION_LIMIT:
-            return super().fixed_point(geometry, tol, max_iter)
+            return super().fixed_point(geometry, tol)
         eye = np.eye(self.n_states)
         best = np.full(self.n_states, -np.inf)
         for policy in itertools.product(range(self.n_actions), repeat=self.n_states):
@@ -284,12 +272,12 @@ def estimate_contraction(op: Operator, g: Geometry, n_pairs: int = 256,
 
 
 def unrolled_depth(op: Operator, g: Geometry, e0: float, eps: float,
-                   n_pairs: int = 256, rng_seed: int = 0,
                    gamma_hat: float | None = None) -> int:
     """Feedforward depth guaranteeing divergence <= eps from a start at e0.
 
     Composing T depth times shrinks the divergence by at least gamma_hat each
     layer, so depth = ceil(ln(e0/eps) / ln(1/gamma_hat)); zero if eps >= e0.
+    Without gamma_hat, estimate_contraction measures it with its defaults.
     Raises if the measured factor is not a contraction.
     """
     if not eps > 0:
@@ -298,7 +286,7 @@ def unrolled_depth(op: Operator, g: Geometry, e0: float, eps: float,
         raise ValueError(f"e0 must be >= 0, got {e0}")
     if eps >= e0:
         return 0
-    gh = gamma_hat if gamma_hat is not None else estimate_contraction(op, g, n_pairs, rng_seed)
+    gh = gamma_hat if gamma_hat is not None else estimate_contraction(op, g)
     if gh >= 1:
         raise ValueError(
             f"measured contraction factor {gh:g} >= 1: not a divergence contraction, "

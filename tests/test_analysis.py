@@ -57,8 +57,10 @@ def test_euclidean_constants_closed_form():
     assert bc.C0 == pytest.approx(4.0, abs=1e-12)
 
 
-def test_stored_c0_consistency_enforced():
-    with pytest.raises(ValueError):
+def test_constants_derive_from_mu_and_l():
+    bc = BoundConstants(gamma_hat=0.25, kappa=0.0, delta0=0.0, mu=2.0, L=3.0)
+    assert (bc.c_sc, bc.K, bc.C0) == (2.0, 1.0, 9.0)
+    with pytest.raises(TypeError, match="C0"):
         BoundConstants(gamma_hat=0.25, kappa=0.0, delta0=0.0, mu=1.0, L=1.0, C0=3.0)
 
 
@@ -442,14 +444,15 @@ def test_descent_tie_reports_the_first_step():
 
 
 def test_cross_term_tie_reports_the_first_noisy_step():
-    # steps 0 and 2 share x = s_{t+1} - eta = [0.1, 0] and eta = [1, 0]: |<x, eta>| > D(x, 0) / 2
-    eta = [1.0, 0.0]
-    tr = synthetic_trace([[0, 0], [1.1, 0], [1, 1], [1.1, 0], [1, 0]], [1, 1, 1, 1, 1], [0.5] * 5,
-                         etas=[eta, [0, 0], eta, [0.01, 0]])
-    g, op = SquaredEuclidean(2), AffineColinear(0.5, [0.0, 0.0])
-    bc = BoundConstants(gamma_hat=0.25, kappa=0.0, delta0=0.0, mu=1.0, L=1.0, K=0.0)  # C0 = 0
+    # with C0 = 4 the bound holds in this geometry; its margin lhs - rhs is largest, -0.01, at steps 0
+    # and 2, which share x = s_{t+1} - eta = [0.2, 0] and eta = [0.1, 0]; step 3 has x = 0 and margin -2
+    eta = [0.1, 0.0]
+    tr = synthetic_trace([[0, 0], [0.3, 0], [1, 1], [0.3, 0], [1, 0]], [1, 1, 1, 1, 1], [0.5] * 5,
+                         etas=[eta, [0, 0], eta, [1, 0]])
+    g, op, bc = SquaredEuclidean(2), AffineColinear(0.5, [0.0, 0.0]), synthetic_constants()
+    assert bc.C0 == pytest.approx(4.0)
     rec = audit_cross_term(tr, g, bc)
-    assert rec.worst_t == 0 and rec.worst_violation > 0 and rec.note == "3 noisy steps"
+    assert rec.worst_t == 0 and rec.worst_violation == 0.0 and rec.passed and rec.note == "3 noisy steps"
     assert_audits_match_loops(tr, g, op, bc)
 
 

@@ -61,7 +61,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def test_canonical_round_trip():
     cfg = from_dict(base_config())
-    again = from_dict(json.loads(cfg.canonical_json()))
+    again = from_dict(json.loads(cfgmod.canonical_json(cfg.raw)))
     assert again.digest == cfg.digest
 
 
@@ -142,6 +142,7 @@ def test_exp_gradient_step_three_run_exits_zero(tmp_path, capsys):
 # the kind table
 
 
+MDP = json.loads(json.dumps({"transitions": oracles.MDP_TRANSITIONS, "rewards": oracles.MDP_REWARDS, "discount": 0.9}))
 BAD_BLOCKS = {
     # inputs of the deleted make_geometry, make_operator and make_schedule tests
     "unknown-geometry-kind": ("geometry", {"kind": "hyperbolic", "dim": 2},
@@ -180,9 +181,11 @@ BAD_BLOCKS = {
                       "operator: "),
     "gamma-out-of-range": ("operator", {"kind": "affine-colinear", "params": {"gamma": 1.5, "target": [2.0, -1.0]}},
                            r"operator: gamma must lie in \[0, 1\)"),
-    "number-context": ("operator", {"kind": "affine-colinear", "params": {"gamma": 0.5, "target": [2.0, -1.0]},
-                                    "context_y": 3},
+    "number-context": ("operator", {"kind": "bellman", "params": MDP, "context_y": 3},
                        "operator.context_y must be a list of numbers"),
+    "context-off-bellman": ("operator", {"kind": "affine-colinear", "params": {"gamma": 0.5, "target": [2.0, -1.0]},
+                                         "context_y": [[1.0, 2.0]]},
+                            r"operator has unknown key\(s\) \['context_y'\]; known: \['kind', 'params'\]"),
     "overflowing-matrix": ("operator", {"kind": "gradient-step",
                                         "params": {"a": [[1.0, 1e308], [1e308, 1.0]], "b": [1.0, 1.0], "step": 0.1}},
                            "operator: A must be positive definite"),
@@ -203,7 +206,6 @@ def test_kind_table_rejects_bad_blocks(block, value, match):
         from_dict(base_config(**{block: value}))
 
 
-MDP = {"transitions": oracles.MDP_TRANSITIONS, "rewards": oracles.MDP_REWARDS, "discount": 0.9}
 GOOD_BLOCKS = {
     "squared-euclidean": ({"geometry": {"kind": "squared-euclidean", "dim": 2}}, lambda c: c.geometry.mu == 1.0),
     "quadratic": ({"geometry": {"kind": "quadratic", "dim": 2, "params": {"a": [[2.0, 0.0], [0.0, 1.0]]}}},
@@ -389,7 +391,7 @@ def test_run_engine_error_exit_one_with_dump(tmp_path, capsys):
 
 
 def test_fixed_point_failure_is_an_engine_error(tmp_path, monkeypatch, capsys):
-    def no_fixed_point(self, geometry=None, tol=1e-14, max_iter=10**6):
+    def no_fixed_point(self, geometry=None, tol=1e-14):
         raise FixedPointError("did not converge")
 
     monkeypatch.setattr(AffineColinear, "fixed_point", no_fixed_point)
@@ -757,6 +759,8 @@ DAMAGE = {
     "summary-gamma-hat-null": rewrite_summary(gamma_hat=None),
     "summary-gamma-hat-infinite": rewrite_summary(gamma_hat=float("inf")),
     "summary-gamma-hat-huge-int": rewrite_summary(gamma_hat=10**400),
+    "summary-warnings-number": rewrite_summary(warnings=5),
+    "summary-warnings-string": rewrite_summary(warnings="abc"),
     "states-without-etas": lambda out: np.savez(out / "states.npz", states=np.zeros((301, 2))),
     "states-truncated": lambda out: (out / "states.npz").write_bytes((out / "states.npz").read_bytes()[:200]),
     "states-nan-row": rewrite_states(states=nan_row),
@@ -849,6 +853,29 @@ def test_rate_short_window_exit_two(tmp_path, capsys):
     cmd_run(cfg_path, str(out))
     assert cmd_rate(str(out / "trace.csv"), window=(295, 299)) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("row, code", [(200, 0), (32, 2)])
+def test_rate_window_stops_before_a_non_finite_row(tmp_path, capsys, value, row, code):
+    # the default window of a 300-step run is [30, 300]: row 200 leaves 170 points, row 32 two
+    out = tmp_path / "out"
+    assert cmd_run(write_config(tmp_path / "c.json", base_config()), str(out)) == 0
+    capsys.readouterr()
+    lines = (out / "trace.csv").read_text().splitlines(keepends=True)
+    t, _, rest = lines[row + 1].split(",", 2)
+    lines[row + 1] = f"{t},{value},{rest}"
+    (out / "trace.csv").write_text("".join(lines))
+    proc = subprocess.run([sys.executable, "-m", "bregiter.cli", "rate", "--trace", str(out / "trace.csv")],
+                          capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert "NaN" not in proc.stdout and "Infinity" not in proc.stdout
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    if code == 0:
+        fit = json.loads(proc.stdout)
+        assert fit["truncated"] and (fit["t_lo"], fit["t_hi"], fit["n_points"]) == (30, row - 1, row - 30)
+    else:
+        assert proc.stderr == f"rate: rate window [30, {row - 1}] has {row - 30} usable points, need 10\n"
 
 
 # ---------------------------------------------------------------------------

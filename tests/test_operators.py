@@ -214,10 +214,10 @@ def test_bellman_rejects_bad_tables():
 
 
 def test_context_cycles():
-    op = AffineColinear(0.5, [0.0, 0.0], context_y=[[1.0, 0.0], [0.0, 1.0]])
-    assert np.array_equal(op.context(0), [1.0, 0.0])
-    assert np.array_equal(op.context(1), [0.0, 1.0])
-    assert np.array_equal(op.context(2), [1.0, 0.0])
+    op = Bellman(np.full((2, 1, 2), 0.5), np.zeros((2, 1)), 0.5, context_y=[[1.0], [0.0]])
+    assert np.array_equal(op.apply([0.0, 0.0], 0), [1.0, 1.0])
+    assert np.array_equal(op.apply([0.0, 0.0], 1), [0.0, 0.0])
+    assert np.array_equal(op.apply([0.0, 0.0], 2), [1.0, 1.0])
 
 
 def test_bellman_context_shifts_rewards():
