@@ -46,7 +46,7 @@ cfg = from_dict({
     "retain_states": False,
 })
 trace = run(cfg)
-print("warnings:", trace.meta.get("warnings"))
+print("warnings:", trace.warnings)
 fit = fit_rate(trace, window=(10000, 100000))
 print("averaged engine: e_T = %.3e after %d steps, tail slope %.3f"
       % (trace.e[-1], cfg.iterations, fit.slope))

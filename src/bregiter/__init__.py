@@ -20,7 +20,7 @@ from .analysis import (
     gronwall_envelope,
     measure_constants,
 )
-from .config import ConfigError, RunConfig, config_digest, from_dict, from_file
+from .config import ConfigError, RunConfig, config_digest, from_dict
 from .engine import CENSORED, EngineError, Schedule, Trace, iterations_to_epsilon, run
 from .geometry import (
     DomainError,
@@ -77,7 +77,6 @@ __all__ = [
     "estimate_contraction",
     "fit_rate",
     "from_dict",
-    "from_file",
     "gronwall_envelope",
     "iterations_to_epsilon",
     "measure_constants",

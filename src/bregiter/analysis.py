@@ -197,7 +197,7 @@ class AuditReport:
 def measure_constants(trace: Trace, cfg: RunConfig) -> BoundConstants:
     """Assemble BoundConstants for a recorded run of cfg."""
     return BoundConstants(
-        gamma_hat=float(trace.meta["gamma_hat"]),
+        gamma_hat=trace.gamma_hat,
         kappa=cfg.perturbation.kappa,
         delta0=cfg.perturbation.delta0,
         mu=cfg.geometry.mu,
@@ -287,14 +287,13 @@ def audit_descent(trace: Trace, g: Geometry, op: Operator, bc: BoundConstants,
     Violations are max(lhs - rhs, 0); the worst one is reported.
     """
     _require_states(trace, "descent")
-    s_star = g.check_point(trace.meta["s_star"], "s_star")
     t = np.arange(trace.iterations)
     s = trace.states[t]
     al = trace.alpha[t]
     ts = op.apply(s, t)
     delta = ts - s
     x = (1.0 - al)[:, None] * s + al[:, None] * ts
-    lhs = g._divergence(x, s_star)
+    lhs = g._divergence(x, trace.s_star)
     rhs = bc.theta(al) * trace.e[t] + 0.5 * bc.L * al * al * np.vecdot(delta, delta)
     worst, worst_t = _worst(lhs - rhs, t)
     violation = max(worst, 0.0)
@@ -318,8 +317,7 @@ def audit_cross_term(trace: Trace, g: Geometry, bc: BoundConstants,
         raise StatesRequiredError(
             "cross-term audit needs retained perturbations; rerun with retain_states enabled"
         )
-    s_star = g.check_point(trace.meta["s_star"], "s_star")
-    grad_star = g._grad(s_star)
+    grad_star = g._grad(trace.s_star)
     t = np.flatnonzero(trace.etas[:trace.iterations].any(axis=1))
     n_noisy = t.size
     if n_noisy == 0:
@@ -330,7 +328,7 @@ def audit_cross_term(trace: Trace, g: Geometry, bc: BoundConstants,
     eta = trace.etas[t]
     x = trace.states[t + 1] - eta
     lhs = np.abs(np.vecdot(g._grad(x) - grad_star, eta))
-    rhs = 0.5 * g._divergence(x, s_star) + bc.C0 * g._divergence(eta, np.zeros(g.dim))
+    rhs = 0.5 * g._divergence(x, trace.s_star) + bc.C0 * g._divergence(eta, np.zeros(g.dim))
     worst, worst_t = _worst(lhs - rhs, t)
     violation = max(worst, 0.0)
     return CheckRecord(
@@ -422,12 +420,6 @@ class FeedComparison:
     def censored(self) -> bool:
         return self.t_feedback == _engine.CENSORED
 
-    def to_json_dict(self) -> dict:
-        return {
-            "t_feedback": self.t_feedback, "d_feedforward": self.d_feedforward,
-            "gamma_hat": self.gamma_hat, "e0": self.e0, "censored": self.censored,
-        }
-
 
 def compare_feedback_feedforward(cfg: RunConfig, eps: float,
                                  cap: int = _engine.PASSAGE_CAP) -> FeedComparison:
@@ -485,9 +477,9 @@ def build_audit_report(trace: Trace, cfg: RunConfig) -> AuditReport:
     return AuditReport(
         checks=checks, constants=bc, beta_max=beta_max, induction=induction,
         meta={
-            "config_digest": trace.meta.get("config_digest"),
+            "config_digest": cfg.digest,
             "iterations": trace.iterations,
-            "warnings": list(trace.meta.get("warnings", [])),
+            "warnings": list(trace.warnings),
         },
     )
 

@@ -317,10 +317,6 @@ def from_dict(d: dict, allow_sweep: bool = False) -> RunConfig:
     return cfg
 
 
-def from_file(path: str | Path, allow_sweep: bool = False) -> RunConfig:
-    return from_dict(load_config_file(path), allow_sweep=allow_sweep)
-
-
 def load_config_file(path: str | Path) -> dict:
     path = Path(path)
     try:

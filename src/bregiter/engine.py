@@ -42,11 +42,13 @@ BLOCK = 1024
 
 @dataclass(frozen=True)
 class Schedule:
-    """Step-size schedule alpha_t; every kind keeps alpha in (0, 1].
+    """Step-size schedule alpha_t; every kind keeps alpha in [0, 1].
 
     accelerated: alpha_t = 2 / (t + 2)
     constant:    alpha_t = c with c in (0, 1]
-    polynomial:  alpha_t = c / (t + 1)^p with c in (0, 1], p >= 0
+    polynomial:  alpha_t = c / (t + 1)^p with c in (0, 1], p >= 0; where
+                 (t + 1)^p is past the largest float, the float c (t + 1)^-p,
+                 which may underflow to 0
     """
 
     kind: str
@@ -67,7 +69,10 @@ class Schedule:
             return 2.0 / (t + 2)
         if self.kind == "constant":
             return self.c
-        return self.c / (t + 1) ** self.p
+        try:
+            return self.c / (t + 1) ** self.p
+        except OverflowError:
+            return self.c * (t + 1.0) ** -self.p
 
 
 class EngineError(RuntimeError):
@@ -85,8 +90,11 @@ class Trace:
 
     Rows 0..T-1 describe steps actually taken; the final row records the
     terminal state's diagnostics (its alpha is schedule.alpha(T), its
-    displacement is measured but unused, its eta_div is 0).  final_state, the
-    state at t = T, is where first passages past T continue; no artifact has it.
+    displacement is measured but unused, its eta_div is 0).  s_star,
+    gamma_hat and warnings are the run's start-up facts: the fixed point the
+    ledger e_t is measured against, the seeded contraction estimate and the
+    warnings it raised; summary.json records them.  final_state, the state at
+    t = T, is where first passages past T continue; no artifact has it.
     """
 
     t: np.ndarray
@@ -97,7 +105,9 @@ class Trace:
     eta_div: np.ndarray
     states: np.ndarray | None = None
     etas: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
+    s_star: np.ndarray | None = None
+    gamma_hat: float | None = None
+    warnings: list[str] = field(default_factory=list)
     final_state: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -129,6 +139,8 @@ def _start(cfg: RunConfig, contraction: bool = False) -> tuple[np.ndarray, np.nd
         ) from exc
     except FixedPointError as exc:
         raise EngineError(f"fixed point not found: {exc}", -1, s0) from exc
+    except ValueError as exc:  # every sampled contraction pair degenerate
+        raise EngineError(f"start-up failed: {exc}", -1, s0) from exc
     return s_star, s, gamma_hat
 
 
@@ -158,9 +170,10 @@ def _finite(x: np.ndarray) -> bool:
 def run(cfg: RunConfig, like: Trace | None = None) -> Trace:
     """Execute the averaged iteration described by cfg and return its trace.
 
-    Start-up (fixed point, s0, the seeded contraction estimate, warnings and
-    meta) runs for every call.  like, the Trace of an earlier run whose config
-    has the same loop_key, stands in for the loop: the result shares its arrays.
+    Start-up (fixed point, s0, the seeded contraction estimate and its
+    warnings) runs for every call and fills the Trace's s_star, gamma_hat and
+    warnings.  like, the Trace of an earlier run whose config has the same
+    loop_key, stands in for the loop: the result shares its arrays.
     """
     pm = cfg.perturbation
     s_star, s, gamma_hat = _start(cfg, contraction=True)
@@ -172,20 +185,12 @@ def run(cfg: RunConfig, like: Trace | None = None) -> Trace:
             "accelerated bounds are vacuous"
         )
         log.warning(warnings[-1])
-    return replace(
-        like if like is not None else _loop(cfg, s_star, s),
-        meta={
-            "config_digest": cfg.digest,
-            "seed": cfg.seed,
-            "gamma_hat": gamma_hat,
-            "s_star": s_star.tolist(),
-            "warnings": warnings,
-        },
-    )
+    return replace(like if like is not None else _loop(cfg, s_star, s),
+                   s_star=s_star, gamma_hat=gamma_hat, warnings=warnings)
 
 
 def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray) -> Trace:
-    """The loop of run from the projected s0 s, as a Trace with empty meta.
+    """The loop of run from the projected s0 s, without its start-up facts.
 
     It records s_t and T(s_t) in (BLOCK, dim) buffers and fills e_t (noisy
     steps keep their budget's) and ||T(s_t) - s_t||^2 one block at a time;

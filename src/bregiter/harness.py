@@ -87,24 +87,52 @@ def read_trace_csv(path: Path) -> dict[str, np.ndarray]:
     return cols
 
 
-def load_run(run_dir: Path) -> engine.Trace:
-    """The Trace a run directory records: trace.csv, states.npz if kept, and meta from summary.json."""
-    run_dir = Path(run_dir)
+def load_run(run_dir: Path, cfg: cfgmod.RunConfig) -> engine.Trace:
+    """The checked Trace that a run directory of cfg records.
+
+    It reads trace.csv, states.npz if kept, and the start-up facts in
+    summary.json.  Any fault is a ConfigError naming its file, checked in
+    this order: trace.csv; summary.json being an object; states.npz as an
+    archive, then T+1 states on cfg's domain and T finite etas, all of its
+    dim; then summary.json's config_digest (cfg's), s_star (on the domain),
+    gamma_hat (a finite number) and warnings (a list of strings).
+    """
+    run_dir, g = Path(run_dir), cfg.geometry
+    summary_path, states_path = run_dir / "summary.json", run_dir / "states.npz"
     cols = read_trace_csv(run_dir / "trace.csv")
-    summary = json.loads((run_dir / "summary.json").read_text())
+    trace = engine.Trace(**{attr: cols[name] for name, attr, _ in TRACE_COLUMNS})
+    summary = json.loads(summary_path.read_text())
     if not isinstance(summary, dict):
-        raise ConfigError(f"{run_dir / 'summary.json'} is not a JSON object")
-    states = etas = None
-    if (run_dir / "states.npz").exists():
+        raise ConfigError(f"{summary_path} is not a JSON object")
+    if states_path.exists():
         try:
-            with np.load(run_dir / "states.npz") as npz:
-                states, etas = npz["states"], npz["etas"]
+            with np.load(states_path) as npz:
+                trace.states, trace.etas = npz["states"], npz["etas"]
         except (KeyError, zipfile.BadZipFile) as exc:
-            raise ConfigError(f"{run_dir / 'states.npz'} is not a states archive: {exc}") from exc
-    meta = {key: summary.get(key) for key in ("config_digest", "seed", "gamma_hat", "s_star")}
-    meta["warnings"] = summary.get("warnings", [])
-    return engine.Trace(**{attr: cols[name] for name, attr, _ in TRACE_COLUMNS},
-                        states=states, etas=etas, meta=meta)
+            raise ConfigError(f"{states_path} is not a states archive: {exc}") from exc
+        want = (trace.iterations + 1, g.dim), (trace.iterations, g.dim)
+        try:
+            if (trace.states.shape, trace.etas.shape) != want:
+                raise ValueError(f"states of shape {trace.states.shape} and etas of shape {trace.etas.shape}, "
+                                 f"expected {want[0]} and {want[1]}")
+            g.check_point(trace.states, "states")
+            SquaredEuclidean(g.dim).check_point(trace.etas, "etas")  # any finite rows of R^dim
+        except ValueError as exc:  # also an array that holds no numbers
+            raise ConfigError(f"{states_path}: {exc}") from exc
+    digest, gamma_hat = summary.get("config_digest"), summary.get("gamma_hat")
+    warns = summary.get("warnings", [])
+    try:
+        if digest != cfg.digest:
+            raise ValueError(f"config_digest {digest!r} is not the config's digest {cfg.digest!r}")
+        trace.s_star = g.check_point(summary.get("s_star"), "s_star")
+        if isinstance(gamma_hat, bool) or not isinstance(gamma_hat, (int, float)) or not math.isfinite(gamma_hat):
+            raise ValueError(f"gamma_hat must be a finite number, got {gamma_hat!r}")
+        if not isinstance(warns, list) or not all(isinstance(w, str) for w in warns):
+            raise ValueError(f"warnings must be a list of strings, got {warns!r}")
+    except (TypeError, ValueError, OverflowError) as exc:  # also non-numbers in s_star, or a huge int
+        raise ConfigError(f"{summary_path}: {exc}") from exc
+    trace.gamma_hat, trace.warnings = float(gamma_hat), warns
+    return trace
 
 
 def write_json(path: Path, obj: dict):
@@ -127,14 +155,14 @@ def summarize(trace: engine.Trace, cfg: cfgmod.RunConfig) -> dict:
     summary = {
         "config_digest": cfg.digest,
         "seed": cfg.seed,
-        "gamma_hat": trace.meta["gamma_hat"],
-        "s_star": trace.meta["s_star"],
+        "gamma_hat": trace.gamma_hat,
+        "s_star": trace.s_star.tolist(),
         "e0": float(trace.e[0]),
         "e_final": float(trace.e[-1]),
         "a_max": float(trace.a.max()),
         "beta_max": None if not np.isfinite(beta_max) else float(beta_max),
         "M": None if not np.isfinite(bc.M) else float(bc.M),
-        "warnings": list(trace.meta.get("warnings", [])),
+        "warnings": list(trace.warnings),
         "slope": None,
         "r2": None,
         "rate_window": None,
@@ -149,8 +177,7 @@ def summarize(trace: engine.Trace, cfg: cfgmod.RunConfig) -> dict:
     except ValueError:
         pass  # short or degenerate run; slope stays null
     if cfg.perturbation.is_zero:
-        s_star = np.asarray(trace.meta["s_star"])
-        passages = engine._passages(cfg, s_star, trace.e, trace.final_state, cfg.eps_list)
+        passages = engine._passages(cfg, trace.s_star, trace.e, trace.final_state, cfg.eps_list)
         summary["iterations_to_eps"] = [
             {"eps": eps, "t": None if t == engine.CENSORED else t,
              "censored": t == engine.CENSORED}
@@ -344,32 +371,6 @@ def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1) -> int:
     return EXIT_OK
 
 
-def _check_states(path: Path, trace: engine.Trace, g) -> None:
-    """ConfigError unless path held T+1 states on g's domain and T finite etas, all of g's dim."""
-    T = trace.iterations
-    try:
-        if trace.states.shape != (T + 1, g.dim) or trace.etas.shape != (T, g.dim):
-            raise ValueError(f"states of shape {trace.states.shape} and etas of shape {trace.etas.shape}, "
-                             f"expected {(T + 1, g.dim)} and {(T, g.dim)}")
-        g.check_point(trace.states, "states")
-        SquaredEuclidean(g.dim).check_point(trace.etas, "etas")  # any finite rows of R^dim
-    except ValueError as exc:  # also an array that holds no numbers
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _check_summary(path: Path, meta: dict, g) -> None:
-    """ConfigError unless the summary at path gave an s_star on g's domain, a finite gamma_hat and string warnings."""
-    gamma_hat, warns = meta["gamma_hat"], meta["warnings"]
-    try:
-        g.check_point(meta["s_star"], "s_star")
-        if isinstance(gamma_hat, bool) or not isinstance(gamma_hat, (int, float)) or not math.isfinite(gamma_hat):
-            raise ValueError(f"gamma_hat must be a finite number, got {gamma_hat!r}")
-        if not isinstance(warns, list) or not all(isinstance(w, str) for w in warns):
-            raise ValueError(f"warnings must be a list of strings, got {warns!r}")
-    except (TypeError, ValueError, OverflowError) as exc:  # also non-numbers in s_star, or a huge int
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 def cmd_audit(run_dir: str) -> int:
     """Audit a completed run directory; findings go to audit.json.
 
@@ -386,9 +387,7 @@ def cmd_audit(run_dir: str) -> int:
                 file=sys.stderr,
             )
             return EXIT_NEEDS_STATES
-        trace = load_run(run_dir)
-        _check_states(run_dir / "states.npz", trace, cfg.geometry)
-        _check_summary(run_dir / "summary.json", trace.meta, cfg.geometry)
+        trace = load_run(run_dir, cfg)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"audit: cannot load run directory {run_dir}: {exc}", file=sys.stderr)
         return EXIT_CONFIG

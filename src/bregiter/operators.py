@@ -181,7 +181,8 @@ class Bellman(Operator):
     sequence context_y, cycled by t, perturbs rewards additively (off by
     default); each entry must broadcast to the rewards' shape.  Fixed points use
     policy enumeration when there are at most 8 deterministic policies and
-    plain backup iteration otherwise.
+    plain backup iteration otherwise; both give the fixed point of apply(., 0),
+    whose rewards carry context_y[0].
     """
 
     kind = "bellman"
@@ -233,11 +234,12 @@ class Bellman(Operator):
         if self.n_actions ** self.n_states > self.ENUMERATION_LIMIT:
             return super().fixed_point(geometry, tol)
         eye = np.eye(self.n_states)
+        r = self.rewards if self.context_y is None else self.rewards + self.context_y[0]
         best = np.full(self.n_states, -np.inf)
         for policy in itertools.product(range(self.n_actions), repeat=self.n_states):
             idx = np.arange(self.n_states)
             p_pi = self.transitions[idx, policy, :]
-            r_pi = self.rewards[idx, policy]
+            r_pi = r[idx, policy]
             v_pi = np.linalg.solve(eye - self.discount * p_pi, r_pi)
             best = np.maximum(best, v_pi)
         return best

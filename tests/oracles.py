@@ -233,7 +233,7 @@ def envelope_one_step(e0, beta, c0, delta0):
 
 
 def descent_loop(trace, g, op, bc, tol=1e-10):
-    s_star = np.asarray(trace.meta["s_star"], dtype=float)
+    s_star = np.asarray(trace.s_star, dtype=float)
     worst, worst_t = -math.inf, -1
     for t in range(trace.iterations):
         s = trace.states[t]
@@ -252,7 +252,7 @@ def descent_loop(trace, g, op, bc, tol=1e-10):
 
 
 def cross_term_loop(trace, g, bc, tol=1e-10):
-    s_star = np.asarray(trace.meta["s_star"], dtype=float)
+    s_star = np.asarray(trace.s_star, dtype=float)
     grad_star = g.grad(s_star)
     zero = np.zeros(g.dim)
     worst, worst_t = -math.inf, -1

@@ -159,7 +159,7 @@ def test_accept_6_bellman_fixed_point_and_engine():
         fp_ok and engine_ok,
         f"fixed point max dev {np.max(np.abs(v_star - np.array(oracle))):.2e}; "
         f"engine e_T {e_final:.3e} at T=1e5 vs 1e-6 target "
-        f"(divergence ratio {tr.meta['gamma_hat']:.3f} >= 1: instance is not a "
+        f"(divergence ratio {tr.gamma_hat:.3f} >= 1: instance is not a "
         f"euclidean-divergence contraction, error decays ~t^-0.4)",
     )
     assert ok

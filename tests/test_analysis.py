@@ -426,7 +426,7 @@ def synthetic_trace(states, e, alpha, etas=None, s_star=(0.0, 0.0)):
         t=rows, e=e, a=e * (rows + 1.0) ** 2, alpha=np.asarray(alpha, dtype=float),
         delta_norm_sq=np.zeros(e.size), eta_div=np.zeros(e.size), states=states,
         etas=np.zeros((e.size - 1, states.shape[1])) if etas is None else np.asarray(etas, dtype=float),
-        meta={"s_star": list(s_star), "gamma_hat": 0.25},
+        s_star=np.asarray(s_star, dtype=float), gamma_hat=0.25,
     )
 
 

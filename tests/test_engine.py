@@ -74,9 +74,8 @@ def test_trace_length_and_meta():
     tr = run(cfg)
     assert len(tr) == 26
     assert tr.iterations == 25
-    assert tr.meta["seed"] == 1
-    assert tr.meta["config_digest"] == cfg.digest
-    np.testing.assert_allclose(tr.meta["s_star"], [2.0, -1.0], atol=1e-15)
+    np.testing.assert_allclose(tr.s_star, [2.0, -1.0], atol=1e-15)
+    assert type(tr.gamma_hat) is float and tr.warnings == []
 
 
 def test_error_ledger_identity():
@@ -167,13 +166,13 @@ def test_contraction_warning_recorded():
         "seed": 1,
     })
     tr = run(cfg)
-    assert any("contraction hypothesis" in w for w in tr.meta["warnings"])
-    assert tr.meta["gamma_hat"] > 1.0
+    assert any("contraction hypothesis" in w for w in tr.warnings)
+    assert tr.gamma_hat > 1.0
 
 
 def test_no_warning_for_certified_contraction():
     tr = run(colinear_config(iterations=10))
-    assert tr.meta["warnings"] == []
+    assert tr.warnings == []
 
 
 # ---------------------------------------------------------------------------

@@ -406,6 +406,27 @@ def test_fixed_point_failure_is_an_engine_error(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_all_degenerate_contraction_pairs_are_an_engine_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    overrides = ["tolerances.degenerate_pair=1e300", "iterations=5", "rate_window=null"]
+    assert cmd_run(str(CONFIGS / "affine_accel.json"), str(out), overrides=overrides) == 1
+    error = "start-up failed: all sampled pairs were degenerate; cannot estimate contraction"
+    assert json.loads((out / "state_dump.json").read_text()) == {"error": error, "t": -1, "state": [0.0, 0.0]}
+    assert capsys.readouterr().err.startswith(f"run failed: {error} (state dumped to")
+
+
+def test_polynomial_alpha_past_the_float_range_runs(tmp_path):
+    out = tmp_path / "out"
+    overrides = ["schedule.params.p=1100", "iterations=5", "rate_window=null"]
+    proc = subprocess.run([sys.executable, "-m", "bregiter.cli", "run", "--config", str(CONFIGS / "gradient_step.json"),
+                           "--out", str(out), *(arg for o in overrides for arg in ("--set", o))],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    alpha = read_trace_csv(out / "trace.csv")["alpha_t"]
+    assert np.isfinite(alpha).all() and (alpha >= 0).all()
+
+
 def test_domain_error_formats_plain_floats(tmp_path, capsys):
     raw = base_config(s0=[0.5, 0.5])
     raw["geometry"] = {"kind": "negative-entropy", "dim": 2}
@@ -752,6 +773,8 @@ def rewrite_summary(**change):
 
 DAMAGE = {
     "summary-not-object": lambda out: (out / "summary.json").write_text("[1, 2]"),
+    "summary-digest-of-another-config": rewrite_summary(config_digest=config_digest(base_config(seed=2))),
+    "summary-digest-number": rewrite_summary(config_digest=5),
     "summary-s-star-wrong-dim": rewrite_summary(s_star=[1.0]),
     "summary-s-star-nan": rewrite_summary(s_star=[float("nan"), 0.0]),
     "summary-s-star-no-numbers": rewrite_summary(s_star=["x", "y"]),

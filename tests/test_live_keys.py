@@ -210,11 +210,12 @@ def test_context_off_bellman_is_a_config_error(tmp_path, name):
     assert "Traceback" not in proc.stderr and not (tmp_path / "out").exists()
 
 
-#: sha256 of the artifacts of bellman.json at 2000 steps with a two-entry context; recorded before
-#: context_y moved from Operator into Bellman, which left these bytes as they were
+#: sha256 of the artifacts of bellman.json at 2000 steps with a two-entry context.  Re-recorded when
+#: s_star became the fixed point of T(., y_0), [15, 15] here: that moved e_t, a_t and the summary
+#: fields derived from them, and left every other trace.csv column as it was
 BELLMAN_CONTEXT_DIGESTS = {
-    "trace.csv": "a05045a5e3ea4f9f382046be9bc38336d5ce4223b50333a85a91c60c08c0e167",
-    "summary.json": "00066019a439a57b24f41ee9611e29dc93563998960dcb7d7561c2ef5cd365d3",
+    "trace.csv": "eae7e5b5b91daa15cfd83469673c7c3c42a87ab92fb7ad5441e4630db90e52a8",
+    "summary.json": "bae8f0fdabb6cffdd284ac37532482150b3a69a70cac2fa3da0c159095031444",
 }
 
 

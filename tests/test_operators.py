@@ -230,6 +230,20 @@ def test_bellman_context_shifts_rewards():
     np.testing.assert_allclose(op.apply([0.0, 0.0], 0), [2.0, 3.0], atol=1e-15)
 
 
+def test_bellman_fixed_point_carries_the_first_context(monkeypatch):
+    op = Bellman(
+        np.array(oracles.MDP_TRANSITIONS, dtype=float),
+        np.array(oracles.MDP_REWARDS, dtype=float),
+        0.9,
+        context_y=[[1.0, 1.0]],
+    )
+    s_star = op.fixed_point()
+    np.testing.assert_allclose(s_star, [28.0, 30.0], atol=1e-12)
+    np.testing.assert_allclose(op.apply(s_star, 0), s_star, rtol=0, atol=1e-12)
+    monkeypatch.setattr(Bellman, "ENUMERATION_LIMIT", 0)
+    np.testing.assert_allclose(op.fixed_point(), s_star, rtol=0, atol=1e-5)
+
+
 # ---------------------------------------------------------------------------
 # properties
 

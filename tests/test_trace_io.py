@@ -77,11 +77,15 @@ def test_load_run_matches_the_hand_built_trace(tmp_path):
     run_dir = tmp_path / "run"
     assert cmd_run(str(cfg_path), str(run_dir)) == 0
 
-    trace, expected = load_run(run_dir), oracles.load_run_fields(run_dir)
-    assert trace.meta == expected["meta"] and trace.meta["warnings"]
+    cfg = cfgmod.from_dict(raw)
+    trace, expected = load_run(run_dir, cfg), oracles.load_run_fields(run_dir)
+    meta = expected["meta"]
+    assert trace.s_star.tobytes() == np.asarray(meta["s_star"], dtype=float).tobytes()
+    assert trace.gamma_hat == meta["gamma_hat"]
+    assert trace.warnings == meta["warnings"] and trace.warnings
     assert trace.final_state is None
     for name in ("t", "e", "a", "alpha", "delta_norm_sq", "eta_div", "states", "etas"):
         got, want = getattr(trace, name), expected[name]
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
-    assert trace.meta["config_digest"] == cfgmod.from_dict(raw).digest
+    assert (meta["config_digest"], meta["seed"]) == (cfg.digest, cfg.seed)
