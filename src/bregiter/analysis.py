@@ -16,7 +16,7 @@ worst step is the first one on ties, and a nan is never the worst.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -34,6 +34,8 @@ DELTA_RATIO_FLOOR = 1e-14  # e_t at or below this is left out of the empirical M
 POWER_LAW_R2 = 0.99  # a rate fit with r2 at least this is reported as a power law
 MIN_FIT_POINTS = 10  # fewest usable rows a rate fit accepts
 THREE_POINT_TRIPLES, THREE_POINT_SEED = 100, 0  # seeded random triples of the three-point spot check
+THREE_POINT_TOL = 1e-9  # largest three-point residual that passes
+ENVELOPE_TOL = 1e-12  # largest excess of e_t over the iterated recursion envelope that passes
 
 
 class StatesRequiredError(ValueError):
@@ -85,18 +87,16 @@ class BoundConstants:
         return 2.0 * (1.0 + self.C0) * self.delta0 / (t + 2)
 
     def to_json_dict(self) -> dict:
-        return {
-            "gamma_hat": float(self.gamma_hat), "kappa": float(self.kappa),
-            "delta0": float(self.delta0), "mu": float(self.mu), "L": float(self.L),
-            "c_sc": float(self.c_sc), "K": float(self.K), "C0": float(self.C0),
-            "M": None if math.isnan(self.M) else float(self.M),
-            "beta": None if math.isnan(self.beta) else float(self.beta),
-        }
+        d = {**asdict(self), "c_sc": self.c_sc, "K": self.K, "C0": self.C0}
+        for name in ("M", "beta"):  # NaN until measured
+            if math.isnan(d[name]):
+                d[name] = None
+        return d
 
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """Outcome of one inequality check over a trace."""
+    """Outcome of one inequality check over a trace; its fields are plain Python values."""
 
     name: str
     worst_violation: float
@@ -105,17 +105,6 @@ class CheckRecord:
     passed: bool
     vacuous: bool = False
     note: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "worst_violation": float(self.worst_violation),
-            "worst_t": int(self.worst_t),
-            "tol": float(self.tol),
-            "passed": bool(self.passed),
-            "vacuous": bool(self.vacuous),
-            "note": self.note,
-        }
 
 
 @dataclass(frozen=True)
@@ -129,13 +118,6 @@ class RateFit:
     n_points: int
     truncated: bool
     power_law: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "slope": self.slope, "r2": self.r2, "t_lo": self.t_lo, "t_hi": self.t_hi,
-            "n_points": self.n_points, "truncated": self.truncated,
-            "power_law": self.power_law,
-        }
 
 
 @dataclass(frozen=True)
@@ -183,7 +165,7 @@ class AuditReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "checks": [c.to_json_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
             "constants": self.constants.to_json_dict(),
             "fitted": {
                 "beta_max": None if not math.isfinite(self.beta_max) else float(self.beta_max),
@@ -296,7 +278,7 @@ def audit_descent(trace: Trace, g: Geometry, op: Operator, bc: BoundConstants,
     lhs = g._divergence(x, trace.s_star)
     rhs = bc.theta(al) * trace.e[t] + 0.5 * bc.L * al * al * np.vecdot(delta, delta)
     worst, worst_t = _worst(lhs - rhs, t)
-    violation = max(worst, 0.0)
+    violation = max(float(worst), 0.0)
     return CheckRecord(
         name="descent", worst_violation=violation, worst_t=worst_t, tol=tol,
         passed=violation <= tol,
@@ -330,7 +312,7 @@ def audit_cross_term(trace: Trace, g: Geometry, bc: BoundConstants,
     lhs = np.abs(np.vecdot(g._grad(x) - grad_star, eta))
     rhs = 0.5 * g._divergence(x, trace.s_star) + bc.C0 * g._divergence(eta, np.zeros(g.dim))
     worst, worst_t = _worst(lhs - rhs, t)
-    violation = max(worst, 0.0)
+    violation = max(float(worst), 0.0)
     return CheckRecord(
         name="cross-term", worst_violation=violation, worst_t=worst_t, tol=tol,
         passed=violation <= tol, note=f"{n_noisy} noisy steps",
@@ -364,7 +346,7 @@ def audit_recursion(trace: Trace, bc: BoundConstants) -> tuple[float, CheckRecor
     beta_max = max(0.0, best) if binding_t >= 0 else math.inf
     rec = CheckRecord(
         name="recursion", worst_violation=0.0, worst_t=binding_t, tol=0.0,
-        passed=beta_max > 0,
+        passed=bool(beta_max > 0),
         note=f"beta_max = {beta_max!r}, binding at t = {binding_t}",
     )
     return beta_max, rec
@@ -454,7 +436,7 @@ def build_audit_report(trace: Trace, cfg: RunConfig) -> AuditReport:
     checks: list[CheckRecord] = []
 
     if trace.states is not None:
-        checks.append(_audit_three_point(trace, g, tol=1e-9))
+        checks.append(_audit_three_point(trace, g))
         checks.append(audit_descent(trace, g, op, bc, tol=tol))
         checks.append(audit_cross_term(trace, g, bc, tol=tol))
 
@@ -462,7 +444,7 @@ def build_audit_report(trace: Trace, cfg: RunConfig) -> AuditReport:
     checks.append(rec)
     induction = audit_induction_step()
 
-    bc = replace(bc, beta=beta_max if math.isfinite(beta_max) else float("nan"))
+    bc = replace(bc, beta=float(beta_max) if math.isfinite(beta_max) else float("nan"))
     if beta_max > 0 and math.isfinite(beta_max):
         env, _ = gronwall_envelope(float(trace.e[0]), bc, trace.iterations)
         gap = trace.e - env
@@ -470,7 +452,7 @@ def build_audit_report(trace: Trace, cfg: RunConfig) -> AuditReport:
         violation = max(float(gap[worst_t]), 0.0)
         checks.append(CheckRecord(
             name="envelope-domination", worst_violation=violation, worst_t=worst_t,
-            tol=1e-12, passed=violation <= 1e-12,
+            tol=ENVELOPE_TOL, passed=violation <= ENVELOPE_TOL,
             note=f"iterated recursion envelope with beta = {beta_max!r}",
         ))
 
@@ -484,7 +466,7 @@ def build_audit_report(trace: Trace, cfg: RunConfig) -> AuditReport:
     )
 
 
-def _audit_three_point(trace: Trace, g: Geometry, tol: float) -> CheckRecord:
+def _audit_three_point(trace: Trace, g: Geometry) -> CheckRecord:
     """Spot-check the three-point identity on THREE_POINT_TRIPLES seeded triples of recorded states.
 
     The worst residual is reported at the first state of its triple, and as
@@ -495,6 +477,6 @@ def _audit_three_point(trace: Trace, g: Geometry, tol: float) -> CheckRecord:
     worst, worst_t = _worst(three_point_residual(g, trace.states[i], trace.states[j], trace.states[k]), i)
     worst, worst_t = (float(worst), worst_t) if worst > 0 else (0.0, -1)
     return CheckRecord(
-        name="three-point-identity", worst_violation=worst, worst_t=worst_t, tol=tol,
-        passed=worst <= tol,
+        name="three-point-identity", worst_violation=worst, worst_t=worst_t, tol=THREE_POINT_TOL,
+        passed=worst <= THREE_POINT_TOL,
     )

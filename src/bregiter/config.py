@@ -49,7 +49,7 @@ RETAIN_DIM_LIMIT = 10
 #: kind's params (required when they have no default), except those named in
 #: BLOCK_KEYS, which keys of the block beside kind and params fill; a param
 #: annotated ArrayLike takes a list of numbers (nested for matrices), any
-#: other param a number.
+#: other param a number, which the constructor receives as a float.
 KINDS = {
     "geometry": {cls.kind: cls for cls in (SquaredEuclidean, Quadratic, NegativeEntropy)},
     "operator": {cls.kind: cls for cls in (AffineColinear, AffineRotation, GradientStep,
@@ -155,12 +155,13 @@ def _build(block: str, d: Any):
     unknown = sorted(set(params) - set(schema))
     if unknown:
         raise ConfigError(f"{block}: unknown params {unknown} for kind {kind!r}; known: {sorted(schema)}")
+    checked = {}  # the checkers' values, never the raw JSON ones
     for name, v in params.items():
         check = _expect_array if schema[name].annotation == "ArrayLike" else _expect_number
-        check(v, f"{block}.params.{name}")
-    given = {key: BLOCK_KEYS[key](d[key], f"{block}.{key}") for key in keys if key in d}
+        checked[name] = check(v, f"{block}.params.{name}")
+    checked.update((key, BLOCK_KEYS[key](d[key], f"{block}.{key}")) for key in keys if key in d)
     try:
-        return kinds[kind](**given, **params)
+        return kinds[kind](**checked)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{block}: {exc}") from exc
 
@@ -260,7 +261,7 @@ def from_dict(d: dict, allow_sweep: bool = False) -> RunConfig:
         raise ConfigError(f"s0 has dimension {len(s0)}, geometry.dim is {geometry.dim}")
 
     iterations = _expect_int(d["iterations"], "iterations", minimum=1)
-    seed = _expect_int(d["seed"], "seed")
+    seed = _expect_int(d["seed"], "seed", minimum=0)
 
     retain = d.get("retain_states")
     if retain is None:

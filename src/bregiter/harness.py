@@ -20,6 +20,7 @@ import time
 import warnings
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from itertools import chain, product
 from pathlib import Path
 
@@ -415,5 +416,5 @@ def cmd_rate(trace_path: str, window: tuple[int, int] | None = None) -> int:
     except ValueError as exc:
         print(f"rate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    print(json.dumps(fit.to_json_dict()))
+    print(json.dumps(asdict(fit)))
     return EXIT_OK

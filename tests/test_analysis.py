@@ -386,7 +386,7 @@ def shipped_config(name, **changes):
 
 
 def assert_audits_match_loops(tr, g, op, bc):
-    got, want = _audit_three_point(tr, g, tol=1e-9), oracles.three_point_audit_loop(tr, g, tol=1e-9)
+    got, want = _audit_three_point(tr, g), oracles.three_point_audit_loop(tr, g, tol=1e-9)
     assert got == CheckRecord(**want) and repr(got.worst_violation) == repr(want["worst_violation"])
     assert audit_descent(tr, g, op, bc) == CheckRecord(**oracles.descent_loop(tr, g, op, bc))
     assert audit_cross_term(tr, g, bc) == CheckRecord(**oracles.cross_term_loop(tr, g, bc))

@@ -1,4 +1,6 @@
 import csv
+import functools
+import inspect
 import json
 import math
 import subprocess
@@ -242,6 +244,49 @@ def test_kind_table_builds_each_kind(blocks, check):
     assert check(cfg)
 
 
+def _number_params():
+    """(block, kind, name) of each kind param that takes a number, read from the constructor signatures."""
+    return [(block, kind, name) for block, kinds in cfgmod.KINDS.items() for kind, make in kinds.items()
+            for name, p in inspect.signature(make).parameters.items()
+            if name not in cfgmod.BLOCK_KEYS and p.annotation != "ArrayLike"]
+
+
+#: kind -> a block of that kind that builds
+KIND_BLOCKS = {blocks[block]["kind"]: blocks[block] for blocks, _ in GOOD_BLOCKS.values()
+               for block in ("geometry", "operator", "schedule") if block in blocks}
+
+
+@pytest.mark.parametrize("block, kind, name", _number_params())
+def test_integer_spelled_number_params_reach_the_kind_as_floats(monkeypatch, block, kind, name):
+    make, seen = cfgmod.KINDS[block][kind], {}
+
+    @functools.wraps(make)
+    def spy(**kwargs):
+        seen.update(kwargs)
+        return make(**kwargs)
+
+    monkeypatch.setitem(cfgmod.KINDS[block], kind, spy)
+    d = json.loads(json.dumps(KIND_BLOCKS[kind]))
+    d.setdefault("params", {})[name] = 1
+    try:
+        cfgmod._build(block, d)
+    except ConfigError:  # 1 may lie outside the param's range; the constructor was still called
+        pass
+    assert type(seen[name]) is float and seen[name] == 1.0
+
+
+def test_integer_spelled_polynomial_schedule_runs_as_floats(tmp_path):
+    common = ["iterations=2000", "rate_window=null"]
+    raw = apply_overrides(json.loads((CONFIGS / "gradient_step.json").read_text()),
+                          ['schedule.params={"c":1,"p":100000}', *common])
+    schedule = from_dict(raw).schedule
+    assert type(schedule.c) is float and type(schedule.p) is float
+    assert cmd_run(write_config(tmp_path / "int.json", raw), str(tmp_path / "int")) == 0
+    assert cmd_run(str(CONFIGS / "gradient_step.json"), str(tmp_path / "float"),
+                   overrides=['schedule.params={"c":1.0,"p":100000.0}', *common]) == 0
+    assert (tmp_path / "int" / "trace.csv").read_bytes() == (tmp_path / "float" / "trace.csv").read_bytes()
+
+
 @pytest.mark.parametrize("config, overrides, field", [
     ("affine_accel.json", ['operator.params.gamma="x"'], "operator.params.gamma"),
     ("affine_accel.json", ["schedule.kind=constant", 'schedule.params={"c":"0.5"}'], "schedule.params.c"),
@@ -375,6 +420,17 @@ def test_run_config_error_exit_two(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "c.json", base_config(bogus=1))
     assert cmd_run(cfg_path, str(tmp_path / "out")) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, seed", [("affine_random_noise.json", "-1"), ("affine_accel.json", "-5")])
+def test_negative_seed_is_a_config_error(tmp_path, config, seed):
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "bregiter.cli", "run", "--config", str(CONFIGS / config),
+                           "--out", str(out), "--seed", seed, "--set", "iterations=5", "--set", "rate_window=null"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == f"config error: seed must be >= 0, got {seed}\n"
+    assert not out.exists()
 
 
 def test_run_engine_error_exit_one_with_dump(tmp_path, capsys):
@@ -656,6 +712,16 @@ def test_sweep_continues_past_point_failures(tmp_path):
     assert "ok" in text and "error" in text
 
 
+def test_sweep_point_with_a_negative_seed_gets_an_error_row(tmp_path, capsys):
+    raw = sweep_config()
+    raw["sweep"] = {"seed": [-1, 1]}
+    assert cmd_sweep(write_config(tmp_path / "c.json", raw), str(tmp_path / "s"), parallel=1) == 0
+    with open(tmp_path / "s" / "index.csv", newline="") as fh:
+        rows = {row["axis:seed"]: row["status"] for row in csv.DictReader(fh)}
+    assert rows == {"-1": "error: seed must be >= 0, got -1", "1": "ok"}
+    assert capsys.readouterr().out.startswith("sweep: 2 points, 1 failed, ")
+
+
 def test_sweep_point_that_does_not_parse_gets_no_job(tmp_path, monkeypatch):
     ran = []
     plain = harness._sweep_point
@@ -822,7 +888,7 @@ def test_audit_of_finite_states_that_overflow_exits_zero(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# what run, sweep and audit print
+# what run, sweep, audit and rate print
 
 
 def test_run_prints_one_summary_line(tmp_path, capsys):
@@ -853,6 +919,16 @@ def test_audit_prints_one_line_per_check(tmp_path, capsys):
             for c, status in zip(report["checks"], statuses)]
     want.append(f"induction-step: {oracles.DEFAULT_GRID_VIOLATIONS}/909 grid cells violate the claimed inequality")
     assert capsys.readouterr().out.splitlines() == want
+
+
+def test_rate_prints_the_fit_on_one_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path / "c.json", base_config()), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["rate", "--trace", str(out / "trace.csv")]) == 0
+    assert capsys.readouterr().out == (  # the recorded bytes, key order included
+        '{"slope": -1.9999999999999265, "r2": 1.0, "t_lo": 30, "t_hi": 300, "n_points": 271, '
+        '"truncated": false, "power_law": true}\n')
 
 
 # ---------------------------------------------------------------------------
