@@ -49,7 +49,7 @@ class BoundConstants:
     c_sc, K and C0 derive from mu and L: c_sc = mu, K = sqrt(2/mu) and
     C0 = 2 L^2 K^2 / c_sc.  M is the empirical worst ratio
     ||T(s_t) - s_t||^2 / e_t and beta an admissible contraction rate; both
-    default to NaN until measured.
+    default to NaN until measured, and either may be inf.
     """
 
     gamma_hat: float
@@ -88,8 +88,8 @@ class BoundConstants:
 
     def to_json_dict(self) -> dict:
         d = {**asdict(self), "c_sc": self.c_sc, "K": self.K, "C0": self.C0}
-        for name in ("M", "beta"):  # NaN until measured
-            if math.isnan(d[name]):
+        for name in ("M", "beta"):  # NaN until measured, or inf: JSON holds neither
+            if not math.isfinite(d[name]):
                 d[name] = None
         return d
 
@@ -164,13 +164,11 @@ class AuditReport:
     meta: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
+        constants = self.constants.to_json_dict()
         return {
             "checks": [asdict(c) for c in self.checks],
-            "constants": self.constants.to_json_dict(),
-            "fitted": {
-                "beta_max": None if not math.isfinite(self.beta_max) else float(self.beta_max),
-                "M": None if not math.isfinite(self.constants.M) else float(self.constants.M),
-            },
+            "constants": constants,
+            "fitted": {"beta_max": constants["beta"], "M": constants["M"]},
             "induction": self.induction.to_json_dict(),
             "meta": self.meta,
         }
@@ -260,6 +258,14 @@ def _worst(v: np.ndarray, rows: np.ndarray) -> tuple[float, int]:
     return v[i], int(rows[i])
 
 
+def _check(name: str, excess: np.ndarray, rows: np.ndarray, tol: float, note: str = "") -> CheckRecord:
+    """CheckRecord of the largest entry of excess by _worst, at its row, clamped at 0 and passed against tol."""
+    worst, worst_t = _worst(excess, rows)
+    violation = max(float(worst), 0.0)
+    return CheckRecord(name=name, worst_violation=violation, worst_t=worst_t, tol=tol,
+                       passed=violation <= tol, note=note)
+
+
 def audit_descent(trace: Trace, g: Geometry, op: Operator, bc: BoundConstants,
                   tol: float = 1e-10) -> CheckRecord:
     """Check the half-step descent bound at every recorded step.
@@ -277,12 +283,7 @@ def audit_descent(trace: Trace, g: Geometry, op: Operator, bc: BoundConstants,
     x = (1.0 - al)[:, None] * s + al[:, None] * ts
     lhs = g._divergence(x, trace.s_star)
     rhs = bc.theta(al) * trace.e[t] + 0.5 * bc.L * al * al * np.vecdot(delta, delta)
-    worst, worst_t = _worst(lhs - rhs, t)
-    violation = max(float(worst), 0.0)
-    return CheckRecord(
-        name="descent", worst_violation=violation, worst_t=worst_t, tol=tol,
-        passed=violation <= tol,
-    )
+    return _check("descent", lhs - rhs, t, tol)
 
 
 def audit_cross_term(trace: Trace, g: Geometry, bc: BoundConstants,
@@ -311,12 +312,7 @@ def audit_cross_term(trace: Trace, g: Geometry, bc: BoundConstants,
     x = trace.states[t + 1] - eta
     lhs = np.abs(np.vecdot(g._grad(x) - grad_star, eta))
     rhs = 0.5 * g._divergence(x, trace.s_star) + bc.C0 * g._divergence(eta, np.zeros(g.dim))
-    worst, worst_t = _worst(lhs - rhs, t)
-    violation = max(float(worst), 0.0)
-    return CheckRecord(
-        name="cross-term", worst_violation=violation, worst_t=worst_t, tol=tol,
-        passed=violation <= tol, note=f"{n_noisy} noisy steps",
-    )
+    return _check("cross-term", lhs - rhs, t, tol, note=f"{n_noisy} noisy steps")
 
 
 def audit_recursion(trace: Trace, bc: BoundConstants) -> tuple[float, CheckRecord]:
@@ -444,17 +440,11 @@ def build_audit_report(trace: Trace, cfg: RunConfig) -> AuditReport:
     checks.append(rec)
     induction = audit_induction_step()
 
-    bc = replace(bc, beta=float(beta_max) if math.isfinite(beta_max) else float("nan"))
-    if beta_max > 0 and math.isfinite(beta_max):
+    bc = replace(bc, beta=float(beta_max))  # inf when no step bounds it
+    if 0 < bc.beta < math.inf:
         env, _ = gronwall_envelope(float(trace.e[0]), bc, trace.iterations)
-        gap = trace.e - env
-        worst_t = int(np.argmax(gap))
-        violation = max(float(gap[worst_t]), 0.0)
-        checks.append(CheckRecord(
-            name="envelope-domination", worst_violation=violation, worst_t=worst_t,
-            tol=ENVELOPE_TOL, passed=violation <= ENVELOPE_TOL,
-            note=f"iterated recursion envelope with beta = {beta_max!r}",
-        ))
+        checks.append(_check("envelope-domination", trace.e - env, np.arange(len(trace)), ENVELOPE_TOL,
+                             note=f"iterated recursion envelope with beta = {beta_max!r}"))
 
     return AuditReport(
         checks=checks, constants=bc, beta_max=beta_max, induction=induction,

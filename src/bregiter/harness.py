@@ -50,6 +50,10 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 EXIT_NEEDS_STATES = 3
 
+#: what a run writes into its directory, manifest.json listing the first four; a rerun removes them first
+RUN_FILES = ("config.json", "trace.csv", "states.npz", "summary.json", "manifest.json", "audit.json",
+             "state_dump.json")
+
 
 def write_trace_csv(path: Path, trace: engine.Trace):
     """trace.csv of trace in the TRACE_COLUMNS formats, one %-format per WRITE_BLOCK rows."""
@@ -202,7 +206,11 @@ def run_to_dir(cfg: cfgmod.RunConfig, out_dir: Path, shared: list | None = None)
     """
     started = _utcnow()
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True)
+    except FileExistsError:  # an earlier run's files must not pass for this run's
+        for name in RUN_FILES:
+            (out_dir / name).unlink(missing_ok=True)
     like, shared_trace = shared[0] if shared else (None, None)
     trace = engine.run(cfg, like)
 
@@ -222,7 +230,7 @@ def run_to_dir(cfg: cfgmod.RunConfig, out_dir: Path, shared: list | None = None)
     write_json(out_dir / "summary.json", summary)
 
     files = {}
-    for name in ("config.json", "trace.csv", "states.npz", "summary.json"):
+    for name in RUN_FILES[:4]:
         p = out_dir / name
         if p.exists():
             files[name] = _file_entry(p)
@@ -246,9 +254,11 @@ def cmd_run(config_path: str, out_dir: str, seed: int | None = None,
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:  # reading the config is a ConfigError, so this is the output
+        print(f"run: cannot write run directory {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except EngineError as exc:
-        dump = Path(out_dir) / "state_dump.json"
-        dump.parent.mkdir(parents=True, exist_ok=True)
+        dump = Path(out_dir) / "state_dump.json"  # run_to_dir made the directory before the run
         write_json(dump, {"error": str(exc), "t": exc.t, "state": exc.state.tolist()})
         print(f"run failed: {exc} (state dumped to {dump})", file=sys.stderr)
         return EXIT_RUNTIME
@@ -303,17 +313,11 @@ def _sweep_point(args: tuple, shared: list) -> dict:
     digest = cfg.digest
     try:
         summary = run_to_dir(cfg, Path(out_root) / digest[:12], shared)
-    except (EngineError, ValueError) as exc:
+    except (EngineError, ValueError, OSError) as exc:
         return {"digest": digest, "status": f"error: {exc}"}
-    eps_ts = {
-        f"t_eps[{item['eps']:g}]": ("" if item["t"] is None else item["t"])
-        for item in summary["iterations_to_eps"]
-    }
-    return dict(
-        digest=digest, status="ok",
-        slope="" if summary["slope"] is None else summary["slope"],
-        r2="" if summary["r2"] is None else summary["r2"],
-        beta_max="" if summary["beta_max"] is None else summary["beta_max"],
+    eps_ts = {f"t_eps[{item['eps']:g}]": item["t"] for item in summary["iterations_to_eps"]}
+    return dict(  # csv writes a None as an empty field
+        digest=digest, status="ok", slope=summary["slope"], r2=summary["r2"], beta_max=summary["beta_max"],
         gamma_hat=summary["gamma_hat"], e_final=summary["e_final"], **eps_ts,
     )
 
@@ -338,7 +342,6 @@ def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1) -> int:
         return EXIT_CONFIG
 
     out_root = Path(out_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
     digests = [cfgmod.config_digest(point) for _, point in points]
     unique = dict(zip(digests, (point for _, point in points)))  # a repeated point runs once
     by_digest, groups = {}, {}
@@ -362,11 +365,15 @@ def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1) -> int:
     rows.sort(key=lambda r: r["digest"])
     fields = sorted({k for row in rows for k in row})
     fields.sort(key=lambda k: (not k.startswith("axis:"), k != "digest", k))
-    with open(out_root / "index.csv", "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
-        w.writeheader()
-        for row in rows:
-            w.writerow(row)
+    try:
+        out_root.mkdir(parents=True, exist_ok=True)  # points make it too, but a sweep may run none
+        with open(out_root / "index.csv", "w", newline="") as fh:
+            w = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
+            w.writeheader()
+            w.writerows(rows)
+    except OSError as exc:
+        print(f"sweep: cannot write {out_root}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     n_err = sum(1 for row in rows if row["status"] != "ok")
     print(f"sweep: {len(rows)} points, {n_err} failed, index at {out_root / 'index.csv'}")
     return EXIT_OK

@@ -513,3 +513,19 @@ def test_contraction_all_pairs_degenerate():
     for estimate in (estimate_contraction, oracles.contraction_loop):
         with pytest.raises(ValueError, match="all sampled pairs were degenerate"):
             estimate(op, g, n_pairs=16, rng_seed=0, skip_tol=np.inf)
+
+
+def test_no_per_step_check_reports_a_nan_row():
+    # row 2 has a nan e_t, and the finite state 1e308 that the step-1 perturbation -1e308 overflows
+    # to inf - inf in the cross-term; e_3 = 0 keeps the recursion feasible after the nan
+    tr = synthetic_trace([[1, 0], [0.5, 0], [1e308, 0], [0, 0], [0, 0]], [0.5, 0.125, np.nan, 0, 0],
+                         [0.5] * 5, etas=[[0, 0], [-1e308, 0], [0, 0], [0.1, 0]])
+    cfg = colinear_config(operator={"kind": "affine-colinear", "params": {"gamma": 0.5, "target": [0.0, 0.0]}},
+                          s0=[1.0, 0.0], iterations=4, retain_states=True)
+    report = build_audit_report(tr, cfg)
+    by_name = {c.name: c for c in report.checks}
+    for name in ("descent", "cross-term", "recursion", "envelope-domination"):
+        assert math.isfinite(by_name[name].worst_violation) and by_name[name].worst_t not in (-1, 2), name
+    assert [by_name[name].worst_t for name in ("descent", "cross-term", "recursion")] == [3, 3, 0]
+    envelope = by_name["envelope-domination"]
+    assert (envelope.worst_violation, envelope.worst_t, envelope.passed) == (0.0, 0, True)

@@ -5,7 +5,9 @@ Each config in configs/ runs through cmd_run with iterations capped at CAP
 through cmd_audit; sweep_gamma.json runs as a sweep, whose index.csv and
 every point's trace.csv and summary.json are pinned.  The digests below were
 recorded once from the code and are literals on purpose: a change that moves
-any artifact byte must re-record them and say why.
+any artifact byte must re-record them and say why.  Every summary.json,
+audit.json and manifest.json these runs write must also be strict JSON,
+without a NaN or Infinity token.
 """
 
 import hashlib
@@ -117,6 +119,15 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def assert_strict_json(out):
+    """summary.json, audit.json and manifest.json of out, where written, hold no NaN or Infinity token."""
+    def refuse(token):
+        raise AssertionError(f"{out} holds {token}")
+    for name in ("summary.json", "audit.json", "manifest.json"):
+        if (out / name).exists():
+            json.loads((out / name).read_text(), parse_constant=refuse)
+
+
 def capped(name):
     raw = json.loads((CONFIGS / f"{name}.json").read_text())
     if raw["iterations"] > CAP:
@@ -132,6 +143,7 @@ def run_digests(name, tmp_path):
     out = tmp_path / name
     assert cmd_run(str(path), str(out)) == 0
     assert cmd_audit(str(out)) == (0 if (out / "states.npz").exists() else 3)
+    assert_strict_json(out)
     return {f: sha256(out / f) for f in FILES if (out / f).exists()}
 
 
@@ -155,4 +167,7 @@ def test_sweep_point_artifacts_match_recorded_digests(tmp_path, parallel):
     out = tmp_path / "sweep"
     assert cmd_sweep(str(CONFIGS / f"{SWEEP}.json"), str(out), parallel=parallel) == 0
     points = {d.name: {f: sha256(d / f) for f in ("trace.csv", "summary.json")} for d in out.iterdir() if d.is_dir()}
+    for d in out.iterdir():
+        if d.is_dir():
+            assert_strict_json(d)
     assert points == SWEEP_POINT_DIGESTS

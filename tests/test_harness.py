@@ -3,6 +3,7 @@ import functools
 import inspect
 import json
 import math
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -658,6 +659,50 @@ def test_summary_iteration_counts(tmp_path):
     assert got[0][1] == oracles.ITERS_1E6 and got[1][1] == oracles.ITERS_1E4
 
 
+def strict_json(path):
+    """path's JSON, failing on the NaN and Infinity tokens that JSON does not have."""
+    def refuse(token):
+        raise ValueError(f"{path} holds {token}")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+def accel_run(out, *overrides):
+    return cmd_run(str(CONFIGS / "affine_accel.json"), str(out),
+                   overrides=["iterations=300", "rate_window=null", *overrides])
+
+
+def test_rerun_replaces_the_earlier_run_files(tmp_path, capsys):
+    out = tmp_path / "X"
+    assert accel_run(out) == 0 and cmd_audit(str(out)) == 0
+    (out / "notes.txt").write_text("kept\n")
+    # an eps of 1.0 is met inside the trace; the default 1e-6 would run on to the passage cap at gamma 0.9
+    assert accel_run(out, "retain_states=false", "operator.params.gamma=0.9", "eps_list=[1.0]") == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config.json", "manifest.json", "notes.txt", "summary.json", "trace.csv"]
+    assert set(strict_json(out / "manifest.json")["files"]) == {"config.json", "trace.csv", "summary.json"}
+    assert cmd_audit(str(out)) == 3
+    capsys.readouterr()
+
+
+def test_failed_rerun_leaves_only_its_state_dump(tmp_path, capsys):
+    out = tmp_path / "X"
+    assert accel_run(out, "retain_states=true") == 0 and cmd_audit(str(out)) == 0
+    assert accel_run(out, "tolerances.degenerate_pair=1e300") == 1
+    assert [p.name for p in out.iterdir()] == ["state_dump.json"]
+    capsys.readouterr()
+
+
+def test_run_into_a_plain_file_exits_two(tmp_path):
+    target = tmp_path / "F"
+    target.touch()
+    proc = subprocess.run([sys.executable, "-m", "bregiter.cli", "run", "--config", str(CONFIGS / "affine_accel.json"),
+                           "--out", str(target), "--set", "iterations=20", "--set", "rate_window=null"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"run: cannot write run directory {target}: ") and "Traceback" not in proc.stderr
+    assert target.read_bytes() == b""
+
+
 # ---------------------------------------------------------------------------
 # cmd_sweep
 
@@ -731,6 +776,32 @@ def test_sweep_point_that_does_not_parse_gets_no_job(tmp_path, monkeypatch):
     assert cmd_sweep(write_config(tmp_path / "c.json", raw), str(tmp_path / "s"), parallel=1) == 0
     assert [cfg.operator.gamma for cfg, _ in ran] == [0.5]
     assert "error: operator: gamma" in (tmp_path / "s" / "index.csv").read_text()
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_sweep_point_that_cannot_be_written_gets_an_error_row(tmp_path, parallel):
+    out = tmp_path / "SW"
+    assert cmd_sweep(str(CONFIGS / "sweep_gamma.json"), str(out)) == 0
+    shutil.rmtree(out / "118af65de326")
+    (out / "118af65de326").touch()
+    proc = subprocess.run([sys.executable, "-m", "bregiter.cli", "sweep", "--config", str(CONFIGS / "sweep_gamma.json"),
+                           "--out", str(out), "--parallel", str(parallel)], capture_output=True, text=True)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    assert proc.stdout == f"sweep: 6 points, 1 failed, index at {out / 'index.csv'}\n"
+    with open(out / "index.csv", newline="") as fh:
+        statuses = {row["digest"][:12]: row["status"] for row in csv.DictReader(fh)}
+    assert statuses.pop("118af65de326").startswith("error: ")
+    assert set(statuses.values()) == {"ok"}
+
+
+@pytest.mark.parametrize("blocker", ["SW", "SW/index.csv/"])
+def test_sweep_output_that_cannot_be_written_exits_two(tmp_path, blocker):
+    out = tmp_path / "SW"
+    (tmp_path / blocker).mkdir(parents=True) if blocker.endswith("/") else out.touch()
+    proc = subprocess.run([sys.executable, "-m", "bregiter.cli", "sweep", "--config", str(CONFIGS / "sweep_gamma.json"),
+                           "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"sweep: cannot write {out}: ") and "Traceback" not in proc.stderr
 
 
 def test_sweep_without_block_exit_two(tmp_path):
@@ -869,6 +940,36 @@ def test_audit_damaged_run_files_exit_two(tmp_path, capsys, damage):
     damage(out)
     assert cmd_audit(str(out)) == 2
     assert capsys.readouterr().err.startswith(f"audit: cannot load run directory {out}: {out}")
+
+
+def edit_trace(out, t, column, value):
+    """Set one field of trace.csv's row t to the text value."""
+    lines = (out / "trace.csv").read_text().splitlines(keepends=True)
+    fields = lines[t + 1].rstrip("\n").split(",")
+    fields[TRACE_HEADER.index(column)] = value
+    lines[t + 1] = ",".join(fields) + "\n"
+    (out / "trace.csv").write_text("".join(lines))
+
+
+def test_audit_skips_a_nan_row_in_the_envelope_check(tmp_path, capsys):
+    out = tmp_path / "R"
+    assert accel_run(out) == 0
+    edit_trace(out, 300, "e_t", "nan")
+    capsys.readouterr()
+    assert cmd_audit(str(out)) == 0
+    assert "envelope-domination: pass (worst violation 0.000e+00)\n" in capsys.readouterr().out
+    envelope = strict_json(out / "audit.json")["checks"][-1]
+    assert envelope["name"] == "envelope-domination" and envelope["worst_violation"] == 0.0 and envelope["passed"]
+
+
+def test_audit_writes_an_infinite_m_as_null_in_both_blocks(tmp_path, capsys):
+    out = tmp_path / "R"
+    assert accel_run(out) == 0
+    edit_trace(out, 49, "delta_norm_sq", "1.0e+308")
+    assert cmd_audit(str(out)) == 0
+    report = strict_json(out / "audit.json")
+    assert report["constants"]["M"] is None and report["fitted"] == {"beta_max": 0.75, "M": None}
+    capsys.readouterr()
 
 
 def test_audit_of_finite_states_that_overflow_exits_zero(tmp_path):
