@@ -187,13 +187,14 @@ def measure_constants(trace: Trace, cfg: RunConfig) -> BoundConstants:
 
 
 def empirical_delta_ratio(trace: Trace) -> float:
-    """Empirical M: worst ratio ||T(s_t) - s_t||^2 / e_t over steps with e_t > DELTA_RATIO_FLOOR."""
+    """Empirical M: worst ratio ||T(s_t) - s_t||^2 / e_t over steps with e_t > DELTA_RATIO_FLOOR.
+
+    A nan ratio is never the worst; nan when no step has a ratio.
+    """
     e = trace.e[:-1]
-    d = trace.delta_norm_sq[:-1]
-    mask = e > DELTA_RATIO_FLOOR
-    if not np.any(mask):
-        return float("nan")
-    return float(np.max(d[mask] / e[mask]))
+    rows = np.flatnonzero(e > DELTA_RATIO_FLOOR)
+    worst, row = _worst(trace.delta_norm_sq[rows] / e[rows], rows)
+    return float(worst) if row >= 0 else float("nan")
 
 
 def fit_rate(trace: Trace, window: tuple[int, int] | None = None) -> RateFit:
@@ -321,7 +322,8 @@ def audit_recursion(trace: Trace, bc: BoundConstants) -> tuple[float, CheckRecor
     Each step with e_t > 0 bounds beta from above in closed form, so the
     answer is the minimum of those per-step bounds (clamped at 0).  Steps
     with e_t = 0 contribute a beta-independent feasibility condition; if one
-    fails, no beta works and 0 is reported with passed=False.
+    fails, no beta works and 0 is reported with passed=False.  A step with a
+    nan e_t is neither and bounds nothing; a nan bound is never the smallest.
     """
     t = np.arange(trace.iterations)
     e, e_next = trace.e[t], trace.e[t + 1]
@@ -330,7 +332,7 @@ def audit_recursion(trace: Trace, bc: BoundConstants) -> tuple[float, CheckRecor
     b = (e[pos] - e_next[pos] + n_t[pos]) * (pos + 2) / (2.0 * e[pos])
     best, binding_t = _worst(-b, pos)  # the first smallest bound
     best = -best  # stays a numpy scalar: the note prints its repr, and audit.json digests pin it
-    infeasible = np.flatnonzero(~(e > 0) & (e_next > n_t))
+    infeasible = np.flatnonzero((e <= 0) & (e_next > n_t))
     if infeasible.size:
         infeasible_t = int(infeasible[-1])  # the last such step is reported
         rec = CheckRecord(

@@ -9,12 +9,22 @@ Runs record a divergence ledger e_t = D(s_t, s_star) together with the
 rescaled series a_t = e_t (t+1)^2, the step sizes, update displacements and
 perturbation sizes; optionally the full states.  Everything is deterministic
 given the config seed.
+
+One driver, _blocks, takes every step of a run and of a first passage.  A
+step computes only what the next step reads: alpha_t, T(s_t), eta_t, the
+new state, and e_t where the budget delta0 + kappa e_t reads it (kappa > 0).
+Every other per-row value (e_t, ||T(s_t) - s_t||^2, D(eta_t, 0) and the
+first-passage divergences) is filled once per block by a batched map, with
+the bits of a per-step call.  A fault is reported at its earliest row, with
+the message, t and state of a per-step loop.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -36,8 +46,13 @@ PASSAGE_CAP = 10**7
 
 SCHEDULE_KINDS = ("accelerated", "constant", "polynomial")
 
-#: rows of s_t and T(s_t) that run buffers between block passes for e_t and ||T(s_t) - s_t||^2
+#: rows per block of a run
 BLOCK = 1024
+
+#: rows of the first blocks of a first passage, the last size repeating.  A passage runs on to
+#: the end of the block that meets its last target; past 256 rows, a block saves too little per
+#: row to pay for that
+PASSAGE_BLOCKS = (16, 32, 64, 128, 256)
 
 
 @dataclass(frozen=True)
@@ -121,7 +136,8 @@ class Trace:
 def _start(cfg: RunConfig, contraction: bool = False) -> tuple[np.ndarray, np.ndarray, float | None]:
     """Fixed point, projected s0 and gamma_hat (None unless contraction).
 
-    Every failure here is an EngineError at t = -1 carrying s0.
+    Every failure here is an EngineError at t = -1 carrying s0, and so is a
+    finite s0 whose D(s0, s_star) is not finite.
     """
     g, op = cfg.geometry, cfg.operator
     s0 = np.asarray(cfg.s0, dtype=float)
@@ -141,25 +157,11 @@ def _start(cfg: RunConfig, contraction: bool = False) -> tuple[np.ndarray, np.nd
         raise EngineError(f"fixed point not found: {exc}", -1, s0) from exc
     except ValueError as exc:  # every sampled contraction pair degenerate
         raise EngineError(f"start-up failed: {exc}", -1, s0) from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        e0 = g._divergence(s, s_star)
+    if not math.isfinite(e0):
+        raise EngineError(f"start-up failed: D(s0, s_star) = {e0} is not finite", -1, s0)
     return s_star, s, gamma_hat
-
-
-def _step(g, s: np.ndarray, ts: np.ndarray, al: float, t: int, eta: np.ndarray | None = None) -> np.ndarray:
-    """s_{t+1} from s_t, T(s_t) and alpha_t (plus eta_t on noisy runs), settled on the domain.
-
-    The one step of run and _passages.  It runs unchecked but for one
-    finiteness check and the geometry's drift repair: s_t, s_star and every
-    state before them were checked or settled already.
-    """
-    s_next = (1.0 - al) * s + al * ts
-    if eta is not None:
-        s_next = s_next + eta
-    if not _finite(s_next):
-        raise EngineError(f"non-finite state at iteration {t}", t, s_next)
-    try:
-        return g._project(s_next)
-    except DomainError as exc:
-        raise EngineError(f"domain escape at iteration {t}: {exc}", t, s_next) from exc
 
 
 def _finite(x: np.ndarray) -> bool:
@@ -189,17 +191,83 @@ def run(cfg: RunConfig, like: Trace | None = None) -> Trace:
                    s_star=s_star, gamma_hat=gamma_hat, warnings=warnings)
 
 
+def _buffers(rows: int, dim: int) -> tuple[np.ndarray, ...]:
+    """Block buffers of _blocks: s_t, T(s_t), alpha_t, eta_t and the budget's e_t."""
+    return np.empty((rows, dim)), np.empty((rows, dim)), np.empty(rows), np.empty((rows, dim)), np.empty(rows)
+
+
+def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, rng: np.random.Generator | None,
+            buf: tuple[np.ndarray, ...], sizes: Iterable[int], last: int,
+            e_step: bool) -> Iterator[tuple[int, int, EngineError | None]]:
+    """The averaged iteration from s = s_t, one block of rows per size, through row last.
+
+    The one per-step loop of the engine.  Row i of a block of the buffers buf
+    (see _buffers) holds s_u, T(s_u) and alpha_u for u = t0 + i; on noisy
+    runs it also holds eta_u, and e_u where e_step says the budget reads it.
+    Each step computes only what the next step reads; whoever consumes the
+    block fills every other per-row value by one batched map per block.  A
+    step runs unchecked but for one finiteness check and the geometry's
+    drift repair: s_t, s_star and every state before them were checked or
+    settled already.  Row last takes no step.
+
+    Yields (t0, m, fault) per block: its first row t0, its row count m, and
+    None, or the EngineError of the step of row t0 + m - 1, the last row of
+    the last block.
+    """
+    g, op, sched, pm = cfg.geometry, cfg.operator, cfg.schedule, cfg.perturbation
+    noisy = not pm.is_zero
+    b_s, b_ts, b_alpha, b_eta, b_e = buf
+    e_t = 0.0  # the budget's e_t unless e_step: delta0 + kappa * 0.0 is delta0 at kappa = 0
+    for n in sizes:
+        t0, end = t, min(t + n, last + 1)
+        try:
+            for t in range(t0, end):
+                i = t - t0
+                b_alpha[i] = al = sched.alpha(t)
+                ts = op.apply(s, t)
+                b_s[i] = s
+                b_ts[i] = ts
+                if e_step:
+                    b_e[i] = e_t = g._divergence(s, s_star)
+                if t == last:
+                    break
+                s_next = (1.0 - al) * s + al * ts
+                if noisy:
+                    try:
+                        eta = pm.sample(g, s, s_star, e_t, al, rng)
+                    except DomainError as exc:
+                        raise EngineError(f"perturbation failed at iteration {t}: {exc}", t, s) from exc
+                    b_eta[i] = eta
+                    s_next = s_next + eta
+                if not _finite(s_next):
+                    raise EngineError(f"non-finite state at iteration {t}", t, s_next)
+                try:
+                    s = g._project(s_next)
+                except DomainError as exc:
+                    raise EngineError(f"domain escape at iteration {t}: {exc}", t, s_next) from exc
+        except EngineError as fault:
+            yield t0, fault.t - t0 + 1, fault
+            return
+        yield t0, end - t0, None
+        if end > last:
+            return
+        t = end
+
+
 def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray) -> Trace:
     """The loop of run from the projected s0 s, without its start-up facts.
 
-    It records s_t and T(s_t) in (BLOCK, dim) buffers and fills e_t (noisy
-    steps keep their budget's) and ||T(s_t) - s_t||^2 one block at a time;
-    the batched maps give each row the bits of a per-step call.
+    _blocks steps it BLOCK rows at a time.  Per block, the batched maps give
+    each row the bits of a per-step call for ||T(s_t) - s_t||^2, D(eta_t, 0)
+    and e_t, but for the e_t of a noisy run with kappa > 0, which each step
+    computes for its budget.  A noisy run with kappa = 0 reads e_t only through
+    0 * e_t, which is nan where e_t is not finite: the first such row of a
+    block is where its step fails, unless a step failed before it.
     """
-    g, op, sched, pm = cfg.geometry, cfg.operator, cfg.schedule, cfg.perturbation
+    g, pm = cfg.geometry, cfg.perturbation
     T = cfg.iterations
-    rng = np.random.default_rng(cfg.seed)
     noisy = not pm.is_zero
+    e_step = noisy and pm.kappa != 0
 
     e = np.empty(T + 1)
     alpha = np.empty(T + 1)
@@ -207,42 +275,34 @@ def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray) -> Trace:
     eta_div = np.zeros(T + 1)
     states = np.empty((T + 1, g.dim)) if cfg.retain_states else None
     etas = np.zeros((T, g.dim)) if cfg.retain_states else None
-    block_s = np.empty((min(BLOCK, T + 1), g.dim))
-    block_ts = np.empty_like(block_s)
+    buf = b_s, b_ts, b_alpha, b_eta, b_e = _buffers(min(BLOCK, T + 1), g.dim)
 
-    for t in range(T + 1):  # row T records the final state; no step follows it
-        alpha[t] = al = sched.alpha(t)
-        ts = op.apply(s, t)
-        i = t % BLOCK
-        block_s[i] = s
-        block_ts[i] = ts
+    rng = np.random.default_rng(cfg.seed)
+    for t0, m, fault in _blocks(cfg, s_star, 0, s, rng, buf, itertools.repeat(BLOCK), T, e_step):
+        done = slice(t0, t0 + m)
+        stepped = slice(t0, min(t0 + m, T))  # row T takes no step
+        n_step = stepped.stop - t0
+        e[done] = b_e[:m] if e_step else g._divergence(b_s[:m], s_star)
+        if noisy and not e_step:
+            bad = np.flatnonzero(~np.isfinite(e[stepped]))
+            if bad.size:  # the step at that row runs on the budget nan
+                u = t0 + int(bad[0])
+                replay = _buffers(1, g.dim)
+                fault = next(_blocks(cfg, s_star, u, b_s[bad[0]].copy(), rng, replay, [1], u + 1, True))[2]
+        if fault is not None:
+            raise fault
+        alpha[done] = b_alpha[:m]
+        d = b_ts[:m] - b_s[:m]
+        delta_sq[done] = np.vecdot(d, d)
+        if states is not None:
+            states[done] = b_s[:m]
         if noisy:
-            e[t] = e_t = g._divergence(s, s_star)
-        if i == BLOCK - 1 or t == T:
-            done = slice(t - i, t + 1)
-            if not noisy:
-                e[done] = g._divergence(block_s[:i + 1], s_star)
-            d = block_ts[:i + 1] - block_s[:i + 1]
-            delta_sq[done] = np.vecdot(d, d)
-            if states is not None:
-                states[done] = block_s[:i + 1]
-        if t == T:
-            break
-
-        eta = None
-        if noisy:
-            try:
-                eta = pm.sample(g, s, s_star, e_t, al, rng)
-            except DomainError as exc:
-                raise EngineError(f"perturbation failed at iteration {t}: {exc}", t, s) from exc
-            if eta is not g.zero:  # sample returns g.zero for every eta it does not draw
-                eta_div[t] = g._divergence(eta, g.zero)
+            eta_div[stepped] = g._divergence(b_eta[:n_step], g.zero)  # 0.0 on the rows where sample returned g.zero
             if etas is not None:
-                etas[t] = eta
-        s = _step(g, s, ts, al, t, eta)
+                etas[stepped] = b_eta[:n_step]
     rows = np.arange(T + 1)
     return Trace(t=rows, e=e, a=e * (rows + 1.0) ** 2, alpha=alpha, delta_norm_sq=delta_sq,
-                 eta_div=eta_div, states=states, etas=etas, final_state=s)
+                 eta_div=eta_div, states=states, etas=etas, final_state=b_s[m - 1].copy())
 
 
 def _passages(cfg: RunConfig, s_star: np.ndarray, e, s: np.ndarray,
@@ -251,13 +311,17 @@ def _passages(cfg: RunConfig, s_star: np.ndarray, e, s: np.ndarray,
 
     e holds the divergences already recorded for t = 0..k and s is the state
     at t = k.  Targets that e does not meet are served together by one pass
-    of the clean averaged loop continued from (k, s).
+    of the clean averaged loop continued from (k, s), in blocks of
+    PASSAGE_BLOCKS rows, with one batched divergence per block.  The rows of
+    a block are settled in order, as a per-step loop would: a non-finite
+    divergence fails the pass at its row, and the failed step of a block's
+    last row fails it only if a target is still open.
     """
     if not all(eps > 0 for eps in eps_list):
         raise ValueError(f"eps must be > 0, got {eps_list}")
     if not cfg.perturbation.is_zero:
         raise ValueError("first passages require a noise-free config")
-    g, op, sched = cfg.geometry, cfg.operator, cfg.schedule
+    g = cfg.geometry
     e = np.asarray(e)[:cap + 1]
     found = {}
     for eps in eps_list:
@@ -265,17 +329,30 @@ def _passages(cfg: RunConfig, s_star: np.ndarray, e, s: np.ndarray,
         if met.size:
             found[eps] = int(met[0])
     todo = sorted(set(eps_list) - set(found), reverse=True)  # largest target is met first
-    t = e.size - 1
-    while todo and t < cap:
-        s = _step(g, s, op.apply(s, t), sched.alpha(t), t)
-        t += 1
-        d = g._divergence(s, s_star)
-        if not math.isfinite(d):
-            raise EngineError(f"non-finite divergence at iteration {t}", t, s)
-        if t % 100_000 == 0:
-            log.debug("first passage: t=%d e=%.3e (next target %.3e)", t, d, todo[0])
-        while todo and d <= todo[0]:
-            found[todo.pop(0)] = t
+    k = e.size - 1
+    if todo and k < cap:
+        buf = _buffers(min(PASSAGE_BLOCKS[-1], cap - k + 1), g.dim)
+        b_s = buf[0]
+        sizes = itertools.chain(PASSAGE_BLOCKS, itertools.repeat(PASSAGE_BLOCKS[-1]))
+        for t0, m, fault in _blocks(cfg, s_star, k, s, None, buf, sizes, cap, False):
+            lo = 1 if t0 == k else 0  # row k is s itself, whose divergence e holds
+            d = g._divergence(b_s[lo:m], s_star)
+            finite = np.isfinite(d)
+            n_ok = d.size if finite.all() else int(np.argmin(finite))
+            while todo:
+                met = np.flatnonzero(d[:n_ok] <= todo[0])
+                if not met.size:
+                    break
+                found[todo.pop(0)] = t0 + lo + int(met[0])
+            if not todo:
+                break
+            if n_ok < d.size:
+                u = t0 + lo + n_ok
+                raise EngineError(f"non-finite divergence at iteration {u}", u, b_s[lo + n_ok].copy())
+            if fault is not None:
+                raise fault
+            if d.size and (t0 + m) // 100_000 > t0 // 100_000:
+                log.debug("first passage: t=%d e=%.3e (next target %.3e)", t0 + m - 1, d[-1], todo[0])
     return [found.get(eps, CENSORED) for eps in eps_list]
 
 

@@ -145,7 +145,7 @@ class SquaredEuclidean(Geometry):
         super().__init__(dim, 1.0, 1.0)
 
     def _divergence(self, s, s_ref):
-        d = s - s_ref
+        d = s if s_ref is self.zero else s - s_ref  # x - 0.0 has the bits of x
         return _scalar(0.5 * np.vecdot(d, d))
 
     def _grad(self, s) -> np.ndarray:
@@ -175,7 +175,7 @@ class Quadratic(Geometry):
         self.a.setflags(write=False)
 
     def _divergence(self, s, s_ref):
-        d = s - s_ref
+        d = s if s_ref is self.zero else s - s_ref  # x - 0.0 has the bits of x
         return _scalar(0.5 * np.vecdot(np.matmul(d[..., None, :], self.a)[..., 0, :], d))
 
     def _grad(self, s) -> np.ndarray:

@@ -71,10 +71,11 @@ class AffineColinear(Operator):
         super().__init__(target.size)
         self.gamma = float(gamma)
         self.target = target
+        self._pull = (1.0 - self.gamma) * target
 
     def apply(self, s, t=0):
         s = np.asarray(s, dtype=float)
-        return self.gamma * s + (1.0 - self.gamma) * self.target
+        return self.gamma * s + self._pull
 
     def fixed_point(self, geometry=None, tol=1e-14):
         return self.target.copy()

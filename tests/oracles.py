@@ -289,7 +289,7 @@ def recursion_loop(trace, bc):
             b = (e[t] - e[t + 1] + n_t) * (t + 2) / (2.0 * e[t])
             if b < best:
                 best, binding_t = b, t
-        elif e[t + 1] > n_t:
+        elif e[t] <= 0 and e[t + 1] > n_t:  # a nan e_t bounds nothing
             feasible = False
             infeasible_t = t
     if not feasible:

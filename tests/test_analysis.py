@@ -529,3 +529,25 @@ def test_no_per_step_check_reports_a_nan_row():
     assert [by_name[name].worst_t for name in ("descent", "cross-term", "recursion")] == [3, 3, 0]
     envelope = by_name["envelope-domination"]
     assert (envelope.worst_violation, envelope.worst_t, envelope.passed) == (0.0, 0, True)
+
+
+def test_a_nan_divergence_row_bounds_no_recursion_step():
+    # a nan e_t is not a zero-divergence step: the recursion stays feasible and the envelope is checked
+    cfg = shipped_config("affine_accel", iterations=300, rate_window=None)
+    tr = run(cfg)
+    tr.e[100] = np.nan
+    report = build_audit_report(tr, cfg)
+    by_name = {c.name: c for c in report.checks}
+    loop_beta, loop_rec = oracles.recursion_loop(tr, report.constants)
+    assert by_name["recursion"] == CheckRecord(**loop_rec) and report.beta_max == loop_beta
+    assert by_name["recursion"].passed and by_name["recursion"].worst_t not in (99, 100)
+    assert by_name["envelope-domination"].worst_t != 100
+
+
+def test_a_nan_delta_row_leaves_the_empirical_m_to_the_other_rows():
+    cfg = shipped_config("affine_accel", iterations=300, rate_window=None)
+    tr = run(cfg)
+    want = measure_constants(tr, cfg).M
+    assert np.argmax(tr.delta_norm_sq[:-1] / tr.e[:-1]) != 10
+    tr.delta_norm_sq[10] = np.nan
+    assert measure_constants(tr, cfg).M == want

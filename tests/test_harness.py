@@ -9,6 +9,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bregiter import config as cfgmod, harness
+from bregiter import config as cfgmod, engine, harness
 from bregiter.cli import main
 from bregiter.config import ConfigError, apply_overrides, config_digest, from_dict
 from bregiter.harness import (
@@ -586,26 +587,89 @@ def test_infinite_perturbation_stops_the_run(tmp_path, monkeypatch, capsys):
 OVERFLOW_TARGET = [0.0, 1.3407807929942597e+154]
 OVERFLOW_ERROR = ("perturbation failed at iteration 0: "
                   "||s_t - s_star|| overflows; the adversarial direction is undefined")
+#: geometry overrides -> (error, t): on squared-euclidean e_0 overflows with the distance, and
+#: start-up rejects s0; A = 1e-3 I keeps e_0 finite, so the first step's direction overflows
+OVERFLOW_CASES = {
+    "squared-euclidean": ({}, ("start-up failed: D(s0, s_star) = inf is not finite", -1)),
+    "quadratic": ({"geometry.kind": "quadratic", "geometry.params.a": [[1e-3, 0.0], [0.0, 1e-3]]},
+                  (OVERFLOW_ERROR, 0)),
+}
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_overflowing_adversarial_direction_stops_the_run(tmp_path, capsys):
+@pytest.mark.parametrize("geometry", OVERFLOW_CASES)
+def test_overflowing_adversarial_direction_stops_the_run(tmp_path, capsys, geometry):
+    changes, (error, t) = OVERFLOW_CASES[geometry]
     out = tmp_path / "out"
-    overrides = [f"operator.params.target={json.dumps(OVERFLOW_TARGET)}", "iterations=5"]
-    assert cmd_run(str(CONFIGS / "affine_adversarial_scaled.json"), str(out), overrides=overrides) == 1
-    assert json.loads((out / "state_dump.json").read_text()) == {"error": OVERFLOW_ERROR, "t": 0, "state": [0.0, 0.0]}
-    assert capsys.readouterr().err.startswith(f"run failed: {OVERFLOW_ERROR} (state dumped to")
+    overrides = [f"{k}={json.dumps(v)}" for k, v in {**changes, "operator.params.target": OVERFLOW_TARGET}.items()]
+    assert cmd_run(str(CONFIGS / "affine_adversarial_scaled.json"), str(out), overrides=overrides + ["iterations=5"]) == 1
+    assert json.loads((out / "state_dump.json").read_text()) == {"error": error, "t": t, "state": [0.0, 0.0]}
+    assert capsys.readouterr().err.startswith(f"run failed: {error} (state dumped to")
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_sweep_records_an_overflowing_adversarial_direction(tmp_path):
-    raw = json.loads((CONFIGS / "affine_adversarial_scaled.json").read_text())
+@pytest.mark.parametrize("geometry", OVERFLOW_CASES)
+def test_sweep_records_an_overflowing_adversarial_direction(tmp_path, geometry):
+    changes, (error, _) = OVERFLOW_CASES[geometry]
+    raw = apply_overrides(json.loads((CONFIGS / "affine_adversarial_scaled.json").read_text()),
+                          [f"{k}={json.dumps(v)}" for k, v in changes.items()])
     raw["iterations"] = 5
     raw["sweep"] = {"operator.params.target": [OVERFLOW_TARGET, [2.0, -1.0]]}
     assert cmd_sweep(write_config(tmp_path / "c.json", raw), str(tmp_path / "s")) == 0
     with open(tmp_path / "s" / "index.csv") as fh:
         status = {row["axis:operator.params.target"]: row["status"] for row in csv.DictReader(fh)}
-    assert status == {json.dumps(OVERFLOW_TARGET): f"error: {OVERFLOW_ERROR}", "[2.0, -1.0]": "ok"}
+    assert status == {json.dumps(OVERFLOW_TARGET): f"error: {error}", "[2.0, -1.0]": "ok"}
+
+
+#: a finite s0 whose divergence from the fixed point [2, -1] overflows
+HUGE_S0 = ["iterations=50", "rate_window=null", "s0=[1e200, 0.0]"]
+
+
+@pytest.mark.parametrize("eps", [[], None], ids=["no-eps", "shipped-eps"])
+def test_a_finite_s0_whose_divergence_overflows_fails_at_start_up(tmp_path, capsys, eps):
+    out = tmp_path / "out"
+    overrides = HUGE_S0 + ([] if eps is None else [f"eps_list={json.dumps(eps)}"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cmd_run(str(CONFIGS / "affine_accel.json"), str(out), overrides=overrides) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    error = "start-up failed: D(s0, s_star) = inf is not finite"
+    assert json.loads((out / "state_dump.json").read_text()) == {"error": error, "t": -1, "state": [1e200, 0.0]}
+    assert capsys.readouterr().err == f"run failed: {error} (state dumped to {out / 'state_dump.json'})\n"
+    assert not (out / "summary.json").exists()
+
+
+#: gradient steps of size 3 on ||s||^2 / 2 triple the distance to s_star = [1, 1] each step, so e_t
+#: overflows at t = 512 while s_512 is finite; at kappa = 0 the budget delta0 + 0 * e_t is nan there
+KAPPA0_OVERFLOW = {
+    "geometry": {"kind": "squared-euclidean", "dim": 2},
+    "operator": {"kind": "gradient-step", "params": {"a": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 1.0], "step": 3.0}},
+    "schedule": {"kind": "constant", "params": {"c": 1.0}},
+    "s0": [0.5, 0.0],
+    "iterations": 2000,
+    "seed": 1,
+    "retain_states": True,
+}
+KAPPA0_DUMPS = {
+    "random": '{\n  "error": "non-finite state at iteration 512",\n  "state": [\n    NaN,\n    NaN\n  ],\n'
+              '  "t": 512\n}\n',
+    "adversarial": '{\n  "error": "perturbation failed at iteration 512: ||s_t - s_star|| overflows; the adversarial '
+                   'direction is undefined",\n  "state": [\n    -6.435747806372454e+153,\n    '
+                   '-1.2871495612744908e+154\n  ],\n  "t": 512\n}\n',
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("block", [1, 7, 1024])
+@pytest.mark.parametrize("mode", KAPPA0_DUMPS)
+def test_an_overflowing_divergence_at_kappa_zero_fails_its_step_in_any_block(tmp_path, capsys, mode, block):
+    raw = {**KAPPA0_OVERFLOW, "perturbation": {"mode": mode, "delta0": 1e-3, "kappa": 0.0, "injection": "unscaled"}}
+    out = tmp_path / "out"
+    with mock.patch.object(engine, "BLOCK", block):
+        assert cmd_run(write_config(tmp_path / "c.json", raw), str(out)) == 1
+    dump = (out / "state_dump.json").read_text()
+    assert dump == KAPPA0_DUMPS[mode]
+    assert capsys.readouterr().err == f"run failed: {json.loads(dump)['error']} (state dumped to {out / 'state_dump.json'})\n"
 
 
 @pytest.mark.parametrize("where", ["file", "override"])

@@ -132,10 +132,11 @@ def test_run_matches_the_checked_loop(seed, pair, schedule, mode, injection, ret
         assert same_bits(getattr(got, name), ref), name
 
 
+@pytest.mark.parametrize("kappa", [0.0, 1e-3])  # at kappa = 0 the budget does not read e_t, which a block fills
 @pytest.mark.parametrize("gkind", ["squared-euclidean", "quadratic"])
 @pytest.mark.parametrize("mode, injection", [("random", "unscaled"), ("random", "scaled"),
                                              ("adversarial", "unscaled"), ("adversarial", "scaled")])
-def test_noisy_runs_at_dim_24_past_a_block_match_the_checked_loop(gkind, mode, injection):
+def test_noisy_runs_at_dim_24_past_a_block_match_the_checked_loop(gkind, mode, injection, kappa):
     # the drawn configs stop at dim 4; BLAS dot kernels change with the length of a row
     rng = np.random.default_rng(24)
     dim = 24
@@ -147,7 +148,7 @@ def test_noisy_runs_at_dim_24_past_a_block_match_the_checked_loop(gkind, mode, i
         "iterations": engine.BLOCK + 301,
         "seed": 11,
         "retain_states": True,
-        "perturbation": {"mode": mode, "delta0": 1e-3, "kappa": 1e-3, "injection": injection},
+        "perturbation": {"mode": mode, "delta0": 1e-3, "kappa": kappa, "injection": injection},
     })
     want = oracles.run_loop(cfg)
     got = engine.run(cfg)
@@ -170,6 +171,28 @@ def test_first_passages_match_the_checked_loop(seed, pair, schedule, iterations,
     assert [engine.iterations_to_epsilon(cfg, eps, cap) for eps in eps_list] == want
     trace = engine.run(cfg)  # resumed past the recorded horizon, as summarize does
     assert engine._passages(cfg, s_star, trace.e, trace.final_state, eps_list, cap) == want
+
+
+@pytest.mark.parametrize("eps, want", [(0.07, 5), (0.04, "non-finite state at iteration 6")])
+def test_a_failing_step_past_the_last_target_of_a_block_stays_silent(monkeypatch, eps, want):
+    cfg = from_dict({
+        "geometry": {"kind": "squared-euclidean", "dim": 2},
+        "operator": {"kind": "affine-colinear", "params": {"gamma": 0.5, "target": [2.0, -1.0]}},
+        "schedule": {"kind": "accelerated"},
+        "s0": [0.0, 0.0],
+        "iterations": 3,
+        "seed": 1,
+    })  # e_t = 2.5 / (t + 1)^2: 0.0694 at t = 5, 0.0510 at t = 6, 0.0391 at t = 7
+    plain = type(cfg.operator).apply
+
+    def apply(self, s, t=0):  # the step of row 6, inside the first block, fails
+        return np.full_like(s, np.nan) if np.ndim(t) == 0 and t >= 6 else plain(self, s, t)
+
+    monkeypatch.setattr(type(cfg.operator), "apply", apply)
+    for passage in (lambda c: oracles.passages_loop(c, [eps], 100)[0],
+                    lambda c: engine.iterations_to_epsilon(c, eps, 100)):
+        got, err = outcome(passage, cfg)
+        assert (got if err is None else err[0]) == want
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
