@@ -36,6 +36,8 @@ MIN_FIT_POINTS = 10  # fewest usable rows a rate fit accepts
 THREE_POINT_TRIPLES, THREE_POINT_SEED = 100, 0  # seeded random triples of the three-point spot check
 THREE_POINT_TOL = 1e-9  # largest three-point residual that passes
 ENVELOPE_TOL = 1e-12  # largest excess of e_t over the iterated recursion envelope that passes
+AUDIT_TOL = 1e-10  # largest descent or cross-term violation that passes
+INDUCTION_TOL = 1e-12  # slack of each cell of the induction-step grid
 
 
 class StatesRequiredError(ValueError):
@@ -267,8 +269,7 @@ def _check(name: str, excess: np.ndarray, rows: np.ndarray, tol: float, note: st
                        passed=violation <= tol, note=note)
 
 
-def audit_descent(trace: Trace, g: Geometry, op: Operator, bc: BoundConstants,
-                  tol: float = 1e-10) -> CheckRecord:
+def audit_descent(trace: Trace, g: Geometry, op: Operator, bc: BoundConstants) -> CheckRecord:
     """Check the half-step descent bound at every recorded step.
 
     With x_t = s_t + alpha_t (T(s_t) - s_t), the claim is
@@ -284,11 +285,10 @@ def audit_descent(trace: Trace, g: Geometry, op: Operator, bc: BoundConstants,
     x = (1.0 - al)[:, None] * s + al[:, None] * ts
     lhs = g._divergence(x, trace.s_star)
     rhs = bc.theta(al) * trace.e[t] + 0.5 * bc.L * al * al * np.vecdot(delta, delta)
-    return _check("descent", lhs - rhs, t, tol)
+    return _check("descent", lhs - rhs, t, AUDIT_TOL)
 
 
-def audit_cross_term(trace: Trace, g: Geometry, bc: BoundConstants,
-                     tol: float = 1e-10) -> CheckRecord:
+def audit_cross_term(trace: Trace, g: Geometry, bc: BoundConstants) -> CheckRecord:
     """Check the perturbation cross-term bound at every noisy step.
 
     The coupling R_t = |<grad(x_t) - grad(s_star), eta_t>| is claimed to obey
@@ -306,14 +306,14 @@ def audit_cross_term(trace: Trace, g: Geometry, bc: BoundConstants,
     n_noisy = t.size
     if n_noisy == 0:
         return CheckRecord(
-            name="cross-term", worst_violation=0.0, worst_t=-1, tol=tol, passed=True,
+            name="cross-term", worst_violation=0.0, worst_t=-1, tol=AUDIT_TOL, passed=True,
             vacuous=True, note="no nonzero perturbations in trace",
         )
     eta = trace.etas[t]
     x = trace.states[t + 1] - eta
     lhs = np.abs(np.vecdot(g._grad(x) - grad_star, eta))
     rhs = 0.5 * g._divergence(x, trace.s_star) + bc.C0 * g._divergence(eta, np.zeros(g.dim))
-    return _check("cross-term", lhs - rhs, t, tol, note=f"{n_noisy} noisy steps")
+    return _check("cross-term", lhs - rhs, t, AUDIT_TOL, note=f"{n_noisy} noisy steps")
 
 
 def audit_recursion(trace: Trace, bc: BoundConstants) -> tuple[float, CheckRecord]:
@@ -350,16 +350,16 @@ def audit_recursion(trace: Trace, bc: BoundConstants) -> tuple[float, CheckRecor
     return beta_max, rec
 
 
-def audit_induction_step(beta_grid=None, t_grid=None, tol: float = 1e-12) -> InductionAudit:
+def audit_induction_step(beta_grid=None, t_grid=None) -> InductionAudit:
     """Evaluate the claimed induction-step inequality on a grid, verbatim.
 
-    Checks (t+2)(t+2-2 beta)/(t+1)^2 <= 1 - 2 beta/(t+2) + tol cell by cell.
+    Checks (t+2)(t+2-2 beta)/(t+1)^2 <= 1 - 2 beta/(t+2) + INDUCTION_TOL cell by cell.
     Defaults: beta in {0.1, ..., 0.9}, t in {0, ..., 100}.
     """
     beta_grid = np.linspace(0.1, 0.9, 9) if beta_grid is None else np.asarray(beta_grid, dtype=float)
     t_grid = np.arange(0, 101) if t_grid is None else np.asarray(t_grid, dtype=int)
     beta, tt = beta_grid[:, None], t_grid.astype(float)
-    holds = (tt + 2) * (tt + 2 - 2 * beta) / (tt + 1) ** 2 <= 1.0 - 2.0 * beta / (tt + 2) + tol
+    holds = (tt + 2) * (tt + 2 - 2 * beta) / (tt + 1) ** 2 <= 1.0 - 2.0 * beta / (tt + 2) + INDUCTION_TOL
     return InductionAudit(beta_grid=beta_grid, t_grid=t_grid, holds=holds)
 
 
@@ -423,20 +423,18 @@ def build_audit_report(trace: Trace, cfg: RunConfig) -> AuditReport:
 
     State-dependent checks (three-point spot check, descent, cross-term)
     require retained states; traces without them get a report limited to the
-    recursion, induction and envelope checks.  The descent and cross-term
-    checks use the config's audit_violation tolerance.  Arithmetic that
-    overflows on finite states runs on without a warning, and its nan rows
-    are never the worst.
+    recursion, induction and envelope checks.  Arithmetic that overflows on
+    finite states runs on without a warning, and its nan rows are never the
+    worst.
     """
-    tol = cfg.tolerances["audit_violation"]
     g, op = cfg.geometry, cfg.operator
     bc = measure_constants(trace, cfg)
     checks: list[CheckRecord] = []
 
     if trace.states is not None:
         checks.append(_audit_three_point(trace, g))
-        checks.append(audit_descent(trace, g, op, bc, tol=tol))
-        checks.append(audit_cross_term(trace, g, bc, tol=tol))
+        checks.append(audit_descent(trace, g, op, bc))
+        checks.append(audit_cross_term(trace, g, bc))
 
     beta_max, rec = audit_recursion(trace, bc)
     checks.append(rec)

@@ -30,17 +30,8 @@ class ConfigError(ValueError):
     """Invalid run config; the message names the offending field."""
 
 
-TOLERANCE_DEFAULTS = {
-    "fixed_point": 1e-14,
-    "degenerate_pair": 1e-14,
-    "audit_violation": 1e-10,
-}
-
 _TOP_REQUIRED = {"geometry", "operator", "schedule", "s0", "iterations", "seed"}
-_TOP_OPTIONAL = {
-    "perturbation", "retain_states", "tolerances", "eps_list", "rate_window",
-    "contraction_pairs", "sweep",
-}
+_TOP_OPTIONAL = {"perturbation", "retain_states", "eps_list", "rate_window", "sweep"}
 
 #: states are retained by default only up to this dimension
 RETAIN_DIM_LIMIT = 10
@@ -178,10 +169,8 @@ class RunConfig:
     iterations: int
     seed: int
     retain_states: bool
-    tolerances: dict
     eps_list: list[float]
     rate_window: tuple[int, int] | None
-    contraction_pairs: int
     raw: dict
 
     @property
@@ -193,17 +182,15 @@ class RunConfig:
         """Digest of all that engine.run's loop reads; configs with equal keys record equal loops.
 
         It holds the canonical geometry, operator, schedule, perturbation,
-        s0 and iterations, the resolved retain_states and fixed-point
-        tolerance, and the seed only when the perturbation is not zero: a
-        noise-free loop draws nothing, the seed feeds only the contraction
-        estimate of start-up.  eps_list, rate_window, contraction_pairs and
-        the other tolerances shape start-up or the summary, not the loop.
+        s0 and iterations, the resolved retain_states, and the seed only
+        when the perturbation is not zero: a noise-free loop draws nothing,
+        the seed feeds only the contraction estimate of start-up.  eps_list
+        and rate_window shape the summary, not the loop.
         """
         d = self.raw
         return config_digest({
             **{k: d.get(k) for k in ("geometry", "operator", "schedule", "perturbation", "s0", "iterations")},
             "retain_states": self.retain_states,
-            "fixed_point": self.tolerances["fixed_point"],
             "seed": None if self.perturbation.is_zero else self.seed,
         })
 
@@ -269,14 +256,6 @@ def from_dict(d: dict, allow_sweep: bool = False) -> RunConfig:
     elif not isinstance(retain, bool):
         raise ConfigError(f"retain_states must be a boolean, got {retain!r}")
 
-    tolerances = dict(TOLERANCE_DEFAULTS)
-    td = d.get("tolerances")
-    if td is not None:
-        td = _expect_mapping(td, "tolerances")
-        _expect_keys(td, set(), set(TOLERANCE_DEFAULTS), "tolerances")
-        for k, v in td.items():
-            tolerances[k] = _expect_number(v, f"tolerances.{k}", positive=True)
-
     eps_list = d.get("eps_list", [])
     if not isinstance(eps_list, list):
         raise ConfigError("eps_list must be a list of positive numbers")
@@ -294,8 +273,6 @@ def from_dict(d: dict, allow_sweep: bool = False) -> RunConfig:
             )
         window = (lo, hi)
 
-    pairs = _expect_int(d.get("contraction_pairs", 256), "contraction_pairs", minimum=1)
-
     cfg = RunConfig(
         geometry=geometry,
         operator=operator,
@@ -305,10 +282,8 @@ def from_dict(d: dict, allow_sweep: bool = False) -> RunConfig:
         iterations=iterations,
         seed=seed,
         retain_states=retain,
-        tolerances=tolerances,
         eps_list=eps_list,
         rate_window=window,
-        contraction_pairs=pairs,
         raw=d,
     )
     try:

@@ -142,13 +142,10 @@ def _start(cfg: RunConfig, contraction: bool = False) -> tuple[np.ndarray, np.nd
     g, op = cfg.geometry, cfg.operator
     s0 = np.asarray(cfg.s0, dtype=float)
     try:
-        s_star = op.fixed_point(geometry=g, tol=cfg.tolerances["fixed_point"])
+        s_star = op.fixed_point(geometry=g)
         g.check_point(s_star, "fixed point")
         s = g._project(g.check_point(s0, "s0"))
-        gamma_hat = estimate_contraction(
-            op, g, n_pairs=cfg.contraction_pairs, rng_seed=cfg.seed + 1,
-            skip_tol=cfg.tolerances["degenerate_pair"],
-        ) if contraction else None
+        gamma_hat = estimate_contraction(op, g, rng_seed=cfg.seed + 1) if contraction else None
     except DomainError as exc:
         raise EngineError(
             f"operator is incompatible with the geometry's domain: {exc}", -1, s0

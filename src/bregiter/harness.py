@@ -259,7 +259,8 @@ def cmd_run(config_path: str, out_dir: str, seed: int | None = None,
         return EXIT_CONFIG
     except EngineError as exc:
         dump = Path(out_dir) / "state_dump.json"  # run_to_dir made the directory before the run
-        write_json(dump, {"error": str(exc), "t": exc.t, "state": exc.state.tolist()})
+        state = [x if math.isfinite(x) else None for x in exc.state.tolist()]  # JSON has no NaN
+        write_json(dump, {"error": str(exc), "t": exc.t, "state": state})
         print(f"run failed: {exc} (state dumped to {dump})", file=sys.stderr)
         return EXIT_RUNTIME
     print(json.dumps({
@@ -353,10 +354,11 @@ def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1) -> int:
             continue
         groups.setdefault(cfg.loop_key, []).append((cfg, str(out_root)))
     jobs = _sweep_jobs(list(groups.values()), parallel)
-    if parallel == 1:
+    workers = min(parallel, len(jobs))  # a pool starts all its workers at once, busy or not
+    if workers <= 1:
         done = [row for job in jobs for row in _sweep_group(job)]
     else:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = [row for job_rows in pool.map(_sweep_group, jobs) for row in job_rows]
 
     by_digest.update((row["digest"], row) for row in done)

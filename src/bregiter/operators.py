@@ -29,6 +29,8 @@ class FixedPointError(RuntimeError):
 
 #: apply calls after which the iterative fixed-point fallback gives up
 FIXED_POINT_MAX_ITER = 10**6
+#: divergence step at or below which the iterative fixed-point fallback stops
+FIXED_POINT_TOL = 1e-14
 
 
 class Operator:
@@ -40,8 +42,8 @@ class Operator:
     def apply(self, s: np.ndarray, t: int = 0) -> np.ndarray:
         raise NotImplementedError
 
-    def fixed_point(self, geometry: Geometry | None = None, tol: float = 1e-14) -> np.ndarray:
-        """Iterative fallback from 0: repeat apply until the divergence step is <= tol."""
+    def fixed_point(self, geometry: Geometry | None = None) -> np.ndarray:
+        """Iterative fallback from 0: repeat apply until the divergence step is <= FIXED_POINT_TOL."""
         g = geometry if geometry is not None else SquaredEuclidean(self.dim)
         s = np.zeros(self.dim)
         residual = math.inf
@@ -49,7 +51,7 @@ class Operator:
             nxt = self.apply(s, 0)
             residual = g.divergence(nxt, s)
             s = nxt
-            if residual <= tol:
+            if residual <= FIXED_POINT_TOL:
                 return s
         raise FixedPointError(
             f"{self.kind} fixed point did not converge in {FIXED_POINT_MAX_ITER} iterations "
@@ -77,7 +79,7 @@ class AffineColinear(Operator):
         s = np.asarray(s, dtype=float)
         return self.gamma * s + self._pull
 
-    def fixed_point(self, geometry=None, tol=1e-14):
+    def fixed_point(self, geometry=None):
         return self.target.copy()
 
 
@@ -103,7 +105,7 @@ class AffineRotation(Operator):
         s = np.asarray(s, dtype=float)
         return self.gamma * np.matmul(self.rot, (s - self.target)[..., None])[..., 0] + self.target
 
-    def fixed_point(self, geometry=None, tol=1e-14):
+    def fixed_point(self, geometry=None):
         return self.target.copy()
 
 
@@ -133,7 +135,7 @@ class GradientStep(Operator):
         s = np.asarray(s, dtype=float)
         return s - self.step * (np.matmul(self.a, s[..., None])[..., 0] - self.b)
 
-    def fixed_point(self, geometry=None, tol=1e-14):
+    def fixed_point(self, geometry=None):
         return np.linalg.solve(self.a, self.b)
 
 
@@ -170,7 +172,7 @@ class ExpGradientStep(Operator):
         w = p * np.exp(-self.step * gkl)
         return hold_at_rho(w / w.sum(axis=-1, keepdims=True), self.rho)
 
-    def fixed_point(self, geometry=None, tol=1e-14):
+    def fixed_point(self, geometry=None):
         return self.q.copy()
 
 
@@ -231,9 +233,9 @@ class Bellman(Operator):
         q = r + self.discount * pv.reshape(v.shape[:-1] + (self.n_states, self.n_actions))
         return q.max(axis=-1)
 
-    def fixed_point(self, geometry=None, tol=1e-14):
+    def fixed_point(self, geometry=None):
         if self.n_actions ** self.n_states > self.ENUMERATION_LIMIT:
-            return super().fixed_point(geometry, tol)
+            return super().fixed_point(geometry)
         eye = np.eye(self.n_states)
         r = self.rewards if self.context_y is None else self.rewards + self.context_y[0]
         best = np.full(self.n_states, -np.inf)

@@ -417,11 +417,11 @@ def _start_loop(cfg, contraction=False):
     """s_star and the projected s0; a domain error here fails the run at t = -1."""
     g, op = cfg.geometry, cfg.operator
     try:
-        s_star = op.fixed_point(geometry=g, tol=cfg.tolerances["fixed_point"])
+        s_star = op.fixed_point(geometry=g)
         g.check_point(s_star, "fixed point")
         s = g.project(g.check_point(np.asarray(cfg.s0, dtype=float), "s0"))
         if contraction:
-            contraction_loop(op, g, cfg.contraction_pairs, cfg.seed + 1, cfg.tolerances["degenerate_pair"])
+            contraction_loop(op, g, 256, cfg.seed + 1, 1e-14)
     except ValueError as exc:
         if type(exc).__name__ != "DomainError":
             raise

@@ -411,8 +411,7 @@ def test_batched_audits_match_step_loops_on_shipped_configs(name):
 @pytest.mark.parametrize("name", SHIPPED)
 def test_contraction_estimate_matches_pair_loop_on_shipped_configs(name):
     cfg = shipped_config(name)
-    args = dict(n_pairs=cfg.contraction_pairs, rng_seed=cfg.seed + 1,
-                skip_tol=cfg.tolerances["degenerate_pair"])
+    args = dict(n_pairs=256, rng_seed=cfg.seed + 1, skip_tol=1e-14)  # start-up's estimate
     got = estimate_contraction(cfg.operator, cfg.geometry, **args)
     assert got == oracles.contraction_loop(cfg.operator, cfg.geometry, **args)
     assert type(got) is float

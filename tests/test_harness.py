@@ -31,7 +31,7 @@ from bregiter.harness import (
     run_to_dir,
 )
 from bregiter.engine import EngineError, run
-from bregiter.geometry import DomainError
+from bregiter.geometry import DomainError, SquaredEuclidean
 from bregiter.operators import AffineColinear, ExpGradientStep, FixedPointError
 from bregiter.perturbation import PerturbationModel
 
@@ -91,6 +91,10 @@ def test_unknown_keys_rejected_with_path():
                        ({"mode": "random", "injection": "sideways"}, "injection")):
         with pytest.raises(ConfigError, match=f"perturbation: {name}"):
             from_dict(base_config(perturbation=pert))
+    # numerical tolerances are library constants, not config keys
+    for key, value in (("tolerances", {"fixed_point": 1e-14}), ("contraction_pairs", 256)):
+        with pytest.raises(ConfigError, match=rf"^config has unknown key\(s\) \['{key}'\]"):
+            from_dict(base_config(**{key: value}))
 
 
 def test_missing_required_key_rejected():
@@ -449,7 +453,7 @@ def test_run_engine_error_exit_one_with_dump(tmp_path, capsys):
 
 
 def test_fixed_point_failure_is_an_engine_error(tmp_path, monkeypatch, capsys):
-    def no_fixed_point(self, geometry=None, tol=1e-14):
+    def no_fixed_point(self, geometry=None):
         raise FixedPointError("did not converge")
 
     monkeypatch.setattr(AffineColinear, "fixed_point", no_fixed_point)
@@ -464,9 +468,13 @@ def test_fixed_point_failure_is_an_engine_error(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_all_degenerate_contraction_pairs_are_an_engine_error(tmp_path, capsys):
+def test_all_degenerate_contraction_pairs_are_an_engine_error(tmp_path, monkeypatch, capsys):
+    def one_point(self, rng, size=None):  # every sampled pair is a point and itself
+        return np.ones(self.dim if size is None else (size, self.dim))
+
+    monkeypatch.setattr(SquaredEuclidean, "sample_point", one_point)
     out = tmp_path / "out"
-    overrides = ["tolerances.degenerate_pair=1e300", "iterations=5", "rate_window=null"]
+    overrides = ["iterations=5", "rate_window=null"]
     assert cmd_run(str(CONFIGS / "affine_accel.json"), str(out), overrides=overrides) == 1
     error = "start-up failed: all sampled pairs were degenerate; cannot estimate contraction"
     assert json.loads((out / "state_dump.json").read_text()) == {"error": error, "t": -1, "state": [0.0, 0.0]}
@@ -517,11 +525,10 @@ def nan_on_rows(monkeypatch, rows):
 def test_contraction_fault_reports_first_pair_in_draw_order(tmp_path, monkeypatch, capsys, bad_rows, culprit):
     raw = base_config()
     cfg = from_dict(raw)
-    pts = cfg.geometry.sample_point(np.random.default_rng(cfg.seed + 1), 2 * cfg.contraction_pairs)
+    pts = cfg.geometry.sample_point(np.random.default_rng(cfg.seed + 1), 2 * 256)
     nan_on_rows(monkeypatch, pts[list(bad_rows)])
     with pytest.raises(DomainError) as loop:
-        oracles.contraction_loop(cfg.operator, cfg.geometry, cfg.contraction_pairs, cfg.seed + 1,
-                                 cfg.tolerances["degenerate_pair"])
+        oracles.contraction_loop(cfg.operator, cfg.geometry, 256, cfg.seed + 1, 1e-14)
     assert str(loop.value) == f"{culprit} contains non-finite entries"
     expected = f"operator is incompatible with the geometry's domain: {loop.value}"
 
@@ -650,8 +657,9 @@ KAPPA0_OVERFLOW = {
     "seed": 1,
     "retain_states": True,
 }
+#: a non-finite state entry is dumped as null: JSON has no NaN
 KAPPA0_DUMPS = {
-    "random": '{\n  "error": "non-finite state at iteration 512",\n  "state": [\n    NaN,\n    NaN\n  ],\n'
+    "random": '{\n  "error": "non-finite state at iteration 512",\n  "state": [\n    null,\n    null\n  ],\n'
               '  "t": 512\n}\n',
     "adversarial": '{\n  "error": "perturbation failed at iteration 512: ||s_t - s_star|| overflows; the adversarial '
                    'direction is undefined",\n  "state": [\n    -6.435747806372454e+153,\n    '
@@ -669,7 +677,8 @@ def test_an_overflowing_divergence_at_kappa_zero_fails_its_step_in_any_block(tmp
         assert cmd_run(write_config(tmp_path / "c.json", raw), str(out)) == 1
     dump = (out / "state_dump.json").read_text()
     assert dump == KAPPA0_DUMPS[mode]
-    assert capsys.readouterr().err == f"run failed: {json.loads(dump)['error']} (state dumped to {out / 'state_dump.json'})\n"
+    error = strict_json(out / "state_dump.json")["error"]
+    assert capsys.readouterr().err == f"run failed: {error} (state dumped to {out / 'state_dump.json'})\n"
 
 
 @pytest.mark.parametrize("where", ["file", "override"])
@@ -751,7 +760,7 @@ def test_rerun_replaces_the_earlier_run_files(tmp_path, capsys):
 def test_failed_rerun_leaves_only_its_state_dump(tmp_path, capsys):
     out = tmp_path / "X"
     assert accel_run(out, "retain_states=true") == 0 and cmd_audit(str(out)) == 0
-    assert accel_run(out, "tolerances.degenerate_pair=1e300") == 1
+    assert accel_run(out, "s0=[1e200, 0.0]") == 1  # D(s0, s_star) overflows: start-up fails
     assert [p.name for p in out.iterdir()] == ["state_dump.json"]
     capsys.readouterr()
 
@@ -821,14 +830,51 @@ def test_sweep_continues_past_point_failures(tmp_path):
     assert "ok" in text and "error" in text
 
 
-def test_sweep_point_with_a_negative_seed_gets_an_error_row(tmp_path, capsys):
+UNKNOWN_PAIRS = ("error: config has unknown key(s) ['contraction_pairs']; known: ['eps_list', 'geometry', "
+                 "'iterations', 'operator', 'perturbation', 'rate_window', 'retain_states', 's0', 'schedule', "
+                 "'seed', 'sweep']")
+
+
+@pytest.mark.parametrize("axis, statuses", [
+    ("seed", {"-1": "error: seed must be >= 0, got -1", "1": "ok"}),
+    ("contraction_pairs", {"16": UNKNOWN_PAIRS, "256": UNKNOWN_PAIRS}),  # a removed key, not a setting
+])
+def test_sweep_point_with_a_bad_value_gets_an_error_row(tmp_path, capsys, axis, statuses):
     raw = sweep_config()
-    raw["sweep"] = {"seed": [-1, 1]}
+    raw["sweep"] = {axis: [int(v) for v in statuses]}
     assert cmd_sweep(write_config(tmp_path / "c.json", raw), str(tmp_path / "s"), parallel=1) == 0
     with open(tmp_path / "s" / "index.csv", newline="") as fh:
-        rows = {row["axis:seed"]: row["status"] for row in csv.DictReader(fh)}
-    assert rows == {"-1": "error: seed must be >= 0, got -1", "1": "ok"}
-    assert capsys.readouterr().out.startswith("sweep: 2 points, 1 failed, ")
+        rows = {row[f"axis:{axis}"]: row["status"] for row in csv.DictReader(fh)}
+    assert rows == statuses
+    n_failed = sum(status != "ok" for status in statuses.values())
+    assert capsys.readouterr().out.startswith(f"sweep: {len(statuses)} points, {n_failed} failed, ")
+
+
+@pytest.mark.parametrize("gammas, parallel, pools", [([0.25, 0.5], 8, [2]), ([0.5], 4, [])])
+def test_sweep_starts_no_more_workers_than_jobs(tmp_path, monkeypatch, gammas, parallel, pools):
+    started = []
+
+    class InProcessPool:
+        """Records the workers a sweep asks for and maps its jobs in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    cfg_path = write_config(tmp_path / "c.json", sweep_config(sweep={"operator.params.gamma": gammas}))
+    assert cmd_sweep(cfg_path, str(tmp_path / "s1"), parallel=1) == 0
+    assert cmd_sweep(cfg_path, str(tmp_path / "sN"), parallel=parallel) == 0
+    assert started == pools
+    assert (tmp_path / "sN" / "index.csv").read_bytes() == (tmp_path / "s1" / "index.csv").read_bytes()
 
 
 def test_sweep_point_that_does_not_parse_gets_no_job(tmp_path, monkeypatch):

@@ -4,8 +4,8 @@ For each key, two configs that differ only in that key go through cmd_run
 and cmd_audit, and at least one of trace.csv, states.npz, summary.json and
 audit.json must differ; the JSON files are compared without config_digest,
 which differs whenever the config does.  The keys come from config.KINDS
-(each constructor parameter of each kind), the perturbation model's fields,
-the tolerance defaults and the top-level keys, so a key added without a
+(each constructor parameter of each kind), the perturbation model's fields
+and the top-level keys, so a key added without a
 case here fails.  README's table of keys that shape one artifact is read
 here too: each of those keys must change that artifact and no other.
 """
@@ -50,10 +50,6 @@ SIMPLEX = {  # s0 has an entry whose first image falls below a rho of 0.1
     "s0": [0.9, 0.09, 0.01],
 }
 NOISY = {"perturbation": {"mode": "random", "delta0": 0.01, "kappa": 0.1, "injection": "unscaled"}}
-#: nine deterministic policies, one more than Bellman enumerates: its fixed point is iterated to a tolerance
-ITERATED_BELLMAN = {"operator": {"kind": "bellman", "params": {
-    "transitions": [[[0.5, 0.5], [0.2, 0.8], [1.0, 0.0]], [[0.3, 0.7], [0.9, 0.1], [0.0, 1.0]]],
-    "rewards": [[1.0, 0.5, 0.0], [0.0, 2.0, 1.0]], "discount": 0.5}}}
 
 #: (block, kind) -> the changes to BASE that make a config of that kind
 KIND_BASES = {
@@ -105,12 +101,8 @@ CHANGES = {
     "perturbation.delta0": (NOISY, 0.02),
     "perturbation.kappa": (NOISY, 0.2),
     "perturbation.injection": (NOISY, "scaled"),  # live only with a budget above zero
-    "tolerances.fixed_point": (ITERATED_BELLMAN, 1e-4),
-    "tolerances.degenerate_pair": ({}, 2.0),
-    "tolerances.audit_violation": ({}, 1e-6),
     "eps_list": ({}, [1e-3]),
     "rate_window": ({}, [10, 40]),
-    "contraction_pairs": ({}, 16),
 }
 #: block key -> new value, for the kinds that take it
 BLOCK_KEY_CHANGES = {"context_y": [[1.0, 2.0]]}
@@ -123,11 +115,9 @@ def accepted_keys() -> list[str]:
         for kind, make in kinds.items():
             for name in inspect.signature(make).parameters:
                 keys.append(f"{block}[{kind}].{name if name in BLOCK_KEY_NAMES else 'params.' + name}")
-    nested = {"perturbation": list(inspect.signature(PerturbationModel).parameters),
-              "tolerances": list(config.TOLERANCE_DEFAULTS)}
     for key in sorted(config._TOP_REQUIRED | config._TOP_OPTIONAL):
-        if key in nested:
-            keys.extend(f"{key}.{name}" for name in nested[key])
+        if key == "perturbation":
+            keys.extend(f"{key}.{name}" for name in inspect.signature(PerturbationModel).parameters)
         elif key not in config.KINDS and key != "sweep":  # a run rejects a sweep block; the sweep command expands it
             keys.append(key)
     return keys
@@ -170,6 +160,12 @@ def outputs(raw: dict, out: Path) -> dict:
         else:
             got[name] = path.read_bytes()
     return got
+
+
+def test_every_optional_key_is_set_by_a_shipped_config():
+    shipped = [json.loads(path.read_text()) for path in sorted((ROOT / "configs").glob("*.json"))]
+    unset = sorted(key for key in config._TOP_OPTIONAL if not any(key in raw for raw in shipped))
+    assert not unset, f"no shipped config sets {unset}"
 
 
 def test_every_case_names_an_accepted_key():

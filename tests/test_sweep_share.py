@@ -61,7 +61,7 @@ def _perturbation(raw):
     return {"mode": "zero"} if pd is None else {**pd, "delta0": pd["delta0"] + 0.01}
 
 
-#: top-level key (dotted for a tolerance) -> one valid change of it that the loop reads
+#: top-level key -> one valid change of it that the loop reads
 INSIDE = {
     "geometry": _geometry,
     "operator": _operator,
@@ -70,35 +70,19 @@ INSIDE = {
     "s0": _s0,
     "iterations": lambda raw: raw["iterations"] + 1,
     "retain_states": lambda raw: not raw["retain_states"],
-    "tolerances.fixed_point": lambda raw: 1e-12,
     "seed": lambda raw: raw["seed"] + 1,  # inside the key on a noisy config only
 }
 
-#: top-level key (dotted for a tolerance) -> a change the loop does not read
+#: top-level key -> a change the loop does not read
 OUTSIDE = {
     "eps_list": lambda raw: [1e-3, 1e-9, 0.5],
     "rate_window": lambda raw: [raw["iterations"] // 3, raw["iterations"]],
-    "contraction_pairs": lambda raw: 37,
-    "tolerances.degenerate_pair": lambda raw: 1e-12,
-    "tolerances.audit_violation": lambda raw: 1e-6,
     "seed": lambda raw: raw["seed"] + 1,  # outside the key on a noise-free config only
 }
 
 
-def changed(raw, path, value):
-    out = json.loads(json.dumps(raw))
-    if path.startswith("tolerances."):
-        out.setdefault("tolerances", {})[path.split(".", 1)[1]] = value
-    else:
-        out[path] = value
-    return out
-
-
 def test_every_config_key_is_inside_or_outside_the_loop_key():
-    top = {path.split(".")[0] for path in {*INSIDE, *OUTSIDE}}
-    assert top | {"sweep"} == config._TOP_REQUIRED | config._TOP_OPTIONAL
-    tolerances = {path.split(".")[1] for path in {*INSIDE, *OUTSIDE} if path.startswith("tolerances.")}
-    assert tolerances == set(config.TOLERANCE_DEFAULTS)
+    assert {*INSIDE, *OUTSIDE, "sweep"} == config._TOP_REQUIRED | config._TOP_OPTIONAL
     assert set(INSIDE) & set(OUTSIDE) == {"seed"}
 
 
@@ -115,7 +99,7 @@ def test_a_loop_serves_every_config_of_its_key(seed, pair, schedule, mode, injec
     other = raw
     for path, change in OUTSIDE.items():
         if path != "seed" or cfg.perturbation.is_zero:
-            other = changed(other, path, change(raw))
+            other = {**other, path: change(raw)}
     twin = config.from_dict(other)
     assert twin.loop_key == cfg.loop_key
 
@@ -147,7 +131,7 @@ def test_every_change_inside_the_loop_key_changes_it(seed, pair, schedule, mode,
     for path, change in INSIDE.items():
         if path == "seed" and cfg.perturbation.is_zero:
             continue
-        assert config.from_dict(changed(raw, path, change(raw))).loop_key != cfg.loop_key, path
+        assert config.from_dict({**raw, path: change(raw)}).loop_key != cfg.loop_key, path
 
 
 # ---------------------------------------------------------------------------
