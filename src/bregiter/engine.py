@@ -15,8 +15,11 @@ step computes only what the next step reads: alpha_t, T(s_t), eta_t, the
 new state, and e_t where the budget delta0 + kappa e_t reads it (kappa > 0).
 Every other per-row value (e_t, ||T(s_t) - s_t||^2, D(eta_t, 0) and the
 first-passage divergences) is filled once per block by a batched map, with
-the bits of a per-step call.  A fault is reported at its earliest row, with
-the message, t and state of a per-step loop.
+the bits of a per-step call.  Random-mode draws read no state, so a block
+makes them before its steps, in the perturbation module's draw order, with
+their unit directions and D(direction, 0) batched; a random step keeps its
+budget and the scaling of its eta.  A fault is reported at its earliest
+row, with the message, t and state of a per-step loop.
 """
 
 from __future__ import annotations
@@ -207,16 +210,31 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, rng: np.r
     drift repair: s_t, s_star and every state before them were checked or
     settled already.  Row last takes no step.
 
+    In random mode, PerturbationModel.draws makes the draws of every step
+    of a block before the first; a step whose budget is positive takes the
+    next of them, and a step whose budget is <= 0 none, as sample would.  A
+    block that leaves draws unused rewinds rng and redraws the used ones, so
+    the next block starts where a per-step loop would.  Adversarial steps
+    call sample.
+
     Yields (t0, m, fault) per block: its first row t0, its row count m, and
     None, or the EngineError of the step of row t0 + m - 1, the last row of
     the last block.
     """
     g, op, sched, pm = cfg.geometry, cfg.operator, cfg.schedule, cfg.perturbation
     noisy = not pm.is_zero
+    random = noisy and pm.mode == "random"
     b_s, b_ts, b_alpha, b_eta, b_e = buf
     e_t = 0.0  # the budget's e_t unless e_step: delta0 + kappa * 0.0 is delta0 at kappa = 0
     for n in sizes:
         t0, end = t, min(t + n, last + 1)
+        if random:  # the draws of every step of the block, and the state-free part of its etas
+            n_draw = min(end, last) - t0
+            state = rng.bit_generator.state
+            directions, u = pm.draws(g.dim, n_draw, rng)
+            bases = g._divergence(directions, g.zero).tolist()
+            u = u.tolist()
+            j = 0  # drawn rows consumed
         try:
             for t in range(t0, end):
                 i = t - t0
@@ -230,10 +248,16 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, rng: np.r
                     break
                 s_next = (1.0 - al) * s + al * ts
                 if noisy:
-                    try:
-                        eta = pm.sample(g, s, s_star, e_t, al, rng)
-                    except DomainError as exc:
-                        raise EngineError(f"perturbation failed at iteration {t}: {exc}", t, s) from exc
+                    if not random:
+                        try:
+                            eta = pm.sample(g, s, s_star, e_t, al, rng)
+                        except DomainError as exc:
+                            raise EngineError(f"perturbation failed at iteration {t}: {exc}", t, s) from exc
+                    elif (b := pm.budget(e_t)) <= 0:  # sample's random branch, on the block's draws
+                        eta = g.zero
+                    else:
+                        eta = pm.eta_along(directions[j], bases[j], u[j] * u[j] * b, al, g.zero)
+                        j += 1
                     b_eta[i] = eta
                     s_next = s_next + eta
                 if not _finite(s_next):
@@ -245,6 +269,9 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, rng: np.r
         except EngineError as fault:
             yield t0, fault.t - t0 + 1, fault
             return
+        if random and j < n_draw:  # rows whose budget was <= 0 drew nothing
+            rng.bit_generator.state = state
+            pm.draws(g.dim, j, rng)
         yield t0, end - t0, None
         if end > last:
             return
@@ -294,7 +321,7 @@ def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray) -> Trace:
         if states is not None:
             states[done] = b_s[:m]
         if noisy:
-            eta_div[stepped] = g._divergence(b_eta[:n_step], g.zero)  # 0.0 on the rows where sample returned g.zero
+            eta_div[stepped] = g._divergence(b_eta[:n_step], g.zero)  # 0.0 on the rows whose eta is g.zero
             if etas is not None:
                 etas[stepped] = b_eta[:n_step]
     rows = np.arange(T + 1)

@@ -578,16 +578,33 @@ def test_off_simplex_operator_image_is_a_domain_escape(tmp_path, monkeypatch, ca
 
 def test_infinite_perturbation_stops_the_run(tmp_path, monkeypatch, capsys):
     calls = []
-    plain = PerturbationModel.sample
+    plain = PerturbationModel.draws
 
-    def sample(self, g, s_t, s_star, e_t, alpha_t, rng):
+    def draws(self, dim, n, rng):  # a random-mode run draws the steps of a block at once
         calls.append(None)
-        eta = plain(self, g, s_t, s_star, e_t, alpha_t, rng)
-        return np.full_like(eta, np.inf) if len(calls) == 8 else eta
+        directions, u = plain(self, dim, n, rng)
+        if len(calls) == 1:
+            u[7] = np.inf  # the first block's draws, of rows 0..19: eta_7 = inf * direction
+        return directions, u
 
-    monkeypatch.setattr(PerturbationModel, "sample", sample)
+    monkeypatch.setattr(PerturbationModel, "draws", draws)
     assert failed_run(tmp_path, capsys, "affine_random_noise.json", 7, "non-finite state") == \
         "non-finite state at iteration 7"
+
+
+def test_a_random_run_that_never_draws_matches_the_checked_loop(tmp_path, capsys):
+    # s0 is the fixed point and delta0 = 0: every budget is 0, so no step draws
+    overrides = ["perturbation.delta0=0.0", "s0=[2.0,-1.0]", "iterations=50"]
+    config, out = CONFIGS / "affine_random_noise.json", tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out),
+                 *(arg for o in overrides for arg in ("--set", o))]) == 0
+    assert json.loads(capsys.readouterr().out)["e_final"] == 0.0
+    cfg = from_dict(apply_overrides(json.loads(config.read_text()), overrides))
+    got, want = harness.load_run(out, cfg), oracles.run_loop(cfg)
+    del want["final_state"]  # no artifact has it; it is the last of the states
+    for name, ref in want.items():
+        value = getattr(got, name)
+        assert value.shape == ref.shape and value.tobytes() == ref.tobytes(), name
 
 
 #: an adversarial target whose distance from s0 = 0 overflows

@@ -157,6 +157,115 @@ def test_noisy_runs_at_dim_24_past_a_block_match_the_checked_loop(gkind, mode, i
         assert same_bits(getattr(got, name), ref), name
 
 
+class StubbedGenerator(np.random.Generator):
+    """PCG64 whose normal or uniform draws made at given stream positions read 0.
+
+    A position is the bit generator's state before a draw, so a generator
+    rewound to an earlier state replays the stubbed draws it passes again.
+    Every draw still advances the stream as the plain one does.  positions
+    records the position of every call, and hits the stubbed draws made.
+    """
+
+    def __init__(self, seed, normals=(), uniforms=()):
+        super().__init__(np.random.PCG64(seed))
+        self.normals, self.uniforms = set(normals), set(uniforms)
+        self.positions = {"normal": [], "uniform": []}
+        self.hits = 0
+
+    def _at(self, kind, stubbed):
+        at = self.bit_generator.state["state"]["state"]
+        self.positions[kind].append(at)
+        self.hits += at in stubbed
+        return at in stubbed
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        stub = self._at("normal", self.normals)
+        x = super().standard_normal(size, dtype, out)
+        if stub:
+            x[...] = 0.0
+        return x
+
+    def random(self, size=None, dtype=np.float64, out=None):  # u of the engine's draws
+        stub = self._at("uniform", self.uniforms)
+        x = super().random(size, dtype, out)
+        return 0.0 if stub else x
+
+    def uniform(self, low=0.0, high=1.0, size=None):  # u of oracles.perturbation_loop
+        stub = self._at("uniform", self.uniforms)
+        x = super().uniform(low, high, size)
+        return 0.0 if stub else x
+
+
+def stubbed_run(f, cfg, **stubs):
+    """f(cfg) with cfg's perturbation stream drawn from a StubbedGenerator; its result and the generator."""
+    made, plain = [], np.random.default_rng
+
+    def default_rng(seed=None):  # the contraction estimate draws from seed + 1
+        made.append(StubbedGenerator(seed, **stubs) if seed == cfg.seed else plain(seed))
+        return made[-1]
+
+    with mock.patch.object(np.random, "default_rng", default_rng):
+        out = f(cfg)
+    return out, next(rng for rng in made if isinstance(rng, StubbedGenerator))
+
+
+def noisy_config(injection, delta0=1e-3, **changes):
+    return from_dict({
+        "geometry": {"kind": "squared-euclidean", "dim": 2},
+        "operator": {"kind": "affine-colinear", "params": {"gamma": 0.5, "target": [2.0, -1.0]}},
+        "schedule": {"kind": "accelerated"},
+        "perturbation": {"mode": "random", "delta0": delta0, "kappa": 0.1, "injection": injection},
+        "s0": [0.0, 0.0],
+        "iterations": 30,
+        "seed": 7,
+        "retain_states": True,
+        **changes,
+    })
+
+
+#: s0 is the fixed point, so at delta0 = 0 the budget is 0 at row 0; T(s0) misses it by a rounding
+#: error, so rows 1 on draw, up to a state that lands on the fixed point again (row 8, and more
+#: rows when scaled)
+ZERO_BUDGET = {
+    "operator": {"kind": "affine-colinear", "params": {"gamma": 0.3, "target": [0.1, 0.2]}},
+    "delta0": 0.0,
+    "s0": [0.1, 0.2],
+    "iterations": 60,
+    "seed": 3,
+}
+
+
+@pytest.mark.parametrize("block", [1, 7, engine.BLOCK])
+@pytest.mark.parametrize("injection", ["unscaled", "scaled"])
+@pytest.mark.parametrize("event", ["direction norm", "u = 0", "budget 0"])
+def test_rare_draw_events_match_the_checked_loop(event, injection, block):
+    """The rare events of random draws: a direction redrawn for its norm <= 1e-12 and rows whose
+    budget is 0 before drawing rows of their block, which rewind the engine's generator, and a
+    budget fraction u = 0."""
+    if event == "budget 0":
+        cfg = noisy_config(injection, **ZERO_BUDGET)
+        stubs = {}
+    else:
+        cfg = noisy_config(injection)
+        kind, field = ("normal", "normals") if event == "direction norm" else ("uniform", "uniforms")
+        stubs = {field: []}
+        for row in (4, 9):  # a step draws one normal per try at a direction, then one uniform
+            _, plain = stubbed_run(oracles.run_loop, cfg, **stubs)
+            tries = len(stubs[field]) if kind == "normal" else 0  # each stubbed direction is redrawn
+            stubs[field].append(plain.positions[kind][row + tries])
+    want, oracle_rng = stubbed_run(oracles.run_loop, cfg, **stubs)
+    with mock.patch.object(engine, "BLOCK", block):
+        got, rng = stubbed_run(engine.run, cfg, **stubs)
+    if event == "budget 0":
+        assert want["e"][0] == 0 and (want["e"][1:8] > 0).all() and want["e"][8] == 0
+    else:
+        assert oracle_rng.hits == 2 and rng.hits >= 2
+    if event == "u = 0":
+        assert want["eta_div"][[4, 9]].tolist() == [0.0, 0.0]
+    for name, ref in want.items():
+        assert same_bits(getattr(got, name), ref), name
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(PAIRS), st.sampled_from(sorted(SCHEDULES)),
        st.integers(1, 200), st.lists(st.floats(0.0, 12.0), min_size=1, max_size=4))
