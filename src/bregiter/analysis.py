@@ -40,6 +40,11 @@ AUDIT_TOL = 1e-10  # largest descent or cross-term violation that passes
 INDUCTION_TOL = 1e-12  # slack of each cell of the induction-step grid
 
 
+def json_number(x: float) -> float | None:
+    """x as a JSON number, or None (null) where x is not finite: JSON has no NaN or Infinity."""
+    return float(x) if math.isfinite(x) else None
+
+
 class StatesRequiredError(ValueError):
     """The audit needs retained states (and perturbations) in the trace."""
 
@@ -78,7 +83,10 @@ class BoundConstants:
 
     @property
     def C0(self) -> float:
-        return 2.0 * self.L**2 * self.K**2 / self.c_sc
+        try:
+            return 2.0 * self.L**2 * self.K**2 / self.c_sc
+        except OverflowError:  # a float power past the largest float raises, where a product is inf
+            return math.inf
 
     def theta(self, alpha_t):
         """Per-step contraction factor 1 - alpha_t (1 - gamma_hat); elementwise on arrays."""
@@ -90,10 +98,7 @@ class BoundConstants:
 
     def to_json_dict(self) -> dict:
         d = {**asdict(self), "c_sc": self.c_sc, "K": self.K, "C0": self.C0}
-        for name in ("M", "beta"):  # NaN until measured, or inf: JSON holds neither
-            if not math.isfinite(d[name]):
-                d[name] = None
-        return d
+        return {name: json_number(x) for name, x in d.items()}  # M and beta are NaN until measured
 
 
 @dataclass(frozen=True)
@@ -417,7 +422,7 @@ def compare_feedback_feedforward(cfg: RunConfig, eps: float,
     return FeedComparison(t_feedback=t_fb, d_feedforward=depth, gamma_hat=gamma_hat, e0=e0)
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+@_engine.QUIET
 def build_audit_report(trace: Trace, cfg: RunConfig) -> AuditReport:
     """Run every audit that the trace supports and bundle the findings.
 

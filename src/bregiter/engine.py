@@ -13,8 +13,8 @@ given the config seed.
 One driver, _blocks, takes every step of a run and of a first passage.  A
 step computes only what the next step reads: alpha_t, T(s_t), eta_t, the
 new state, and e_t where the budget delta0 + kappa e_t reads it (kappa > 0).
-Every other per-row value (e_t, ||T(s_t) - s_t||^2, D(eta_t, 0) and the
-first-passage divergences) is filled once per block by a batched map, with
+The recorded rows (e_t, ||T(s_t) - s_t||^2, D(eta_t, 0)) and the
+first-passage divergences are filled once per block by a batched map, with
 the bits of a per-step call.  Random-mode draws read no state, so a block
 makes them before its steps, in the perturbation module's draw order, with
 their unit directions and D(direction, 0) batched; a random step keeps its
@@ -56,6 +56,9 @@ BLOCK = 1024
 #: the end of the block that meets its last target; past 256 rows, a block saves too little per
 #: row to pay for that
 PASSAGE_BLOCKS = (16, 32, 64, 128, 256)
+
+#: numpy's floating-point mode of the run stages and the audit: overflow is data, judged by finiteness checks
+QUIET = np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -136,11 +139,12 @@ class Trace:
         return self.t.size - 1
 
 
+@QUIET
 def _start(cfg: RunConfig, contraction: bool = False) -> tuple[np.ndarray, np.ndarray, float | None]:
     """Fixed point, projected s0 and gamma_hat (None unless contraction).
 
     Every failure here is an EngineError at t = -1 carrying s0, and so is a
-    finite s0 whose D(s0, s_star) is not finite.
+    D(s0, s_star) or a gamma_hat that is not finite.
     """
     g, op = cfg.geometry, cfg.operator
     s0 = np.asarray(cfg.s0, dtype=float)
@@ -157,16 +161,22 @@ def _start(cfg: RunConfig, contraction: bool = False) -> tuple[np.ndarray, np.nd
         raise EngineError(f"fixed point not found: {exc}", -1, s0) from exc
     except ValueError as exc:  # every sampled contraction pair degenerate
         raise EngineError(f"start-up failed: {exc}", -1, s0) from exc
-    with np.errstate(over="ignore", invalid="ignore"):
-        e0 = g._divergence(s, s_star)
-    if not math.isfinite(e0):
-        raise EngineError(f"start-up failed: D(s0, s_star) = {e0} is not finite", -1, s0)
+    for name, x in (("D(s0, s_star)", g._divergence(s, s_star)), ("gamma_hat", gamma_hat)):
+        if x is not None and not math.isfinite(x):
+            raise EngineError(f"start-up failed: {name} = {x} is not finite", -1, s0)
     return s_star, s, gamma_hat
 
 
 def _finite(x: np.ndarray) -> bool:
     """np.isfinite(x).all(), without the cost of a reduction."""
     return np.isfinite(x).tobytes() == b"\x01" * x.size
+
+
+def _divergence_fault(d: np.ndarray, t0: int, states: np.ndarray) -> EngineError | None:
+    """The fault of the first d[i] = D(states[i], s_star) that is not finite, at row t0 + i, before its step."""
+    if not _finite(d):
+        i = int(np.argmin(np.isfinite(d)))
+        return EngineError(f"non-finite divergence at iteration {t0 + i}", t0 + i, states[i].copy())
 
 
 def run(cfg: RunConfig, like: Trace | None = None) -> Trace:
@@ -192,23 +202,22 @@ def run(cfg: RunConfig, like: Trace | None = None) -> Trace:
 
 
 def _buffers(rows: int, dim: int) -> tuple[np.ndarray, ...]:
-    """Block buffers of _blocks: s_t, T(s_t), alpha_t, eta_t and the budget's e_t."""
-    return np.empty((rows, dim)), np.empty((rows, dim)), np.empty(rows), np.empty((rows, dim)), np.empty(rows)
+    """Block buffers of _blocks: s_t, T(s_t), alpha_t and eta_t."""
+    return np.empty((rows, dim)), np.empty((rows, dim)), np.empty(rows), np.empty((rows, dim))
 
 
 def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, rng: np.random.Generator | None,
-            buf: tuple[np.ndarray, ...], sizes: Iterable[int], last: int,
-            e_step: bool) -> Iterator[tuple[int, int, EngineError | None]]:
+            buf: tuple[np.ndarray, ...], sizes: Iterable[int],
+            last: int) -> Iterator[tuple[int, int, EngineError | None]]:
     """The averaged iteration from s = s_t, one block of rows per size, through row last.
 
     The one per-step loop of the engine.  Row i of a block of the buffers buf
-    (see _buffers) holds s_u, T(s_u) and alpha_u for u = t0 + i; on noisy
-    runs it also holds eta_u, and e_u where e_step says the budget reads it.
-    Each step computes only what the next step reads; whoever consumes the
-    block fills every other per-row value by one batched map per block.  A
-    step runs unchecked but for one finiteness check and the geometry's
-    drift repair: s_t, s_star and every state before them were checked or
-    settled already.  Row last takes no step.
+    (see _buffers) holds s_u, T(s_u), alpha_u and, on noisy runs, eta_u for
+    u = t0 + i.  Each step computes only what the next step reads; whoever
+    consumes the block fills every other per-row value by one batched map
+    per block.  A step runs unchecked but for one finiteness check and the
+    geometry's drift repair: s_t, s_star and every state before them were
+    checked or settled already.  Row last takes no step.
 
     In random mode, PerturbationModel.draws makes the draws of every step
     of a block before the first; a step whose budget is positive takes the
@@ -224,7 +233,8 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, rng: np.r
     g, op, sched, pm = cfg.geometry, cfg.operator, cfg.schedule, cfg.perturbation
     noisy = not pm.is_zero
     random = noisy and pm.mode == "random"
-    b_s, b_ts, b_alpha, b_eta, b_e = buf
+    e_step = noisy and pm.kappa != 0
+    b_s, b_ts, b_alpha, b_eta = buf
     e_t = 0.0  # the budget's e_t unless e_step: delta0 + kappa * 0.0 is delta0 at kappa = 0
     for n in sizes:
         t0, end = t, min(t + n, last + 1)
@@ -243,7 +253,7 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, rng: np.r
                 b_s[i] = s
                 b_ts[i] = ts
                 if e_step:
-                    b_e[i] = e_t = g._divergence(s, s_star)
+                    e_t = g._divergence(s, s_star)
                 if t == last:
                     break
                 s_next = (1.0 - al) * s + al * ts
@@ -278,20 +288,18 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, rng: np.r
         t = end
 
 
+@QUIET
 def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray) -> Trace:
     """The loop of run from the projected s0 s, without its start-up facts.
 
     _blocks steps it BLOCK rows at a time.  Per block, the batched maps give
-    each row the bits of a per-step call for ||T(s_t) - s_t||^2, D(eta_t, 0)
-    and e_t, but for the e_t of a noisy run with kappa > 0, which each step
-    computes for its budget.  A noisy run with kappa = 0 reads e_t only through
-    0 * e_t, which is nan where e_t is not finite: the first such row of a
-    block is where its step fails, unless a step failed before it.
+    each row the bits of a per-step call for e_t, ||T(s_t) - s_t||^2 and
+    D(eta_t, 0).  The first row whose e_t is not finite fails the run, before
+    any failed step of its block; a_t and ||T(s_t) - s_t||^2 may read inf.
     """
     g, pm = cfg.geometry, cfg.perturbation
     T = cfg.iterations
     noisy = not pm.is_zero
-    e_step = noisy and pm.kappa != 0
 
     e = np.empty(T + 1)
     alpha = np.empty(T + 1)
@@ -299,21 +307,15 @@ def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray) -> Trace:
     eta_div = np.zeros(T + 1)
     states = np.empty((T + 1, g.dim)) if cfg.retain_states else None
     etas = np.zeros((T, g.dim)) if cfg.retain_states else None
-    buf = b_s, b_ts, b_alpha, b_eta, b_e = _buffers(min(BLOCK, T + 1), g.dim)
+    buf = b_s, b_ts, b_alpha, b_eta = _buffers(min(BLOCK, T + 1), g.dim)
 
     rng = np.random.default_rng(cfg.seed)
-    for t0, m, fault in _blocks(cfg, s_star, 0, s, rng, buf, itertools.repeat(BLOCK), T, e_step):
+    for t0, m, fault in _blocks(cfg, s_star, 0, s, rng, buf, itertools.repeat(BLOCK), T):
         done = slice(t0, t0 + m)
         stepped = slice(t0, min(t0 + m, T))  # row T takes no step
         n_step = stepped.stop - t0
-        e[done] = b_e[:m] if e_step else g._divergence(b_s[:m], s_star)
-        if noisy and not e_step:
-            bad = np.flatnonzero(~np.isfinite(e[stepped]))
-            if bad.size:  # the step at that row runs on the budget nan
-                u = t0 + int(bad[0])
-                replay = _buffers(1, g.dim)
-                fault = next(_blocks(cfg, s_star, u, b_s[bad[0]].copy(), rng, replay, [1], u + 1, True))[2]
-        if fault is not None:
+        e[done] = g._divergence(b_s[:m], s_star)
+        if fault := _divergence_fault(e[done], t0, b_s) or fault:
             raise fault
         alpha[done] = b_alpha[:m]
         d = b_ts[:m] - b_s[:m]
@@ -329,6 +331,7 @@ def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray) -> Trace:
                  eta_div=eta_div, states=states, etas=etas, final_state=b_s[m - 1].copy())
 
 
+@QUIET
 def _passages(cfg: RunConfig, s_star: np.ndarray, e, s: np.ndarray,
               eps_list: list[float], cap: int = PASSAGE_CAP) -> list[int]:
     """First t <= cap with D(s_t, s_star) <= eps for each eps; CENSORED if none.
@@ -338,8 +341,8 @@ def _passages(cfg: RunConfig, s_star: np.ndarray, e, s: np.ndarray,
     of the clean averaged loop continued from (k, s), in blocks of
     PASSAGE_BLOCKS rows, with one batched divergence per block.  The rows of
     a block are settled in order, as a per-step loop would: a non-finite
-    divergence fails the pass at its row, and the failed step of a block's
-    last row fails it only if a target is still open.
+    divergence fails the pass at its row (_divergence_fault), and the failed
+    step of a block's last row fails it, each only if a target is still open.
     """
     if not all(eps > 0 for eps in eps_list):
         raise ValueError(f"eps must be > 0, got {eps_list}")
@@ -347,35 +350,26 @@ def _passages(cfg: RunConfig, s_star: np.ndarray, e, s: np.ndarray,
         raise ValueError("first passages require a noise-free config")
     g = cfg.geometry
     e = np.asarray(e)[:cap + 1]
-    found = {}
-    for eps in eps_list:
-        met = np.flatnonzero(e <= eps)
-        if met.size:
-            found[eps] = int(met[0])
+    found = {eps: int(np.argmax(e <= eps)) for eps in eps_list if (e <= eps).any()}
     todo = sorted(set(eps_list) - set(found), reverse=True)  # largest target is met first
     k = e.size - 1
     if todo and k < cap:
-        buf = _buffers(min(PASSAGE_BLOCKS[-1], cap - k + 1), g.dim)
-        b_s = buf[0]
+        buf = b_s, *_ = _buffers(min(PASSAGE_BLOCKS[-1], cap - k + 1), g.dim)
         sizes = itertools.chain(PASSAGE_BLOCKS, itertools.repeat(PASSAGE_BLOCKS[-1]))
-        for t0, m, fault in _blocks(cfg, s_star, k, s, None, buf, sizes, cap, False):
-            lo = 1 if t0 == k else 0  # row k is s itself, whose divergence e holds
-            d = g._divergence(b_s[lo:m], s_star)
-            finite = np.isfinite(d)
-            n_ok = d.size if finite.all() else int(np.argmin(finite))
+        for t0, m, fault in _blocks(cfg, s_star, k, s, None, buf, sizes, cap):
+            d = g._divergence(b_s[:m], s_star)  # row k again, which meets no open target
+            bad = _divergence_fault(d, t0, b_s)
+            n_ok = m if bad is None else bad.t - t0
             while todo:
                 met = np.flatnonzero(d[:n_ok] <= todo[0])
                 if not met.size:
                     break
-                found[todo.pop(0)] = t0 + lo + int(met[0])
+                found[todo.pop(0)] = t0 + int(met[0])
             if not todo:
                 break
-            if n_ok < d.size:
-                u = t0 + lo + n_ok
-                raise EngineError(f"non-finite divergence at iteration {u}", u, b_s[lo + n_ok].copy())
-            if fault is not None:
-                raise fault
-            if d.size and (t0 + m) // 100_000 > t0 // 100_000:
+            if bad or fault:
+                raise bad or fault
+            if (t0 + m) // 100_000 > t0 // 100_000:
                 log.debug("first passage: t=%d e=%.3e (next target %.3e)", t0 + m - 1, d[-1], todo[0])
     return [found.get(eps, CENSORED) for eps in eps_list]
 

@@ -153,8 +153,9 @@ def _file_entry(path: Path) -> dict:
     return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
 
 
+@engine.QUIET
 def summarize(trace: engine.Trace, cfg: cfgmod.RunConfig) -> dict:
-    """Post-run metrics: rate fit, admissible beta, iterations to each eps."""
+    """Post-run metrics: rate fit, admissible beta, iterations to each eps; a_max, beta_max or M may be null."""
     bc = analysis.measure_constants(trace, cfg)
     beta_max, _ = analysis.audit_recursion(trace, bc)
     summary = {
@@ -164,9 +165,9 @@ def summarize(trace: engine.Trace, cfg: cfgmod.RunConfig) -> dict:
         "s_star": trace.s_star.tolist(),
         "e0": float(trace.e[0]),
         "e_final": float(trace.e[-1]),
-        "a_max": float(trace.a.max()),
-        "beta_max": None if not np.isfinite(beta_max) else float(beta_max),
-        "M": None if not np.isfinite(bc.M) else float(bc.M),
+        "a_max": analysis.json_number(trace.a.max()),
+        "beta_max": analysis.json_number(beta_max),
+        "M": analysis.json_number(bc.M),
         "warnings": list(trace.warnings),
         "slope": None,
         "r2": None,
@@ -259,7 +260,7 @@ def cmd_run(config_path: str, out_dir: str, seed: int | None = None,
         return EXIT_CONFIG
     except EngineError as exc:
         dump = Path(out_dir) / "state_dump.json"  # run_to_dir made the directory before the run
-        state = [x if math.isfinite(x) else None for x in exc.state.tolist()]  # JSON has no NaN
+        state = [analysis.json_number(x) for x in exc.state.tolist()]
         write_json(dump, {"error": str(exc), "t": exc.t, "state": state})
         print(f"run failed: {exc} (state dumped to {dump})", file=sys.stderr)
         return EXIT_RUNTIME

@@ -482,6 +482,8 @@ def run_loop(cfg):
     zero = np.zeros(g.dim)
     for t in range(T + 1):
         e[t] = e_t = g.divergence(s, s_star)
+        if not math.isfinite(e_t):
+            raise RunFailure(f"non-finite divergence at iteration {t}", t)
         alpha[t] = al = sched.alpha(t)
         ts = op.apply(s, t)
         delta = ts - s

@@ -194,13 +194,21 @@ def test_incompatible_operator_domain_fails_cleanly():
     assert exc_info.value.state.shape == (3,)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_divergent_iteration_fails_with_state_dump():
+#: gradient step -> (error, t): at 1e100 the divergence overflows at iteration 2 while s_2 is finite
+#: (gamma_hat about 4e200); at 1e200 the contraction estimate itself overflows
+DIVERGENT_STEPS = {
+    1e100: ("non-finite divergence at iteration 2", 2),
+    1e200: ("start-up failed: gamma_hat = inf is not finite", -1),
+}
+
+
+@pytest.mark.parametrize("step", DIVERGENT_STEPS)
+def test_divergent_iteration_fails_with_state_dump(step):
     # enormous gradient step: the iterate overflows within a few steps
     cfg = from_dict({
         "geometry": {"kind": "squared-euclidean", "dim": 2},
         "operator": {"kind": "gradient-step", "params": {
-            "a": [[2.0, 0.0], [0.0, 1.0]], "b": [2.0, 1.0], "step": 1e200,
+            "a": [[2.0, 0.0], [0.0, 1.0]], "b": [2.0, 1.0], "step": step,
         }},
         "schedule": {"kind": "constant", "params": {"c": 1.0}},
         "s0": [0.0, 0.0],
@@ -209,7 +217,8 @@ def test_divergent_iteration_fails_with_state_dump():
     })
     with pytest.raises(EngineError) as exc_info:
         run(cfg)
-    assert exc_info.value.t >= 0
+    assert (str(exc_info.value), exc_info.value.t) == DIVERGENT_STEPS[step]
+    assert np.isfinite(exc_info.value.state).all()
 
 
 # ---------------------------------------------------------------------------

@@ -340,7 +340,7 @@ def _override_paths():
         keys += [f"{block}.params.{name}" for block in ("geometry", "operator", "schedule")
                  for name in raw[block].get("params", {})]
         keys += [f"perturbation.{name}" for name in ("mode", "delta0", "kappa", "injection")]
-        paths += [(path.name, key) for key in keys]
+        paths += [(path.name, key) for key in keys + ["s0"]]
     return paths
 
 
@@ -348,21 +348,31 @@ JSON_SCALARS = st.one_of(st.text(max_size=4), st.booleans(), st.none())
 NON_NUMERIC = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3),
                         st.dictionaries(st.text(max_size=3), JSON_SCALARS, max_size=2))
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+#: finite numbers whose squares, products or exponentials overflow; set as the first number of an array value
+LARGE = st.sampled_from([1e154, -1e154, 1e200, -1e200, 1e300])
+
+
+def _set_first_number(value, x):
+    """value with its first number, depth first, set to x; x where value is no non-empty list."""
+    return [_set_first_number(value[0], x), *value[1:]] if isinstance(value, list) and value else x
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(_override_paths()), st.one_of(NON_NUMERIC, NON_FINITE))
+@given(st.sampled_from(_override_paths()), st.one_of(NON_NUMERIC, NON_FINITE, LARGE))
 def test_config_faults_exit_cleanly(target, value):
     name, key = target
     raw = json.loads((CONFIGS / name).read_text())
     for drop in ("sweep", "eps_list", "rate_window"):
         raw.pop(drop, None)
     raw["iterations"] = 5
+    if isinstance(value, float) and math.isfinite(value):
+        old = functools.reduce(lambda d, k: d.get(k) if isinstance(d, dict) else None, key.split("."), raw)
+        value = _set_first_number(old, value)
     raw = apply_overrides(raw, [f"{key}={json.dumps(value)}"])
     with tempfile.TemporaryDirectory() as tmp:
         code = cmd_run(write_config(Path(tmp) / "c.json", raw), str(Path(tmp) / "out"))
     assert code in (0, 1, 2)
-    if isinstance(value, float):
+    if isinstance(value, float) and not math.isfinite(value):
         assert code == 2
 
 
@@ -620,7 +630,6 @@ OVERFLOW_CASES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("geometry", OVERFLOW_CASES)
 def test_overflowing_adversarial_direction_stops_the_run(tmp_path, capsys, geometry):
     changes, (error, t) = OVERFLOW_CASES[geometry]
@@ -631,7 +640,6 @@ def test_overflowing_adversarial_direction_stops_the_run(tmp_path, capsys, geome
     assert capsys.readouterr().err.startswith(f"run failed: {error} (state dumped to")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("geometry", OVERFLOW_CASES)
 def test_sweep_records_an_overflowing_adversarial_direction(tmp_path, geometry):
     changes, (error, _) = OVERFLOW_CASES[geometry]
@@ -664,7 +672,7 @@ def test_a_finite_s0_whose_divergence_overflows_fails_at_start_up(tmp_path, caps
 
 
 #: gradient steps of size 3 on ||s||^2 / 2 triple the distance to s_star = [1, 1] each step, so e_t
-#: overflows at t = 512 while s_512 is finite; at kappa = 0 the budget delta0 + 0 * e_t is nan there
+#: overflows at t = 512 while s_512 is finite; a_t = e_t (t+1)^2 overflows from t = 504 on
 KAPPA0_OVERFLOW = {
     "geometry": {"kind": "squared-euclidean", "dim": 2},
     "operator": {"kind": "gradient-step", "params": {"a": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 1.0], "step": 3.0}},
@@ -674,20 +682,18 @@ KAPPA0_OVERFLOW = {
     "seed": 1,
     "retain_states": True,
 }
-#: a non-finite state entry is dumped as null: JSON has no NaN
+#: the run fails at the row whose e_t overflows, before its step, and dumps the finite s_512
 KAPPA0_DUMPS = {
-    "random": '{\n  "error": "non-finite state at iteration 512",\n  "state": [\n    null,\n    null\n  ],\n'
-              '  "t": 512\n}\n',
-    "adversarial": '{\n  "error": "perturbation failed at iteration 512: ||s_t - s_star|| overflows; the adversarial '
-                   'direction is undefined",\n  "state": [\n    -6.435747806372454e+153,\n    '
-                   '-1.2871495612744908e+154\n  ],\n  "t": 512\n}\n',
+    "random": '{\n  "error": "non-finite divergence at iteration 512",\n  "state": [\n    -6.712557786902622e+153,\n'
+              '    -1.3434326095975617e+154\n  ],\n  "t": 512\n}\n',
+    "adversarial": '{\n  "error": "non-finite divergence at iteration 512",\n  "state": [\n    -6.435747806372454e+153,\n'
+                   '    -1.2871495612744908e+154\n  ],\n  "t": 512\n}\n',
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("block", [1, 7, 1024])
 @pytest.mark.parametrize("mode", KAPPA0_DUMPS)
-def test_an_overflowing_divergence_at_kappa_zero_fails_its_step_in_any_block(tmp_path, capsys, mode, block):
+def test_an_overflowing_divergence_at_kappa_zero_fails_at_its_row_in_any_block(tmp_path, capsys, mode, block):
     raw = {**KAPPA0_OVERFLOW, "perturbation": {"mode": mode, "delta0": 1e-3, "kappa": 0.0, "injection": "unscaled"}}
     out = tmp_path / "out"
     with mock.patch.object(engine, "BLOCK", block):
@@ -696,6 +702,31 @@ def test_an_overflowing_divergence_at_kappa_zero_fails_its_step_in_any_block(tmp
     assert dump == KAPPA0_DUMPS[mode]
     error = strict_json(out / "state_dump.json")["error"]
     assert capsys.readouterr().err == f"run failed: {error} (state dumped to {out / 'state_dump.json'})\n"
+
+
+@pytest.mark.parametrize("eps", [[], [1e-3]], ids=["no-eps", "eps-past-the-horizon"])
+def test_a_clean_run_whose_divergence_overflows_fails_at_its_row(tmp_path, capsys, eps):
+    overrides = ["iterations=520", "rate_window=null", f"eps_list={json.dumps(eps)}"]
+    out = tmp_path / "out"
+    assert cmd_run(write_config(tmp_path / "c.json", KAPPA0_OVERFLOW), str(out), overrides=overrides) == 1
+    dump = strict_json(out / "state_dump.json")
+    assert (dump["error"], dump["t"]) == ("non-finite divergence at iteration 512", 512)
+    assert all(math.isfinite(x) for x in dump["state"])
+    assert capsys.readouterr().err.endswith(f"run failed: {dump['error']} (state dumped to {out / 'state_dump.json'})\n")
+    assert not (out / "summary.json").exists()
+
+
+def test_an_overflowing_a_t_is_written_as_null(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cmd_run(write_config(tmp_path / "c.json", KAPPA0_OVERFLOW), str(out),
+                   overrides=["iterations=510", "rate_window=null"]) == 0
+    stdout = capsys.readouterr().out
+    line = json.loads(stdout, parse_constant=lambda token: pytest.fail(f"run stdout holds {token}"))
+    summary = strict_json(out / "summary.json")
+    assert summary["a_max"] is None and summary["e_final"] == line["e_final"] > 1e306
+    trace = harness.read_trace_csv(out / "trace.csv")
+    assert np.isfinite(trace["e_t"]).all() and np.isinf(trace["a_t"][504:]).all()
+    assert np.isfinite(trace["a_t"][:504]).all()
 
 
 @pytest.mark.parametrize("where", ["file", "override"])

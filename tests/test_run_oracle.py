@@ -17,6 +17,7 @@ import oracles
 from bregiter import engine
 from bregiter.config import KINDS, from_dict
 from test_batch import spd
+from test_harness import KAPPA0_OVERFLOW
 
 
 def simplex_point(rng, dim):
@@ -155,6 +156,27 @@ def test_noisy_runs_at_dim_24_past_a_block_match_the_checked_loop(gkind, mode, i
     assert np.count_nonzero(want["eta_div"]) == cfg.iterations
     for name, ref in want.items():
         assert same_bits(getattr(got, name), ref), name
+
+
+#: (mode, kappa) -> the row of KAPPA0_OVERFLOW whose divergence overflows: a random eta of budget 0.1 e_t
+#: adds to the growth, and an adversarial one, taken along s_t - s_star before T flips its sign, takes from it
+OVERFLOW_ROWS = {("zero", 0.0): 512, ("zero", 0.1): 512, ("random", 0.0): 512, ("random", 0.1): 510,
+                 ("adversarial", 0.0): 512, ("adversarial", 0.1): 681}
+
+
+# the oracle runs outside the engine's floating-point mode, and warns where its arithmetic overflows
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("block", [1, 7, engine.BLOCK])
+@pytest.mark.parametrize("mode, kappa", OVERFLOW_ROWS)
+def test_an_overflowing_divergence_fails_at_its_row_as_in_the_checked_loop(mode, kappa, block):
+    cfg = from_dict({**KAPPA0_OVERFLOW,
+                     "perturbation": {"mode": mode, "delta0": 1e-3, "kappa": kappa, "injection": "unscaled"}})
+    want = outcome(oracles.run_loop, cfg)[1]
+    with mock.patch.object(engine, "BLOCK", block), pytest.raises(engine.EngineError) as exc:
+        engine.run(cfg)
+    u = OVERFLOW_ROWS[mode, kappa]
+    assert (str(exc.value), exc.value.t) == want == (f"non-finite divergence at iteration {u}", u)
+    assert np.isfinite(exc.value.state).all()
 
 
 class StubbedGenerator(np.random.Generator):
@@ -304,6 +326,7 @@ def test_a_failing_step_past_the_last_target_of_a_block_stays_silent(monkeypatch
         assert (got if err is None else err[0]) == want
 
 
+# the oracle runs outside the engine's floating-point mode, and warns where its divergence overflows
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_first_passage_stops_at_a_non_finite_divergence(monkeypatch):
     cfg = from_dict({
