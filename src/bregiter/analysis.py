@@ -173,7 +173,7 @@ class AuditReport:
     def to_json_dict(self) -> dict:
         constants = self.constants.to_json_dict()
         return {
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [{**asdict(c), "worst_violation": json_number(c.worst_violation)} for c in self.checks],
             "constants": constants,
             "fitted": {"beta_max": constants["beta"], "M": constants["M"]},
             "induction": self.induction.to_json_dict(),

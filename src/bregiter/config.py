@@ -187,11 +187,19 @@ class RunConfig:
         the seed feeds only the contraction estimate of start-up.  eps_list
         and rate_window shape the summary, not the loop.
         """
+        return self._loop_digest(None if self.perturbation.is_zero else self.seed)
+
+    @property
+    def batch_key(self) -> str:
+        """loop_key without the seed: engine.run_seeds steps the loops of configs with equal keys in one pass."""
+        return self._loop_digest(None)
+
+    def _loop_digest(self, seed: int | None) -> str:
         d = self.raw
         return config_digest({
             **{k: d.get(k) for k in ("geometry", "operator", "schedule", "perturbation", "s0", "iterations")},
             "retain_states": self.retain_states,
-            "seed": None if self.perturbation.is_zero else self.seed,
+            "seed": seed,
         })
 
 

@@ -20,6 +20,11 @@ makes them before its steps, in the perturbation module's draw order, with
 their unit directions and D(direction, 0) batched; a random step keeps its
 budget and the scaling of its eta.  A fault is reported at its earliest
 row, with the message, t and state of a per-step loop.
+
+The loops of one noisy config at several seeds (run_seeds) step together
+as the rows of one (B, dim) state: the work that reads no draw runs once per
+step for every row, each row's perturbation runs on its own generator, and
+each row gets the bits of its lone loop.
 """
 
 from __future__ import annotations
@@ -173,10 +178,14 @@ def _finite(x: np.ndarray) -> bool:
 
 
 def _divergence_fault(d: np.ndarray, t0: int, states: np.ndarray) -> EngineError | None:
-    """The fault of the first d[i] = D(states[i], s_star) that is not finite, at row t0 + i, before its step."""
+    """The fault of the first d[i] = D(states[i], s_star) that is not finite, at row t0 + i, before its step.
+
+    d may hold one divergence per row of a batch, d[i, r] = D(states[i, r], s_star); the fault is
+    then that of the first row r of the first step i with one that is not finite.
+    """
     if not _finite(d):
-        i = int(np.argmin(np.isfinite(d)))
-        return EngineError(f"non-finite divergence at iteration {t0 + i}", t0 + i, states[i].copy())
+        i, *r = map(int, np.unravel_index(int(np.argmin(np.isfinite(d))), d.shape))
+        return EngineError(f"non-finite divergence at iteration {t0 + i}", t0 + i, states[(i, *r)].copy())
 
 
 def run(cfg: RunConfig, like: Trace | None = None) -> Trace:
@@ -197,54 +206,108 @@ def run(cfg: RunConfig, like: Trace | None = None) -> Trace:
             "accelerated bounds are vacuous"
         )
         log.warning(warnings[-1])
-    return replace(like if like is not None else _loop(cfg, s_star, s),
+    return replace(like if like is not None else _loop(cfg, s_star, s, [cfg.seed])[0],
                    s_star=s_star, gamma_hat=gamma_hat, warnings=warnings)
 
 
-def _buffers(rows: int, dim: int) -> tuple[np.ndarray, ...]:
-    """Block buffers of _blocks: s_t, T(s_t), alpha_t and eta_t."""
-    return np.empty((rows, dim)), np.empty((rows, dim)), np.empty(rows), np.empty((rows, dim))
+def run_seeds(cfg: RunConfig, seeds: list[int]) -> list[Trace]:
+    """The loops of cfg at each of seeds, in one batched pass, without their start-up facts.
+
+    Each Trace has the bits of the loop of engine.run on cfg with that seed;
+    engine.run(cfg with that seed, like=trace) adds the start-up facts.  A
+    failure of start-up or of any seed's loop is an EngineError of the pass,
+    which names no seed: a lone run tells whether, and where, a seed fails.
+    """
+    s_star, s, _ = _start(cfg)
+    return _loop(cfg, s_star, s, seeds)
 
 
-def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, rng: np.random.Generator | None,
+def _buffers(rows: int, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Block buffers of _blocks for a state of the given shape: s_t, T(s_t), alpha_t and eta_t."""
+    return np.empty((rows, *shape)), np.empty((rows, *shape)), np.empty(rows), np.empty((rows, *shape))
+
+
+class _Noise:
+    """The perturbations of one row of _blocks: its generator, the draws of its block and their rewind.
+
+    In random mode, draw makes the draws of every step of a block before the
+    first, through PerturbationModel.draws; a step whose budget is positive
+    takes the next of them, and a step whose budget is <= 0 none, as sample
+    would.  settle, after a block that left draws unused, rewinds the
+    generator and redraws the used ones, so the next block starts where a
+    per-step loop would.  Adversarial steps call sample.
+    """
+
+    __slots__ = ("pm", "g", "zero", "s_star", "rng", "random", "eta", "state", "directions", "bases", "u", "j")
+
+    def __init__(self, cfg: RunConfig, s_star: np.ndarray, rng: np.random.Generator):
+        self.pm, self.g, self.zero = cfg.perturbation, cfg.geometry, cfg.geometry.zero
+        self.s_star, self.rng = s_star, rng
+        self.random = self.pm.mode == "random"
+        #: eta(t, s_t, e_t, alpha_t), where e_t = D(s_t, s_star) if the budget reads it
+        self.eta = self._drawn_eta if self.random else self._sampled_eta
+
+    def draw(self, n: int):
+        """The draws of the next n steps, and the state-free part of their etas (random mode)."""
+        if self.random:
+            self.state = self.rng.bit_generator.state
+            self.directions, u = self.pm.draws(self.g.dim, n, self.rng)
+            self.bases = self.g._divergence(self.directions, self.zero).tolist()
+            self.u, self.j = u.tolist(), 0
+
+    def _drawn_eta(self, t: int, s: np.ndarray, e_t: float, al: float) -> np.ndarray:
+        if (b := self.pm.budget(e_t)) <= 0:  # sample's random branch, on the block's draws
+            return self.zero
+        j = self.j
+        self.j = j + 1
+        u = self.u[j]
+        return self.pm.eta_along(self.directions[j], self.bases[j], u * u * b, al, self.zero)
+
+    def _sampled_eta(self, t: int, s: np.ndarray, e_t: float, al: float) -> np.ndarray:
+        try:
+            return self.pm.sample(self.g, s, self.s_star, e_t, al, self.rng)
+        except DomainError as exc:
+            raise EngineError(f"perturbation failed at iteration {t}: {exc}", t, s) from exc
+
+    def settle(self):
+        if self.random and self.j < len(self.u):  # rows whose budget was <= 0 drew nothing
+            self.rng.bit_generator.state = self.state
+            self.pm.draws(self.g.dim, self.j, self.rng)
+
+
+def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, noise: list[_Noise],
             buf: tuple[np.ndarray, ...], sizes: Iterable[int],
             last: int) -> Iterator[tuple[int, int, EngineError | None]]:
     """The averaged iteration from s = s_t, one block of rows per size, through row last.
 
-    The one per-step loop of the engine.  Row i of a block of the buffers buf
-    (see _buffers) holds s_u, T(s_u), alpha_u and, on noisy runs, eta_u for
-    u = t0 + i.  Each step computes only what the next step reads; whoever
-    consumes the block fills every other per-row value by one batched map
-    per block.  A step runs unchecked but for one finiteness check and the
-    geometry's drift repair: s_t, s_star and every state before them were
-    checked or settled already.  Row last takes no step.
-
-    In random mode, PerturbationModel.draws makes the draws of every step
-    of a block before the first; a step whose budget is positive takes the
-    next of them, and a step whose budget is <= 0 none, as sample would.  A
-    block that leaves draws unused rewinds rng and redraws the used ones, so
-    the next block starts where a per-step loop would.  Adversarial steps
-    call sample.
+    The one per-step loop of the engine.  s is one state of shape (dim,), or
+    a batch of shape (B, dim) whose rows step together: alpha_t, T, the
+    average, the finiteness check and the geometry's drift repair run once
+    per step for every row, each with the bits of its lone call.  noise holds
+    the perturbations of each row (_Noise), and is empty on a noise-free run.
+    Row i of a block of the buffers buf (see _buffers) holds s_u, T(s_u),
+    alpha_u and, on noisy runs, eta_u for u = t0 + i.  Each step computes only
+    what the next step reads; whoever consumes the block fills every other
+    per-row value by one batched map per block.  A step runs unchecked but
+    for one finiteness check and the drift repair: s_t, s_star and every
+    state before them were checked or settled already.  Row last takes no
+    step.
 
     Yields (t0, m, fault) per block: its first row t0, its row count m, and
     None, or the EngineError of the step of row t0 + m - 1, the last row of
     the last block.
     """
     g, op, sched, pm = cfg.geometry, cfg.operator, cfg.schedule, cfg.perturbation
-    noisy = not pm.is_zero
-    random = noisy and pm.mode == "random"
-    e_step = noisy and pm.kappa != 0
+    lone = s.ndim == 1
+    e_step = bool(noise) and pm.kappa != 0
     b_s, b_ts, b_alpha, b_eta = buf
-    e_t = 0.0  # the budget's e_t unless e_step: delta0 + kappa * 0.0 is delta0 at kappa = 0
+    row_etas = [row.eta for row in noise]
+    lone_eta = row_etas[0] if lone and noise else None
+    e_t = 0.0 if lone else [0.0] * len(s)  # the budget's e_t unless e_step: delta0 + kappa * 0.0 is delta0
     for n in sizes:
         t0, end = t, min(t + n, last + 1)
-        if random:  # the draws of every step of the block, and the state-free part of its etas
-            n_draw = min(end, last) - t0
-            state = rng.bit_generator.state
-            directions, u = pm.draws(g.dim, n_draw, rng)
-            bases = g._divergence(directions, g.zero).tolist()
-            u = u.tolist()
-            j = 0  # drawn rows consumed
+        for row in noise:
+            row.draw(min(end, last) - t0)
         try:
             for t in range(t0, end):
                 i = t - t0
@@ -253,22 +316,17 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, rng: np.r
                 b_s[i] = s
                 b_ts[i] = ts
                 if e_step:
-                    e_t = g._divergence(s, s_star)
+                    e_t = g._divergence(s, s_star) if lone else g._divergence(s, s_star).tolist()
                 if t == last:
                     break
                 s_next = (1.0 - al) * s + al * ts
-                if noisy:
-                    if not random:
-                        try:
-                            eta = pm.sample(g, s, s_star, e_t, al, rng)
-                        except DomainError as exc:
-                            raise EngineError(f"perturbation failed at iteration {t}: {exc}", t, s) from exc
-                    elif (b := pm.budget(e_t)) <= 0:  # sample's random branch, on the block's draws
-                        eta = g.zero
+                if noise:
+                    if lone:
+                        b_eta[i] = eta = lone_eta(t, s, e_t, al)
                     else:
-                        eta = pm.eta_along(directions[j], bases[j], u[j] * u[j] * b, al, g.zero)
-                        j += 1
-                    b_eta[i] = eta
+                        eta = b_eta[i]
+                        for r, row_eta in enumerate(row_etas):
+                            eta[r] = row_eta(t, s[r], e_t[r], al)
                     s_next = s_next + eta
                 if not _finite(s_next):
                     raise EngineError(f"non-finite state at iteration {t}", t, s_next)
@@ -279,9 +337,8 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, rng: np.r
         except EngineError as fault:
             yield t0, fault.t - t0 + 1, fault
             return
-        if random and j < n_draw:  # rows whose budget was <= 0 drew nothing
-            rng.bit_generator.state = state
-            pm.draws(g.dim, j, rng)
+        for row in noise:
+            row.settle()
         yield t0, end - t0, None
         if end > last:
             return
@@ -289,46 +346,56 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, rng: np.r
 
 
 @QUIET
-def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray) -> Trace:
-    """The loop of run from the projected s0 s, without its start-up facts.
+def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray, seeds: list[int]) -> list[Trace]:
+    """The loops of run from the projected s0 s, one per seed, without their start-up facts.
 
-    _blocks steps it BLOCK rows at a time.  Per block, the batched maps give
-    each row the bits of a per-step call for e_t, ||T(s_t) - s_t||^2 and
-    D(eta_t, 0).  The first row whose e_t is not finite fails the run, before
-    any failed step of its block; a_t and ||T(s_t) - s_t||^2 may read inf.
+    One seed steps a state of shape (dim,).  More seeds step one (B, dim)
+    state in one pass of _blocks, a row per seed with its own generator;
+    batches arise only on noisy configs, whose geometry's drift repair is the
+    identity.  _blocks steps BLOCK rows at a time.  Per block, the batched
+    maps over its (m, B, dim) rows give each row the bits of a per-step call
+    for e_t, ||T(s_t) - s_t||^2 and D(eta_t, 0).  The first row whose e_t is
+    not finite fails the pass, before any failed step of its block; a_t and
+    ||T(s_t) - s_t||^2 may read inf.  Each seed's Trace is contiguous.
     """
     g, pm = cfg.geometry, cfg.perturbation
-    T = cfg.iterations
-    noisy = not pm.is_zero
+    T, B = cfg.iterations, len(seeds)
 
-    e = np.empty(T + 1)
+    e = np.empty((B, T + 1))
     alpha = np.empty(T + 1)
-    delta_sq = np.empty(T + 1)
-    eta_div = np.zeros(T + 1)
-    states = np.empty((T + 1, g.dim)) if cfg.retain_states else None
-    etas = np.zeros((T, g.dim)) if cfg.retain_states else None
-    buf = b_s, b_ts, b_alpha, b_eta = _buffers(min(BLOCK, T + 1), g.dim)
+    delta_sq = np.empty((B, T + 1))
+    eta_div = np.zeros((B, T + 1))
+    states = np.empty((B, T + 1, g.dim)) if cfg.retain_states else None
+    etas = np.zeros((B, T, g.dim)) if cfg.retain_states else None
+    buf = b_s, b_ts, b_alpha, b_eta = _buffers(min(BLOCK, T + 1), (B, g.dim))
+    noise = [] if pm.is_zero else [_Noise(cfg, s_star, np.random.default_rng(seed)) for seed in seeds]
+    if B > 1:
+        s = np.tile(s, (B, 1))
+    else:  # one seed steps the (dim,) state of a lone run
+        buf = b_s[:, 0], b_ts[:, 0], b_alpha, b_eta[:, 0]
 
-    rng = np.random.default_rng(cfg.seed)
-    for t0, m, fault in _blocks(cfg, s_star, 0, s, rng, buf, itertools.repeat(BLOCK), T):
+    for t0, m, fault in _blocks(cfg, s_star, 0, s, noise, buf, itertools.repeat(BLOCK), T):
         done = slice(t0, t0 + m)
         stepped = slice(t0, min(t0 + m, T))  # row T takes no step
         n_step = stepped.stop - t0
-        e[done] = g._divergence(b_s[:m], s_star)
-        if fault := _divergence_fault(e[done], t0, b_s) or fault:
+        d = g._divergence(b_s[:m], s_star)
+        if fault := _divergence_fault(d, t0, b_s) or fault:
             raise fault
+        e[:, done] = d.T
         alpha[done] = b_alpha[:m]
-        d = b_ts[:m] - b_s[:m]
-        delta_sq[done] = np.vecdot(d, d)
+        diff = b_ts[:m] - b_s[:m]
+        delta_sq[:, done] = np.vecdot(diff, diff).T
         if states is not None:
-            states[done] = b_s[:m]
-        if noisy:
-            eta_div[stepped] = g._divergence(b_eta[:n_step], g.zero)  # 0.0 on the rows whose eta is g.zero
+            states[:, done] = b_s[:m].swapaxes(0, 1)
+        if noise:
+            eta_div[:, stepped] = g._divergence(b_eta[:n_step], g.zero).T  # 0.0 where eta is g.zero
             if etas is not None:
-                etas[stepped] = b_eta[:n_step]
+                etas[:, stepped] = b_eta[:n_step].swapaxes(0, 1)
     rows = np.arange(T + 1)
-    return Trace(t=rows, e=e, a=e * (rows + 1.0) ** 2, alpha=alpha, delta_norm_sq=delta_sq,
-                 eta_div=eta_div, states=states, etas=etas, final_state=b_s[m - 1].copy())
+    a = e * (rows + 1.0) ** 2
+    return [Trace(t=rows, e=e[r], a=a[r], alpha=alpha, delta_norm_sq=delta_sq[r], eta_div=eta_div[r],
+                  states=None if states is None else states[r], etas=None if etas is None else etas[r],
+                  final_state=b_s[m - 1, r].copy()) for r in range(B)]
 
 
 @QUIET
@@ -354,9 +421,9 @@ def _passages(cfg: RunConfig, s_star: np.ndarray, e, s: np.ndarray,
     todo = sorted(set(eps_list) - set(found), reverse=True)  # largest target is met first
     k = e.size - 1
     if todo and k < cap:
-        buf = b_s, *_ = _buffers(min(PASSAGE_BLOCKS[-1], cap - k + 1), g.dim)
+        buf = b_s, *_ = _buffers(min(PASSAGE_BLOCKS[-1], cap - k + 1), (g.dim,))
         sizes = itertools.chain(PASSAGE_BLOCKS, itertools.repeat(PASSAGE_BLOCKS[-1]))
-        for t0, m, fault in _blocks(cfg, s_star, k, s, None, buf, sizes, cap):
+        for t0, m, fault in _blocks(cfg, s_star, k, s, [], buf, sizes, cap):
             d = g._divergence(b_s[:m], s_star)  # row k again, which meets no open target
             bad = _divergence_fault(d, t0, b_s)
             n_ok = m if bad is None else bad.t - t0

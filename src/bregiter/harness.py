@@ -141,7 +141,8 @@ def load_run(run_dir: Path, cfg: cfgmod.RunConfig) -> engine.Trace:
 
 
 def write_json(path: Path, obj: dict):
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """obj as strict JSON: a non-finite number raises ValueError, as no JSON reader takes one."""
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _utcnow() -> str:
@@ -200,10 +201,11 @@ def summarize(trace: engine.Trace, cfg: cfgmod.RunConfig) -> dict:
 def run_to_dir(cfg: cfgmod.RunConfig, out_dir: Path, shared: list | None = None) -> dict:
     """Run cfg and write one run directory; returns the summary dict.
 
-    shared, kept by a sweep group whose points all have one loop_key, is
-    empty until a point of the group completes the loop; it then holds that
-    point's (Trace, trace.csv path), and later points reuse both and run only
-    their own start-up and summary.
+    shared, kept by a sweep job for the points of one loop_key, holds the
+    (Trace, trace.csv path) of the first point that wrote the loop's
+    trace.csv; later points reuse both and run only their own start-up and
+    summary.  Before that it is empty, or holds (Trace, None) for a loop
+    that engine.run_seeds stepped, whose trace.csv no point has written.
     """
     started = _utcnow()
     out_dir = Path(out_dir)
@@ -222,7 +224,7 @@ def run_to_dir(cfg: cfgmod.RunConfig, out_dir: Path, shared: list | None = None)
             for arr in vars(trace).values():  # later points of the group read these very arrays
                 if isinstance(arr, np.ndarray):
                     arr.flags.writeable = False
-            shared.append((trace, out_dir / "trace.csv"))
+            shared[:] = [(trace, out_dir / "trace.csv")]
     else:
         shutil.copyfile(shared_trace, out_dir / "trace.csv")
     if trace.states is not None:
@@ -267,7 +269,7 @@ def cmd_run(config_path: str, out_dir: str, seed: int | None = None,
     print(json.dumps({
         "digest": summary["config_digest"], "e_final": summary["e_final"],
         "slope": summary["slope"], "warnings": summary["warnings"],
-    }))
+    }, allow_nan=False))
     return EXIT_OK
 
 
@@ -289,13 +291,13 @@ def expand_sweep(raw: dict) -> list[tuple[dict, dict]]:
     return points
 
 
-def _sweep_jobs(groups: list[list], parallel: int) -> list[list]:
-    """The jobs of a sweep: one per loop group, the largest halved until each of parallel workers has one.
+def _sweep_jobs(batches: list[list], parallel: int) -> list[list]:
+    """The jobs of a sweep: one per batch of points, the largest halved until each of parallel workers has one.
 
-    Each half runs the loop once.  Halves stay in place, so the jobs list the
-    points in group order at any parallel.
+    Each half runs its loops once.  Halves stay in place, so the jobs list the
+    points in batch order at any parallel.
     """
-    jobs = list(groups)
+    jobs = list(batches)
     while len(jobs) < parallel and max(map(len, jobs), default=0) > 1:
         i = max(range(len(jobs)), key=lambda j: len(jobs[j]))
         half = len(jobs[i]) // 2
@@ -304,9 +306,24 @@ def _sweep_jobs(groups: list[list], parallel: int) -> list[list]:
 
 
 def _sweep_group(points: list[tuple]) -> list[dict]:
-    """Worker for the sweep points of one loop key: they share one loop and its trace.csv."""
-    shared = []
-    return [_sweep_point(point, shared) for point in points]
+    """Worker for sweep points of one batch_key: one loop per loop_key, shared by the key's points.
+
+    Where the points hold more than one loop_key, engine.run_seeds steps the
+    loops of all their seeds in one pass.  A pass that fails leaves every
+    point to run alone, so each row, ok or error, is that of a lone run.
+    """
+    keys = [cfg.loop_key for cfg, _ in points]
+    seeds = {key: cfg.seed for key, (cfg, _) in zip(keys, points)}
+    shared = {key: [] for key in seeds}
+    if len(seeds) > 1:
+        try:
+            traces = engine.run_seeds(points[0][0], list(seeds.values()))
+        except EngineError:
+            pass
+        else:
+            for key, trace in zip(seeds, traces):
+                shared[key].append((trace, None))
+    return [_sweep_point(point, shared[key]) for key, point in zip(keys, points)]
 
 
 def _sweep_point(args: tuple, shared: list) -> dict:
@@ -329,9 +346,10 @@ def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1) -> int:
 
     Output is independent of the parallelism level: each point runs under a
     digest-named subdirectory and index.csv rows are sorted by digest.  Points
-    with one loop_key form one job, which runs their loop once.  A repeated
-    point runs once and its row is repeated.  A point that does not parse
-    gets its error row here and no job.
+    with one batch_key form one job, which runs the loop of each loop_key
+    once, and those of all its seeds in one batched pass.  A repeated point
+    runs once and its row is repeated.  A point that does not parse gets its
+    error row here and no job.
     """
     try:
         raw = cfgmod.load_config_file(config_path)
@@ -346,15 +364,15 @@ def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1) -> int:
     out_root = Path(out_dir)
     digests = [cfgmod.config_digest(point) for _, point in points]
     unique = dict(zip(digests, (point for _, point in points)))  # a repeated point runs once
-    by_digest, groups = {}, {}
+    by_digest, batches = {}, {}
     for digest, point in unique.items():
         try:
             cfg = cfgmod.from_dict(point)
         except ConfigError as exc:
             by_digest[digest] = {"digest": digest, "status": f"error: {exc}"}
             continue
-        groups.setdefault(cfg.loop_key, []).append((cfg, str(out_root)))
-    jobs = _sweep_jobs(list(groups.values()), parallel)
+        batches.setdefault(cfg.batch_key, {}).setdefault(cfg.loop_key, []).append((cfg, str(out_root)))
+    jobs = _sweep_jobs([list(chain.from_iterable(b.values())) for b in batches.values()], parallel)
     workers = min(parallel, len(jobs))  # a pool starts all its workers at once, busy or not
     if workers <= 1:
         done = [row for job in jobs for row in _sweep_group(job)]

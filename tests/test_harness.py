@@ -792,6 +792,55 @@ def accel_run(out, *overrides):
                    overrides=["iterations=300", "rate_window=null", *overrides])
 
 
+@pytest.fixture(scope="module")
+def accel_dir(tmp_path_factory):
+    """The 300-step affine_accel run with states, made once for the edits below."""
+    out = tmp_path_factory.mktemp("accel") / "run"
+    assert accel_run(out) == 0
+    return out
+
+
+def test_an_audited_non_finite_excess_is_written_as_null(tmp_path, capsys, accel_dir):
+    run_dir = tmp_path / "run"
+    shutil.copytree(accel_dir, run_dir)
+    lines = (run_dir / "trace.csv").read_text().split("\n")
+    fields = lines[101].split(",")
+    fields[1] = "-inf"  # e_t of row 100
+    lines[101] = ",".join(fields)
+    (run_dir / "trace.csv").write_text("\n".join(lines))
+    capsys.readouterr()
+    assert cmd_audit(str(run_dir)) == 0
+    assert "descent: FINDING (worst violation inf)" in capsys.readouterr().out
+    descent = next(c for c in strict_json(run_dir / "audit.json")["checks"] if c["name"] == "descent")
+    assert descent["worst_violation"] is None and not descent["passed"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308", "-1e308"])
+@pytest.mark.parametrize("column", TRACE_HEADER[1:])
+def test_audit_and_rate_of_a_trace_with_one_bad_field_exit_zero_or_two_with_strict_json(
+        tmp_path, capsys, accel_dir, column, value):
+    for row in (0, 10, 100, 300):
+        run_dir = tmp_path / f"row{row}"
+        shutil.copytree(accel_dir, run_dir)
+        lines = (run_dir / "trace.csv").read_text().split("\n")
+        fields = lines[row + 1].split(",")
+        fields[TRACE_HEADER.index(column)] = value
+        lines[row + 1] = ",".join(fields)
+        (run_dir / "trace.csv").write_text("\n".join(lines))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            audit = cmd_audit(str(run_dir))
+            rate = cmd_rate(str(run_dir / "trace.csv"))
+        assert (audit, rate) in {(0, 0), (0, 2), (2, 0), (2, 2)}, row
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], row
+        if (run_dir / "audit.json").exists():
+            strict_json(run_dir / "audit.json")
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("{"):
+                json.loads(line, parse_constant=lambda token: pytest.fail(f"row {row}: stdout holds {token}"))
+
+
 def test_rerun_replaces_the_earlier_run_files(tmp_path, capsys):
     out = tmp_path / "X"
     assert accel_run(out) == 0 and cmd_audit(str(out)) == 0
