@@ -159,7 +159,11 @@ def _build(block: str, d: Any):
 
 @dataclass
 class RunConfig:
-    """Validated run description plus the canonical dict it was built from."""
+    """Validated run description plus the canonical dict it was built from.
+
+    digest, loop_key and batch_key are computed once, on first use: raw is
+    never changed after from_dict builds the config.
+    """
 
     geometry: Geometry
     operator: Operator
@@ -173,11 +177,11 @@ class RunConfig:
     rate_window: tuple[int, int] | None
     raw: dict
 
-    @property
+    @functools.cached_property
     def digest(self) -> str:
         return config_digest(self.raw)
 
-    @property
+    @functools.cached_property
     def loop_key(self) -> str:
         """Digest of all that engine.run's loop reads; configs with equal keys record equal loops.
 
@@ -189,15 +193,22 @@ class RunConfig:
         """
         return self._loop_digest(None if self.perturbation.is_zero else self.seed)
 
-    @property
+    @functools.cached_property
     def batch_key(self) -> str:
-        """loop_key without the seed: engine.run_seeds steps the loops of configs with equal keys in one pass."""
-        return self._loop_digest(None)
+        """loop_key without the seed and the operator's stackable params: engine.loops steps equal keys in one pass.
 
-    def _loop_digest(self, seed: int | None) -> str:
+        For an operator kind without stackable params, it is loop_key without the seed.
+        """
+        return self._loop_digest(None, self.operator.stackable)
+
+    def _loop_digest(self, seed: int | None, stacked: tuple[str, ...] = ()) -> str:
         d = self.raw
+        op = d["operator"]
+        if stacked:
+            op = {**op, "params": {k: v for k, v in op["params"].items() if k not in stacked}}
         return config_digest({
-            **{k: d.get(k) for k in ("geometry", "operator", "schedule", "perturbation", "s0", "iterations")},
+            **{k: d.get(k) for k in ("geometry", "schedule", "perturbation", "s0", "iterations")},
+            "operator": op,
             "retain_states": self.retain_states,
             "seed": seed,
         })

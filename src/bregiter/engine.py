@@ -21,14 +21,23 @@ their unit directions and D(direction, 0) batched; a random step keeps its
 budget and the scaling of its eta.  A fault is reported at its earliest
 row, with the message, t and state of a per-step loop.
 
-The loops of one noisy config at several seeds (run_seeds) step together
-as the rows of one (B, dim) state: the work that reads no draw runs once per
-step for every row, each row's perturbation runs on its own generator, and
-each row gets the bits of its lone loop.
+A sweep job steps its loops in the passes of passes, one call of loops
+each: the loops whose configs differ only in the seed and in the params
+that their operator kind stacks (Operator.stackable) step together as the
+rows of one (B, dim) state.  The work that reads no draw runs once per step
+for every row; row r reads its own row of the stacked operator and of
+s_star, draws its perturbations from its own generator, and gets the bits of
+its lone loop, or fails alone while the other rows step on.  In random mode
+the etas of all rows are one array expression per step.  A pass holds at
+most PASS_BYTES of traces, so a caller that drops each pass's traces before
+it steps the next holds about that much at once.  A lone run (B = 1) steps a
+(dim,) state, whose random etas come from python floats: at B = 1 the array
+expression costs more than twice as much per step.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -43,6 +52,7 @@ from .operators import FixedPointError, estimate_contraction
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import RunConfig
+    from .geometry import Geometry
 
 log = logging.getLogger(__name__)
 
@@ -61,6 +71,9 @@ BLOCK = 1024
 #: the end of the block that meets its last target; past 256 rows, a block saves too little per
 #: row to pay for that
 PASSAGE_BLOCKS = (16, 32, 64, 128, 256)
+
+#: bytes of traces and retained states that one pass of loops holds at most: it caps the rows of a pass
+PASS_BYTES = 32 * 2**20
 
 #: numpy's floating-point mode of the run stages and the audit: overflow is data, judged by finiteness checks
 QUIET = np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -188,38 +201,89 @@ def _divergence_fault(d: np.ndarray, t0: int, states: np.ndarray) -> EngineError
         return EngineError(f"non-finite divergence at iteration {t0 + i}", t0 + i, states[(i, *r)].copy())
 
 
-def run(cfg: RunConfig, like: Trace | None = None) -> Trace:
+def run(cfg: RunConfig) -> Trace:
     """Execute the averaged iteration described by cfg and return its trace.
 
     Start-up (fixed point, s0, the seeded contraction estimate and its
-    warnings) runs for every call and fills the Trace's s_star, gamma_hat and
-    warnings.  like, the Trace of an earlier run whose config has the same
-    loop_key, stands in for the loop: the result shares its arrays.
+    warnings) runs first and fills the Trace's s_star, gamma_hat and warnings.
     """
-    pm = cfg.perturbation
+    s_star, s, facts = _started(cfg)
+    return replace(_loop(cfg, s_star, s, [cfg.seed])[0], **facts)
+
+
+def with_start(cfg: RunConfig, loop: Trace) -> Trace:
+    """The Trace of run(cfg), from loop, the Trace that loops gave for cfg's loop_key.
+
+    Only cfg's start-up runs; the result shares loop's arrays.
+    """
+    return replace(loop, **_started(cfg)[2])
+
+
+def _started(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, dict]:
+    """s_star, the projected s0, and the start-up facts of a Trace of cfg, whose warnings are logged."""
     s_star, s, gamma_hat = _start(cfg, contraction=True)
     warnings: list[str] = []
-    if gamma_hat + pm.kappa >= 1:
+    if gamma_hat + cfg.perturbation.kappa >= 1:
         warnings.append(
-            f"gamma_hat + kappa = {gamma_hat:.6g} + {pm.kappa:.6g} >= 1: "
+            f"gamma_hat + kappa = {gamma_hat:.6g} + {cfg.perturbation.kappa:.6g} >= 1: "
             "the contraction hypothesis fails for this instance and the "
             "accelerated bounds are vacuous"
         )
         log.warning(warnings[-1])
-    return replace(like if like is not None else _loop(cfg, s_star, s, [cfg.seed])[0],
-                   s_star=s_star, gamma_hat=gamma_hat, warnings=warnings)
+    return s_star, s, {"s_star": s_star, "gamma_hat": gamma_hat, "warnings": warnings}
 
 
-def run_seeds(cfg: RunConfig, seeds: list[int]) -> list[Trace]:
-    """The loops of cfg at each of seeds, in one batched pass, without their start-up facts.
+def passes(cfgs: Iterable[RunConfig]) -> list[list[RunConfig]]:
+    """The passes that loops steps the loops of cfgs in: one config per distinct loop_key.
 
-    Each Trace has the bits of the loop of engine.run on cfg with that seed;
-    engine.run(cfg with that seed, like=trace) adds the start-up facts.  A
-    failure of start-up or of any seed's loop is an EngineError of the pass,
-    which names no seed: a lone run tells whether, and where, a seed fails.
+    The keys of one batch_key form passes in order of first appearance, each
+    holding at most PASS_BYTES of traces and retained states (one row at
+    least).
     """
-    s_star, s, _ = _start(cfg)
-    return _loop(cfg, s_star, s, seeds)
+    batches: dict[str, dict[str, RunConfig]] = {}
+    for cfg in cfgs:
+        batches.setdefault(cfg.batch_key, {}).setdefault(cfg.loop_key, cfg)
+    out = []
+    for batch in batches.values():
+        rows = list(batch.values())
+        cfg = rows[0]
+        size = max(1, PASS_BYTES // (8 * (cfg.iterations + 1) * (4 + 2 * cfg.geometry.dim * cfg.retain_states)))
+        out += [rows[lo:lo + size] for lo in range(0, len(rows), size)]
+    return out
+
+
+def loops(cfgs: list[RunConfig]) -> dict[str, Trace]:
+    """The loop of each config of cfgs, one pass of passes, by loop_key, without its start-up facts.
+
+    The configs step as the rows of one pass of _loop: row r starts from its
+    own fixed point where the rows stack their operator params, and the rows
+    of any other batch share one start-up.  Each Trace has the bits of the
+    loop of run on a config of its key; with_start adds the start-up facts.
+    A config whose loop fails, at start-up or at a step, is left out, and the
+    other rows step on: a lone run tells where it fails.
+    """
+    stacked = cfgs[0].operator.stackable
+    starts = [_start_or_none(cfg) for cfg in cfgs] if stacked else [_start_or_none(cfgs[0])] * len(cfgs)
+    rows = [(cfg, start) for cfg, start in zip(cfgs, starts) if start is not None]
+    if not rows:
+        return {}
+    cfg, (s_star, s, _) = rows[0]
+    if len(rows) > 1 and stacked:
+        s_star = np.stack([start[0] for _, start in rows])
+        cfg = replace(cfg, operator=type(cfg.operator).stack([c.operator for c, _ in rows]))
+    try:
+        traces = _loop(cfg, s_star, s, [c.seed for c, _ in rows])
+    except EngineError:  # the fault of a lone row
+        return {}
+    return {c.loop_key: trace for (c, _), trace in zip(rows, traces) if trace is not None}
+
+
+def _start_or_none(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, float | None] | None:
+    """_start(cfg), or None where it fails."""
+    try:
+        return _start(cfg)
+    except EngineError:
+        return None
 
 
 def _buffers(rows: int, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
@@ -228,32 +292,56 @@ def _buffers(rows: int, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 
 
 class _Noise:
-    """The perturbations of one row of _blocks: its generator, the draws of its block and their rewind.
+    """The perturbations of the rows of _blocks: a generator per row, the draws of a block and their rewind.
 
     In random mode, draw makes the draws of every step of a block before the
-    first, through PerturbationModel.draws; a step whose budget is positive
-    takes the next of them, and a step whose budget is <= 0 none, as sample
-    would.  settle, after a block that left draws unused, rewinds the
-    generator and redraws the used ones, so the next block starts where a
-    per-step loop would.  Adversarial steps call sample.
+    first, through PerturbationModel.draws on each row's generator; a step
+    whose budget is positive takes the row's next draw, and a step whose
+    budget is <= 0 none, as sample would.  settle, after a block that left a
+    row's draws unused, rewinds its generator and redraws the used ones, so
+    the next block starts where a per-step loop would.  Adversarial steps
+    call sample, row by row.
+
+    A lone row (s_star of shape (dim,)) has eta(t, s_t, e_t, alpha_t), which
+    returns eta_t from python floats.  The B rows of a batch (s_star of shape
+    (B, dim)) have eta(t, s_t, e_t, alpha_t, out), which writes the (B, dim)
+    etas of a step into out; in random mode that is one array expression over
+    the rows, each at its own draw index j[r], with the bits of the lone eta.
     """
 
-    __slots__ = ("pm", "g", "zero", "s_star", "rng", "random", "eta", "state", "directions", "bases", "u", "j")
+    __slots__ = ("pm", "g", "zero", "s_star", "rngs", "random", "lone", "eta", "states", "n",
+                 "directions", "bases", "u", "j", "first")
 
-    def __init__(self, cfg: RunConfig, s_star: np.ndarray, rng: np.random.Generator):
+    def __init__(self, cfg: RunConfig, s_star: np.ndarray, seeds: list[int]):
         self.pm, self.g, self.zero = cfg.perturbation, cfg.geometry, cfg.geometry.zero
-        self.s_star, self.rng = s_star, rng
+        self.s_star = s_star
+        self.rngs = [np.random.default_rng(seed) for seed in seeds]
         self.random = self.pm.mode == "random"
-        #: eta(t, s_t, e_t, alpha_t), where e_t = D(s_t, s_star) if the budget reads it
-        self.eta = self._drawn_eta if self.random else self._sampled_eta
+        self.lone = s_star.ndim == 1
+        if self.lone:
+            self.eta = self._drawn_eta if self.random else functools.partial(self._sample, s_star=s_star,
+                                                                              rng=self.rngs[0])
+        else:
+            self.eta = self._drawn_etas if self.random else self._sampled_etas
 
     def draw(self, n: int):
-        """The draws of the next n steps, and the state-free part of their etas (random mode)."""
-        if self.random:
-            self.state = self.rng.bit_generator.state
-            self.directions, u = self.pm.draws(self.g.dim, n, self.rng)
+        """The draws of the next n steps of each row, and the state-free part of their etas (random mode)."""
+        if not self.random:
+            return
+        self.states = [rng.bit_generator.state for rng in self.rngs]
+        self.n = n
+        drawn = [self.pm.draws(self.g.dim, n, rng) for rng in self.rngs]
+        if self.lone:
+            (self.directions, u), = drawn
             self.bases = self.g._divergence(self.directions, self.zero).tolist()
             self.u, self.j = u.tolist(), 0
+        else:  # row r's draws are rows r n .. r n + n - 1
+            self.directions = np.concatenate([d for d, _ in drawn])
+            self.bases = self.g._divergence(self.directions, self.zero)
+            u = np.concatenate([u for _, u in drawn])
+            self.u = u * u
+            self.first = np.arange(len(drawn)) * n
+            self.j = np.zeros(len(drawn), dtype=np.intp)
 
     def _drawn_eta(self, t: int, s: np.ndarray, e_t: float, al: float) -> np.ndarray:
         if (b := self.pm.budget(e_t)) <= 0:  # sample's random branch, on the block's draws
@@ -263,51 +351,74 @@ class _Noise:
         u = self.u[j]
         return self.pm.eta_along(self.directions[j], self.bases[j], u * u * b, al, self.zero)
 
-    def _sampled_eta(self, t: int, s: np.ndarray, e_t: float, al: float) -> np.ndarray:
+    def _drawn_etas(self, t: int, s: np.ndarray, e_t: np.ndarray, al: float, out: np.ndarray):
+        b = self.pm.budget(e_t)
+        at = self.first + self.j
+        target = self.u.take(at) * b  # eta_along's target u * u * b, row by row
+        np.multiply(self.directions.take(at, axis=0), np.sqrt(target / self.bases.take(at))[:, None], out=out)
+        if self.pm.injection == "scaled":
+            out *= al
+        if (zero := target <= 0).any():  # also every row whose budget is <= 0
+            out[zero] = 0.0
+        self.j += ~(b <= 0)
+
+    def _sample(self, t: int, s: np.ndarray, e_t: float, al: float, s_star: np.ndarray,
+                rng: np.random.Generator) -> np.ndarray:
         try:
-            return self.pm.sample(self.g, s, self.s_star, e_t, al, self.rng)
+            return self.pm.sample(self.g, s, s_star, e_t, al, rng)
         except DomainError as exc:
             raise EngineError(f"perturbation failed at iteration {t}: {exc}", t, s) from exc
 
+    def _sampled_etas(self, t: int, s: np.ndarray, e_t: np.ndarray, al: float, out: np.ndarray):
+        for r, rng in enumerate(self.rngs):
+            try:
+                out[r] = self._sample(t, s[r], e_t[r], al, self.s_star[r], rng)
+            except EngineError:  # the row's step fails (_blocks)
+                out[r] = np.nan
+
     def settle(self):
-        if self.random and self.j < len(self.u):  # rows whose budget was <= 0 drew nothing
-            self.rng.bit_generator.state = self.state
-            self.pm.draws(self.g.dim, self.j, self.rng)
+        if self.random:
+            for rng, state, j in zip(self.rngs, self.states, [self.j] if self.lone else self.j.tolist()):
+                if j < self.n:  # steps whose budget was <= 0 drew nothing
+                    rng.bit_generator.state = state
+                    self.pm.draws(self.g.dim, j, rng)
 
 
-def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, noise: list[_Noise],
-            buf: tuple[np.ndarray, ...], sizes: Iterable[int],
-            last: int) -> Iterator[tuple[int, int, EngineError | None]]:
+def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, noise: _Noise | None,
+            buf: tuple[np.ndarray, ...], sizes: Iterable[int], last: int,
+            dead: np.ndarray | None = None) -> Iterator[tuple[int, int, EngineError | None]]:
     """The averaged iteration from s = s_t, one block of rows per size, through row last.
 
     The one per-step loop of the engine.  s is one state of shape (dim,), or
-    a batch of shape (B, dim) whose rows step together: alpha_t, T, the
-    average, the finiteness check and the geometry's drift repair run once
-    per step for every row, each with the bits of its lone call.  noise holds
-    the perturbations of each row (_Noise), and is empty on a noise-free run.
+    a batch of shape (B, dim) whose rows step together, row r against
+    s_star[r] and row r of the operator: alpha_t, T, the average, the
+    finiteness check and the geometry's drift repair run once per step for
+    every row, each with the bits of its lone call.  noise holds the
+    perturbations of the rows (_Noise), and is None on a noise-free run.
     Row i of a block of the buffers buf (see _buffers) holds s_u, T(s_u),
     alpha_u and, on noisy runs, eta_u for u = t0 + i.  Each step computes only
     what the next step reads; whoever consumes the block fills every other
     per-row value by one batched map per block.  A step runs unchecked but
     for one finiteness check and the drift repair: s_t, s_star and every
     state before them were checked or settled already.  Row last takes no
-    step.
+    step.  On a batch, a row whose step fails is marked in dead, the (B,)
+    flags of the failed rows, and steps on from its row of s_star (_revive);
+    every other row keeps its bits.
 
     Yields (t0, m, fault) per block: its first row t0, its row count m, and
     None, or the EngineError of the step of row t0 + m - 1, the last row of
-    the last block.
+    the last block (never on a batch).
     """
     g, op, sched, pm = cfg.geometry, cfg.operator, cfg.schedule, cfg.perturbation
     lone = s.ndim == 1
-    e_step = bool(noise) and pm.kappa != 0
+    e_step = noise is not None and pm.kappa != 0
     b_s, b_ts, b_alpha, b_eta = buf
-    row_etas = [row.eta for row in noise]
-    lone_eta = row_etas[0] if lone and noise else None
-    e_t = 0.0 if lone else [0.0] * len(s)  # the budget's e_t unless e_step: delta0 + kappa * 0.0 is delta0
+    eta = noise.eta if noise is not None else None
+    e_t = 0.0 if lone else np.zeros(len(s))  # the budget's e_t unless e_step: delta0 + kappa * 0.0 is delta0
     for n in sizes:
         t0, end = t, min(t + n, last + 1)
-        for row in noise:
-            row.draw(min(end, last) - t0)
+        if noise is not None:
+            noise.draw(min(end, last) - t0)
         try:
             for t in range(t0, end):
                 i = t - t0
@@ -316,47 +427,67 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, noise: li
                 b_s[i] = s
                 b_ts[i] = ts
                 if e_step:
-                    e_t = g._divergence(s, s_star) if lone else g._divergence(s, s_star).tolist()
+                    e_t = g._divergence(s, s_star)
                 if t == last:
                     break
                 s_next = (1.0 - al) * s + al * ts
-                if noise:
+                if eta is not None:
                     if lone:
-                        b_eta[i] = eta = lone_eta(t, s, e_t, al)
+                        b_eta[i] = eta_t = eta(t, s, e_t, al)
                     else:
-                        eta = b_eta[i]
-                        for r, row_eta in enumerate(row_etas):
-                            eta[r] = row_eta(t, s[r], e_t[r], al)
-                    s_next = s_next + eta
-                if not _finite(s_next):
-                    raise EngineError(f"non-finite state at iteration {t}", t, s_next)
+                        eta(t, s, e_t, al, eta_t := b_eta[i])
+                    s_next = s_next + eta_t
                 try:
-                    s = g._project(s_next)
-                except DomainError as exc:
-                    raise EngineError(f"domain escape at iteration {t}: {exc}", t, s_next) from exc
+                    if not _finite(s_next):
+                        raise EngineError(f"non-finite state at iteration {t}", t, s_next)
+                    try:
+                        s = g._project(s_next)
+                    except DomainError as exc:
+                        raise EngineError(f"domain escape at iteration {t}: {exc}", t, s_next) from exc
+                except EngineError:
+                    if lone:
+                        raise
+                    s = _revive(g, s_next, s_star, dead)
         except EngineError as fault:
             yield t0, fault.t - t0 + 1, fault
             return
-        for row in noise:
-            row.settle()
+        if noise is not None:
+            noise.settle()
         yield t0, end - t0, None
         if end > last:
             return
         t = end
 
 
+def _revive(g: Geometry, s: np.ndarray, s_star: np.ndarray, dead: np.ndarray) -> np.ndarray:
+    """The projected batch s, whose rows that fail a lone step's checks are marked in dead and put back to s_star."""
+    bad = ~np.isfinite(s).all(axis=1)
+    for r in np.flatnonzero(~bad):
+        try:
+            g._project(s[r])
+        except DomainError:
+            bad[r] = True
+    dead |= bad
+    s[bad] = s_star[bad]
+    return g._project(s)
+
+
 @QUIET
 def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray, seeds: list[int]) -> list[Trace]:
-    """The loops of run from the projected s0 s, one per seed, without their start-up facts.
+    """The loops of run from the projected s0 s, one row per seed, without their start-up facts; None for a failed row.
 
-    One seed steps a state of shape (dim,).  More seeds step one (B, dim)
-    state in one pass of _blocks, a row per seed with its own generator;
-    batches arise only on noisy configs, whose geometry's drift repair is the
-    identity.  _blocks steps BLOCK rows at a time.  Per block, the batched
-    maps over its (m, B, dim) rows give each row the bits of a per-step call
-    for e_t, ||T(s_t) - s_t||^2 and D(eta_t, 0).  The first row whose e_t is
-    not finite fails the pass, before any failed step of its block; a_t and
-    ||T(s_t) - s_t||^2 may read inf.  Each seed's Trace is contiguous.
+    One seed steps a state of shape (dim,) against s_star of shape (dim,).
+    More seeds step one (B, dim) state in one pass of _blocks, row r with
+    seeds[r]'s generator, against s_star of shape (B, dim) or one s_star for
+    every row, and row r of a stacked operator (Operator.stack).  The
+    geometry's drift repair runs row by row (Geometry._project).  _blocks
+    steps BLOCK rows at a time.  Per block, the batched maps over its
+    (m, B, dim) rows give each row the bits of a per-step call for e_t,
+    ||T(s_t) - s_t||^2 and D(eta_t, 0).  A lone loop fails at its first
+    row whose e_t is not finite, before any failed step of its block.  A row
+    of a batch fails alone, at a failed step (_blocks) or at an e_t that is
+    not finite, and gets None; its lone loop tells where.  a_t and
+    ||T(s_t) - s_t||^2 may read inf.  Each row's Trace is contiguous.
     """
     g, pm = cfg.geometry, cfg.perturbation
     T, B = cfg.iterations, len(seeds)
@@ -368,18 +499,22 @@ def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray, seeds: list[int]) -
     states = np.empty((B, T + 1, g.dim)) if cfg.retain_states else None
     etas = np.zeros((B, T, g.dim)) if cfg.retain_states else None
     buf = b_s, b_ts, b_alpha, b_eta = _buffers(min(BLOCK, T + 1), (B, g.dim))
-    noise = [] if pm.is_zero else [_Noise(cfg, s_star, np.random.default_rng(seed)) for seed in seeds]
     if B > 1:
         s = np.tile(s, (B, 1))
+        s_star = np.broadcast_to(s_star, s.shape)
     else:  # one seed steps the (dim,) state of a lone run
         buf = b_s[:, 0], b_ts[:, 0], b_alpha, b_eta[:, 0]
+    noise = None if pm.is_zero else _Noise(cfg, s_star, seeds)
+    dead = None if B == 1 else np.zeros(B, dtype=bool)
 
-    for t0, m, fault in _blocks(cfg, s_star, 0, s, noise, buf, itertools.repeat(BLOCK), T):
+    for t0, m, fault in _blocks(cfg, s_star, 0, s, noise, buf, itertools.repeat(BLOCK), T, dead):
         done = slice(t0, t0 + m)
         stepped = slice(t0, min(t0 + m, T))  # row T takes no step
         n_step = stepped.stop - t0
         d = g._divergence(b_s[:m], s_star)
-        if fault := _divergence_fault(d, t0, b_s) or fault:
+        if dead is not None:
+            dead |= ~np.isfinite(d).all(axis=0)
+        elif fault := _divergence_fault(d, t0, b_s) or fault:
             raise fault
         e[:, done] = d.T
         alpha[done] = b_alpha[:m]
@@ -387,13 +522,14 @@ def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray, seeds: list[int]) -
         delta_sq[:, done] = np.vecdot(diff, diff).T
         if states is not None:
             states[:, done] = b_s[:m].swapaxes(0, 1)
-        if noise:
+        if noise is not None:
             eta_div[:, stepped] = g._divergence(b_eta[:n_step], g.zero).T  # 0.0 where eta is g.zero
             if etas is not None:
                 etas[:, stepped] = b_eta[:n_step].swapaxes(0, 1)
     rows = np.arange(T + 1)
     a = e * (rows + 1.0) ** 2
-    return [Trace(t=rows, e=e[r], a=a[r], alpha=alpha, delta_norm_sq=delta_sq[r], eta_div=eta_div[r],
+    return [None if dead is not None and dead[r] else
+            Trace(t=rows, e=e[r], a=a[r], alpha=alpha, delta_norm_sq=delta_sq[r], eta_div=eta_div[r],
                   states=None if states is None else states[r], etas=None if etas is None else etas[r],
                   final_state=b_s[m - 1, r].copy()) for r in range(B)]
 
@@ -423,7 +559,7 @@ def _passages(cfg: RunConfig, s_star: np.ndarray, e, s: np.ndarray,
     if todo and k < cap:
         buf = b_s, *_ = _buffers(min(PASSAGE_BLOCKS[-1], cap - k + 1), (g.dim,))
         sizes = itertools.chain(PASSAGE_BLOCKS, itertools.repeat(PASSAGE_BLOCKS[-1]))
-        for t0, m, fault in _blocks(cfg, s_star, k, s, [], buf, sizes, cap):
+        for t0, m, fault in _blocks(cfg, s_star, k, s, None, buf, sizes, cap):
             d = g._divergence(b_s[:m], s_star)  # row k again, which meets no open target
             bad = _divergence_fault(d, t0, b_s)
             n_ok = m if bad is None else bad.t - t0

@@ -129,7 +129,10 @@ class Geometry:
         return self._project(self.check_point(s))
 
     def _project(self, s: np.ndarray) -> np.ndarray:
-        """project for a finite point of the right shape."""
+        """project for a finite point of the right shape, or row by row for a (B, dim) batch of them.
+
+        Each row of a batch gets the bits of its own call.
+        """
         return s
 
     def __repr__(self):  # pragma: no cover - debug aid
@@ -249,6 +252,8 @@ class NegativeEntropy(Geometry):
         return self._project(_as_points(s, self.dim, batch=False, finite=True))
 
     def _project(self, s) -> np.ndarray:
+        if s.ndim > 1:  # row by row: the scalar checks of one point keep a lone step fast
+            return np.stack([self._project(row) for row in s])
         low, total = float(s.min()), float(s.sum())
         if low < self.rho * (1 - 1e-6) or abs(total - 1.0) > 1e-9:
             raise DomainError(f"simplex drift exceeds repairable tolerance: min entry {low:g}, sum {total!r}")

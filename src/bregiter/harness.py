@@ -11,15 +11,17 @@ file byte for byte.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
+import io
 import json
 import math
-import shutil
 import sys
 import time
 import warnings
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterator
 from dataclasses import asdict
 from itertools import chain, product
 from pathlib import Path
@@ -55,15 +57,25 @@ RUN_FILES = ("config.json", "trace.csv", "states.npz", "summary.json", "manifest
              "state_dump.json")
 
 
-def write_trace_csv(path: Path, trace: engine.Trace):
-    """trace.csv of trace in the TRACE_COLUMNS formats, one %-format per WRITE_BLOCK rows."""
+def _csv_blocks(trace: engine.Trace) -> Iterator[bytes]:
+    """The bytes of trace.csv of trace: the header, then the TRACE_COLUMNS formats, one %-format per WRITE_BLOCK rows."""
     cols = [getattr(trace, attr) for _, attr, _ in TRACE_COLUMNS]
     row_fmt = ",".join(fmt for _, _, fmt in TRACE_COLUMNS) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_HEADER) + "\n")
-        for lo in range(0, len(trace), WRITE_BLOCK):
-            block = [c[lo:lo + WRITE_BLOCK].tolist() for c in cols]
-            fh.write(row_fmt * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
+    yield (",".join(TRACE_HEADER) + "\n").encode()
+    for lo in range(0, len(trace), WRITE_BLOCK):
+        block = [c[lo:lo + WRITE_BLOCK].tolist() for c in cols]
+        yield (row_fmt * len(block[0]) % tuple(chain.from_iterable(zip(*block)))).encode()
+
+
+def write_trace_csv(path: Path, trace: engine.Trace) -> dict:
+    """Write trace.csv of trace block by block; returns its manifest entry."""
+    digest, size = hashlib.sha256(), 0
+    with open(path, "wb") as fh:
+        for data in _csv_blocks(trace):
+            fh.write(data)
+            digest.update(data)
+            size += len(data)
+    return {"bytes": size, "sha256": digest.hexdigest()}
 
 
 def read_trace_csv(path: Path) -> dict[str, np.ndarray]:
@@ -140,18 +152,47 @@ def load_run(run_dir: Path, cfg: cfgmod.RunConfig) -> engine.Trace:
     return trace
 
 
-def write_json(path: Path, obj: dict):
-    """obj as strict JSON: a non-finite number raises ValueError, as no JSON reader takes one."""
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+def write_json(path: Path, obj: dict) -> dict:
+    """obj as strict JSON, and its manifest entry: a non-finite number raises ValueError, as no JSON reader takes one."""
+    return _write(path, (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode())
 
 
 def _utcnow() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _file_entry(path: Path) -> dict:
-    data = path.read_bytes()
+def _entry(data: bytes) -> dict:
+    """The manifest entry of a file that holds data."""
     return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def _write(path: Path, data: bytes) -> dict:
+    """Write data to path; returns its manifest entry, hashed from data."""
+    path.write_bytes(data)
+    return _entry(data)
+
+
+class Loop:
+    """A loop that the runs of one loop_key share: its Trace from engine.loops, without start-up facts.
+
+    csv, the bytes of its trace.csv, and entry, their manifest entry, are
+    made once, by the first run that writes them.  The Trace's arrays are
+    read-only, as every run of the key reads them.
+    """
+
+    def __init__(self, trace: engine.Trace):
+        for arr in vars(trace).values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        self.trace = trace
+
+    @functools.cached_property
+    def csv(self) -> bytes:
+        return b"".join(_csv_blocks(self.trace))
+
+    @functools.cached_property
+    def entry(self) -> dict:
+        return _entry(self.csv)
 
 
 @engine.QUIET
@@ -198,14 +239,12 @@ def summarize(trace: engine.Trace, cfg: cfgmod.RunConfig) -> dict:
     return summary
 
 
-def run_to_dir(cfg: cfgmod.RunConfig, out_dir: Path, shared: list | None = None) -> dict:
+def run_to_dir(cfg: cfgmod.RunConfig, out_dir: Path, loop: Loop | None = None) -> dict:
     """Run cfg and write one run directory; returns the summary dict.
 
-    shared, kept by a sweep job for the points of one loop_key, holds the
-    (Trace, trace.csv path) of the first point that wrote the loop's
-    trace.csv; later points reuse both and run only their own start-up and
-    summary.  Before that it is empty, or holds (Trace, None) for a loop
-    that engine.run_seeds stepped, whose trace.csv no point has written.
+    loop, the shared loop of cfg's loop_key, stands in for cfg's own: the
+    run then makes only its start-up and its summary, and writes the loop's
+    trace.csv bytes.  manifest.json hashes each file from the bytes written.
     """
     started = _utcnow()
     out_dir = Path(out_dir)
@@ -214,29 +253,20 @@ def run_to_dir(cfg: cfgmod.RunConfig, out_dir: Path, shared: list | None = None)
     except FileExistsError:  # an earlier run's files must not pass for this run's
         for name in RUN_FILES:
             (out_dir / name).unlink(missing_ok=True)
-    like, shared_trace = shared[0] if shared else (None, None)
-    trace = engine.run(cfg, like)
+    trace = engine.run(cfg) if loop is None else engine.with_start(cfg, loop.trace)
 
-    (out_dir / "config.json").write_text(cfgmod.canonical_json(cfg.raw) + "\n")
-    if shared_trace is None:
-        write_trace_csv(out_dir / "trace.csv", trace)
-        if shared is not None:
-            for arr in vars(trace).values():  # later points of the group read these very arrays
-                if isinstance(arr, np.ndarray):
-                    arr.flags.writeable = False
-            shared[:] = [(trace, out_dir / "trace.csv")]
+    files = {"config.json": _write(out_dir / "config.json", (cfgmod.canonical_json(cfg.raw) + "\n").encode())}
+    if loop is None:
+        files["trace.csv"] = write_trace_csv(out_dir / "trace.csv", trace)
     else:
-        shutil.copyfile(shared_trace, out_dir / "trace.csv")
+        (out_dir / "trace.csv").write_bytes(loop.csv)
+        files["trace.csv"] = loop.entry
     if trace.states is not None:
-        np.savez_compressed(out_dir / "states.npz", states=trace.states, etas=trace.etas)
+        npz = io.BytesIO()
+        np.savez_compressed(npz, states=trace.states, etas=trace.etas)
+        files["states.npz"] = _write(out_dir / "states.npz", npz.getvalue())
     summary = summarize(trace, cfg)
-    write_json(out_dir / "summary.json", summary)
-
-    files = {}
-    for name in RUN_FILES[:4]:
-        p = out_dir / name
-        if p.exists():
-            files[name] = _file_entry(p)
+    files["summary.json"] = write_json(out_dir / "summary.json", summary)
     write_json(out_dir / "manifest.json", {
         "config_digest": cfg.digest, "tool_version": __version__,
         "started_utc": started, "finished_utc": _utcnow(), "files": files,
@@ -306,32 +336,38 @@ def _sweep_jobs(batches: list[list], parallel: int) -> list[list]:
 
 
 def _sweep_group(points: list[tuple]) -> list[dict]:
-    """Worker for sweep points of one batch_key: one loop per loop_key, shared by the key's points.
+    """Worker for the sweep points of one job: the loop of each loop_key steps once, for all its points.
 
-    Where the points hold more than one loop_key, engine.run_seeds steps the
-    loops of all their seeds in one pass.  A pass that fails leaves every
-    point to run alone, so each row, ok or error, is that of a lone run.
+    The job's loops step in the passes of engine.passes; the points of a
+    pass are written before the next pass steps, which frees its traces.  A
+    point whose loop engine.loops left out, as a failed loop does, runs
+    alone, so each row, ok or error, is that of a lone run.
     """
-    keys = [cfg.loop_key for cfg, _ in points]
-    seeds = {key: cfg.seed for key, (cfg, _) in zip(keys, points)}
-    shared = {key: [] for key in seeds}
-    if len(seeds) > 1:
-        try:
-            traces = engine.run_seeds(points[0][0], list(seeds.values()))
-        except EngineError:
-            pass
-        else:
-            for key, trace in zip(seeds, traces):
-                shared[key].append((trace, None))
-    return [_sweep_point(point, shared[key]) for key, point in zip(keys, points)]
+    by_key: dict[str, list[tuple]] = {}
+    for point in points:
+        by_key.setdefault(point[0].loop_key, []).append(point)
+    rows = []
+    for cfgs in engine.passes(cfg for cfg, _ in points):
+        rows += _pass_rows(engine.loops(cfgs), [by_key[cfg.loop_key] for cfg in cfgs])
+    return rows
 
 
-def _sweep_point(args: tuple, shared: list) -> dict:
+def _pass_rows(traces: dict, groups: list[list[tuple]]) -> list[dict]:
+    """The rows of the points of one pass, grouped by loop_key, from the pass's traces."""
+    rows = []
+    for points in groups:  # one Loop formats the trace.csv of a key
+        trace = traces.get(points[0][0].loop_key)
+        loop = None if trace is None else Loop(trace)
+        rows += [_sweep_point(point, loop) for point in points]
+    return rows
+
+
+def _sweep_point(args: tuple, loop: Loop | None) -> dict:
     """One parsed sweep point; returns its index row without the axis values, never raises."""
     cfg, out_root = args
     digest = cfg.digest
     try:
-        summary = run_to_dir(cfg, Path(out_root) / digest[:12], shared)
+        summary = run_to_dir(cfg, Path(out_root) / digest[:12], loop)
     except (EngineError, ValueError, OSError) as exc:
         return {"digest": digest, "status": f"error: {exc}"}
     eps_ts = {f"t_eps[{item['eps']:g}]": item["t"] for item in summary["iterations_to_eps"]}
@@ -346,10 +382,10 @@ def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1) -> int:
 
     Output is independent of the parallelism level: each point runs under a
     digest-named subdirectory and index.csv rows are sorted by digest.  Points
-    with one batch_key form one job, which runs the loop of each loop_key
-    once, and those of all its seeds in one batched pass.  A repeated point
-    runs once and its row is repeated.  A point that does not parse gets its
-    error row here and no job.
+    with one batch_key form one job, whose loops step in stacked passes of
+    engine.loops, a loop_key's loop once.  A repeated point runs once and its row is
+    repeated.  A point that does not parse gets its error row here and no
+    job.
     """
     try:
         raw = cfgmod.load_config_file(config_path)
@@ -362,17 +398,19 @@ def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1) -> int:
         return EXIT_CONFIG
 
     out_root = Path(out_dir)
-    digests = [cfgmod.config_digest(point) for _, point in points]
-    unique = dict(zip(digests, (point for _, point in points)))  # a repeated point runs once
-    by_digest, batches = {}, {}
-    for digest, point in unique.items():
+    digests, by_digest, batches = [], {}, {}
+    for _, point in points:
         try:
             cfg = cfgmod.from_dict(point)
         except ConfigError as exc:
+            digest = cfgmod.config_digest(point)
             by_digest[digest] = {"digest": digest, "status": f"error: {exc}"}
-            continue
-        batches.setdefault(cfg.batch_key, {}).setdefault(cfg.loop_key, []).append((cfg, str(out_root)))
-    jobs = _sweep_jobs([list(chain.from_iterable(b.values())) for b in batches.values()], parallel)
+        else:
+            digest = cfg.digest
+            batches.setdefault(cfg.batch_key, {}).setdefault(cfg.loop_key, {})[digest] = (cfg, str(out_root))
+        digests.append(digest)
+    jobs = _sweep_jobs([[point for key in batch.values() for point in key.values()] for batch in batches.values()],
+                       parallel)
     workers = min(parallel, len(jobs))  # a pool starts all its workers at once, busy or not
     if workers <= 1:
         done = [row for job in jobs for row in _sweep_group(job)]

@@ -14,6 +14,7 @@ norm in which an operator is naturally contractive.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 
@@ -35,6 +36,11 @@ FIXED_POINT_TOL = 1e-14
 
 class Operator:
     kind = "base"
+
+    #: params that may differ between the rows of one batched pass of the engine.  A kind that has
+    #: any has a classmethod stack(ops), for ops of the kind that differ at most in these params: one
+    #: operator whose apply maps row r of a (len(ops), dim) batch with the bits of ops[r].apply
+    stackable: tuple[str, ...] = ()
 
     def __init__(self, dim: int):
         self.dim = int(dim)
@@ -63,6 +69,7 @@ class AffineColinear(Operator):
     """T(s) = gamma * s + (1 - gamma) * target; fixed point is target itself."""
 
     kind = "affine-colinear"
+    stackable = ("gamma", "target")
 
     def __init__(self, gamma: float, target: ArrayLike):
         target = np.asarray(target, dtype=float)
@@ -78,6 +85,15 @@ class AffineColinear(Operator):
     def apply(self, s, t=0):
         s = np.asarray(s, dtype=float)
         return self.gamma * s + self._pull
+
+    @classmethod
+    def stack(cls, ops):
+        """gamma of shape (B, 1), target and _pull of shape (B, dim): apply multiplies and adds row by row."""
+        out = copy.copy(ops[0])
+        out.gamma = np.array([[op.gamma] for op in ops])
+        out.target = np.stack([op.target for op in ops])
+        out._pull = np.stack([op._pull for op in ops])
+        return out
 
     def fixed_point(self, geometry=None):
         return self.target.copy()

@@ -242,6 +242,29 @@ def test_entropy_projection_keeps_the_bits_of_a_row_that_holds_nothing():
     assert g.project(s).tobytes() == (s / s.sum()).tobytes()
 
 
+def test_entropy_projection_of_a_batch_gives_each_row_the_bits_of_its_own_call():
+    rho = 1e-6
+    g = NegativeEntropy(3, rho=rho)
+    low = rho * (1 - 0.9e-6)
+    rows = np.array([[0.5, 0.3, 0.2 * (1.0 + 3e-10)],
+                     [low, 0.5, 0.5 - low + 0.99999e-9],
+                     [0.2, 0.3, 0.5],
+                     [rho, 0.4, 0.6 - rho - 2e-10]])
+    for batch in (rows, rows[[0, 2]], rows[[1, 3]]):
+        got = g._project(batch)
+        assert got.tobytes() == np.stack([g._project(row) for row in batch]).tobytes()
+
+
+def test_entropy_projection_of_a_batch_names_its_first_row_past_repair():
+    g = NegativeEntropy(3, rho=1e-6)
+    rows = np.array([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5 + 1e-6], [0.9, 0.4, -0.3]])
+    with pytest.raises(DomainError) as batch_err:
+        g._project(rows)
+    with pytest.raises(DomainError) as row_err:
+        g._project(rows[1])
+    assert str(batch_err.value) == str(row_err.value)
+
+
 def test_entropy_projection_rejects_gross_escape():
     g = NegativeEntropy(3, rho=1e-6)
     with pytest.raises(DomainError):

@@ -977,7 +977,7 @@ def test_sweep_starts_no_more_workers_than_jobs(tmp_path, monkeypatch, gammas, p
 def test_sweep_point_that_does_not_parse_gets_no_job(tmp_path, monkeypatch):
     ran = []
     plain = harness._sweep_point
-    monkeypatch.setattr(harness, "_sweep_point", lambda args, shared: ran.append(args) or plain(args, shared))
+    monkeypatch.setattr(harness, "_sweep_point", lambda args, loop: ran.append(args) or plain(args, loop))
     raw = sweep_config()
     raw["sweep"] = {"operator.params.gamma": [0.5, 1.5]}
     assert cmd_sweep(write_config(tmp_path / "c.json", raw), str(tmp_path / "s"), parallel=1) == 0
