@@ -23,7 +23,7 @@ import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Iterator
 from dataclasses import asdict
-from itertools import chain, product
+from itertools import groupby, product
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +44,17 @@ TRACE_COLUMNS = (
 )
 TRACE_HEADER = [name for name, _, _ in TRACE_COLUMNS]
 
-#: trace rows formatted per write; formatting a whole long trace at once holds all its text in memory
-WRITE_BLOCK = 4096
+#: trace rows formatted per write; a block's work arrays take about 1 KB per row
+WRITE_BLOCK = 1024
+
+#: bytes per trace.csv value: its text and ',' with NULs around them
+_CELL = 32
+#: the |x| that _sci_cells converts itself: 10^(16-k) and the Dekker halves of |x| and 10^(16-k) stay normal
+_SCI_RANGE = (1e-280, 1e280)
+#: floor(log10|x|) over _SCI_RANGE
+_DECADES = range(-281, 281)
+#: 2^27 + 1, which splits a double into halves whose products are exact (Dekker)
+_SPLIT = 134217729.0
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -57,14 +66,156 @@ RUN_FILES = ("config.json", "trace.csv", "states.npz", "summary.json", "manifest
              "state_dump.json")
 
 
+def _words(texts: list[bytes], width: int) -> np.ndarray:
+    """texts, each NUL-padded to width bytes (4 or 8), as one unsigned int per text."""
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), {4: np.uint32, 8: np.uint64}[width])
+
+
+@functools.cache
+def _tables() -> dict[str, np.ndarray]:
+    """The text words and powers of ten that _sci_cells and _int_cells look up, built on first use.
+
+    quads[i], quads[10000 + i] and quads[20000 + i] are the four digits of
+    i in 0..9999: with its leading zeros, with those as NULs (so 0 is four
+    NULs), and as %d writes i.  minus is '-' and comma ','; head[10 * neg +
+    d] is the sign, leading digit d and '.' of a %.16e text, right-aligned,
+    and exp[k] its exponent and ','.  Over k in _DECADES, 10^(16-k) is hi +
+    lo, each the double nearest its exact integer ratio.
+    """
+    i, places = np.arange(10000, dtype=np.int16)[:, None], np.array([1000, 100, 10, 1], np.int16)
+    digits = (i // places % 10 + ord("0")).astype(np.uint8)
+    lead = i < places  # the places left of i's leading digit, and the units of 0
+    quads = np.concatenate([digits, np.where(lead, 0, digits), np.where(lead & (places > 1), 0, digits)])
+    hi, lo = [], []
+    for k in _DECADES:
+        num, den = (10**(16 - k), 1) if k <= 16 else (1, 10**(k - 16))
+        h = num / den
+        h_num, h_den = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    return {
+        "quads": quads.view(np.uint32).ravel(),
+        "minus": _words([b"-"], 4)[0],
+        "comma": _words([b","], 4)[0],
+        "head": _words([(b"%s%d." % (sign, d)).rjust(4, b"\0") for sign in (b"", b"-") for d in range(10)], 4),
+        "exp": _words([b"e%+03d," % k for k in _DECADES], 8),
+        "hi": np.array(hi), "lo": np.array(lo),
+    }
+
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v as two halves of 26 significant bits whose products with another split are exact (Dekker)."""
+    c = v * _SPLIT
+    v_hi = c - (c - v)
+    return v_hi, v - v_hi
+
+
+def _sci_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """%.16e cells of the doubles x into out; returns which are written, the format itself writing the rest.
+
+    A value is N * 10^(k-16) with N the integer in [1e16, 1e17) nearest
+    |x| * 10^(16-k), k = floor(log10|x|).  That product is p + e: p, the
+    rounded product of |x| and the table's hi, is an integer above 2^53, and
+    e is the Dekker product's exact error plus |x| * lo.  Condition, not
+    checked: e is within 1e-14 of the exact remainder (|e| < 20, and the
+    three roundings that make it each err by under 2e-15), so floor(e) and
+    e - floor(e) round N as Python does unless that fraction lies within
+    1e-6 of a tie.  Zeros are N = 0 at k = 0.  Left unwritten: non-finite
+    values, |x| outside _SCI_RANGE, a fraction near a tie, and a decade
+    guess that log10 rounded across an integer, which shows as N below 1e16
+    before rounding or at 1e17 after it.  A cell's words: 1 the sign,
+    leading digit and '.', right-aligned; 2-5 the other 16 digits; 6-7 the
+    exponent and ','.
+    """
+    tab = _tables()
+    a = np.abs(x)
+    zero = a == 0
+    fast = (a >= _SCI_RANGE[0]) & (a <= _SCI_RANGE[1])
+    a[~fast] = 1.0
+    i = np.floor(np.log10(a)).astype(np.int64) - _DECADES.start
+    hi = tab["hi"][i]
+    p = a * hi
+    (a_hi, a_lo), (hi_hi, hi_lo) = _split(a), _split(hi)
+    e = a_hi * hi_hi - p  # Dekker's exact error of p, summed in his order
+    e += a_hi * hi_lo
+    e += a_lo * hi_hi
+    e += a_lo * hi_lo
+    e += a * tab["lo"][i]
+    whole = np.floor(e)
+    e -= whole
+    n = p.astype(np.int64) + whole.astype(np.int64)
+    fast &= (n >= 10**16) & (np.abs(e - 0.5) >= 1e-6)
+    n += e > 0.5
+    fast &= n < 10**17
+    n[zero] = 0
+    i[zero] = -_DECADES.start
+    lead = n // 10**16
+    n -= lead * 10**16
+    quads = tab["quads"]
+    mid = n // 10**8
+    for j, half in ((2, mid), (4, n - mid * 10**8)):  # the 16 digits after the lead, four at a time
+        top = half // 10**4
+        out[..., j] = quads[top]
+        out[..., j + 1] = quads[half - top * 10**4]
+    out[..., 1] = tab["head"][lead + 10 * np.signbit(x)]
+    out[..., 6:].view(np.uint64)[..., 0] = tab["exp"][i]
+    return fast | zero
+
+
+def _int_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """%d cells of the integers x into out; returns which are written: all but -2^63, whose |x| int64 lacks.
+
+    A cell's words: 0 the sign; 1-5 up to 20 digits, right-aligned; 6 ','.
+    """
+    tab = _tables()
+    quads = tab["quads"]
+    x = x.astype(np.int64, copy=False)
+    a = np.abs(x)
+    written = a >= 0
+    a[~written] = 0
+    out[..., 0] = (x < 0) * tab["minus"]
+    for j in range(5, 0, -1):  # base-10^4 digits, units first; those left of the leading one are NULs
+        higher = a // 10**4
+        out[..., j] = quads[a - higher * 10**4 + (higher == 0) * (20000 if j == 5 else 10000)]
+        a = higher
+    out[..., 6] = tab["comma"]
+    return written
+
+
+#: the cells of each TRACE_COLUMNS format: writer(values, uint32 words of their zeroed cells) -> which it wrote
+_CELL_WRITERS = {"%d": _int_cells, "%.16e": _sci_cells}
+
+
 def _csv_blocks(trace: engine.Trace) -> Iterator[bytes]:
-    """The bytes of trace.csv of trace: the header, then the TRACE_COLUMNS formats, one %-format per WRITE_BLOCK rows."""
-    cols = [getattr(trace, attr) for _, attr, _ in TRACE_COLUMNS]
-    row_fmt = ",".join(fmt for _, _, fmt in TRACE_COLUMNS) + "\n"
+    """The bytes of trace.csv of trace: the header, then its rows in the TRACE_COLUMNS formats, WRITE_BLOCK at a time.
+
+    A block is one uint8 array of _CELL bytes per value, NULs dropped.  A
+    cell holds the value's text and ',', with the text in one piece so that
+    the NULs to drop are few runs.  Each run of columns with one format
+    fills its cells in one call of the format's _CELL_WRITERS entry, the
+    format itself writes each value that the call leaves unwritten, and a
+    row's last ',' becomes '\\n'.
+    """
+    runs = [(fmt, [getattr(trace, attr) for _, attr, _ in cols])
+            for fmt, cols in groupby(TRACE_COLUMNS, key=lambda col: col[2])]
     yield (",".join(TRACE_HEADER) + "\n").encode()
     for lo in range(0, len(trace), WRITE_BLOCK):
-        block = [c[lo:lo + WRITE_BLOCK].tolist() for c in cols]
-        yield (row_fmt * len(block[0]) % tuple(chain.from_iterable(zip(*block)))).encode()
+        n = min(WRITE_BLOCK, len(trace) - lo)
+        rows = np.zeros((n, len(TRACE_COLUMNS), _CELL), np.uint8)
+        words = rows.view(np.uint32).swapaxes(0, 1)  # column, row, word
+        at = 0
+        for fmt, cols in runs:
+            x = np.array([c[lo:lo + n] for c in cols])
+            written = _CELL_WRITERS[fmt](x, words[at:at + len(cols)])
+            if not written.all():
+                for c, r in zip(*np.nonzero(~written)):
+                    text = (fmt % x[c, r].item() + ",").encode()
+                    rows[r, at + c] = 0
+                    rows[r, at + c, :len(text)] = list(text)
+            at += len(cols)
+        end = rows[:, -1]
+        end[end == ord(",")] = ord("\n")
+        yield rows[rows != 0].tobytes()
 
 
 def write_trace_csv(path: Path, trace: engine.Trace) -> dict:
