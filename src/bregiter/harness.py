@@ -68,7 +68,7 @@ RUN_FILES = ("config.json", "trace.csv", "states.npz", "summary.json", "manifest
 
 def _words(texts: list[bytes], width: int) -> np.ndarray:
     """texts, each NUL-padded to width bytes (4 or 8), as one unsigned int per text."""
-    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), {4: np.uint32, 8: np.uint64}[width])
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), f"u{width}")
 
 
 @functools.cache
