@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -43,18 +44,21 @@ TRACE_COLUMNS = (
     ("eta_div", "eta_div", "%.16e"),
 )
 TRACE_HEADER = [name for name, _, _ in TRACE_COLUMNS]
+_HEADER_LINE = (",".join(TRACE_HEADER) + "\n").encode()
 
-#: trace rows formatted per write; a block's work arrays take about 1 KB per row
-WRITE_BLOCK = 1024
+#: trace.csv rows formatted or parsed per block; a block's work arrays take about 1 KB per row
+TRACE_BLOCK = 1024
 
 #: bytes per trace.csv value: its text and ',' with NULs around them
 _CELL = 32
-#: the |x| that _sci_cells converts itself: 10^(16-k) and the Dekker halves of |x| and 10^(16-k) stay normal
+#: the |x| that _sci_digits converts itself: 10^(16-k) and the Dekker halves of |x| and 10^(16-k) stay normal
 _SCI_RANGE = (1e-280, 1e280)
 #: floor(log10|x|) over _SCI_RANGE
 _DECADES = range(-281, 281)
 #: 2^27 + 1, which splits a double into halves whose products are exact (Dekker)
 _SPLIT = 134217729.0
+#: 10^(16-k) = hi + lo over k in _DECADES, each the double nearest its exact ratio; nan until _pow10 first needs it
+_POW10 = np.full((2, len(_DECADES)), np.nan)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -73,34 +77,39 @@ def _words(texts: list[bytes], width: int) -> np.ndarray:
 
 @functools.cache
 def _tables() -> dict[str, np.ndarray]:
-    """The text words and powers of ten that _sci_cells and _int_cells look up, built on first use.
+    """The text words that _sci_cells and _int_cells look up, built on first use.
 
     quads[i], quads[10000 + i] and quads[20000 + i] are the four digits of
     i in 0..9999: with its leading zeros, with those as NULs (so 0 is four
     NULs), and as %d writes i.  minus is '-' and comma ','; head[10 * neg +
     d] is the sign, leading digit d and '.' of a %.16e text, right-aligned,
-    and exp[k] its exponent and ','.  Over k in _DECADES, 10^(16-k) is hi +
-    lo, each the double nearest its exact integer ratio.
+    and exp[k] its exponent and ','.
     """
     i, places = np.arange(10000, dtype=np.int16)[:, None], np.array([1000, 100, 10, 1], np.int16)
     digits = (i // places % 10 + ord("0")).astype(np.uint8)
     lead = i < places  # the places left of i's leading digit, and the units of 0
     quads = np.concatenate([digits, np.where(lead, 0, digits), np.where(lead & (places > 1), 0, digits)])
-    hi, lo = [], []
-    for k in _DECADES:
-        num, den = (10**(16 - k), 1) if k <= 16 else (1, 10**(k - 16))
-        h = num / den
-        h_num, h_den = h.as_integer_ratio()
-        hi.append(h)
-        lo.append((num * h_den - h_num * den) / (den * h_den))
     return {
         "quads": quads.view(np.uint32).ravel(),
         "minus": _words([b"-"], 4)[0],
         "comma": _words([b","], 4)[0],
         "head": _words([(b"%s%d." % (sign, d)).rjust(4, b"\0") for sign in (b"", b"-") for d in range(10)], 4),
         "exp": _words([b"e%+03d," % k for k in _DECADES], 8),
-        "hi": np.array(hi), "lo": np.array(lo),
     }
+
+
+def _pow10(i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi and lo of 10^(16-k) at the _DECADES indices i, building the decades not built before from Python ints."""
+    hi = _POW10[0, i]
+    if np.isnan(hi).any():  # a file's values span a few dozen of the 562 decades
+        for j in set(i[np.isnan(hi)].tolist()):
+            k = _DECADES[j]
+            num, den = (10**(16 - k), 1) if k <= 16 else (1, 10**(k - 16))
+            _POW10[0, j] = h = num / den
+            h_num, h_den = h.as_integer_ratio()
+            _POW10[1, j] = (num * h_den - h_num * den) / (den * h_den)
+        hi = _POW10[0, i]
+    return hi, _POW10[1, i]
 
 
 def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,8 +119,24 @@ def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v_hi, v - v_hi
 
 
-def _sci_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """%.16e cells of the doubles x into out; returns which are written, the format itself writing the rest.
+def _two_product(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p = u * v rounded, and e, its exact error: u * v = p + e (Dekker, summed in his order)."""
+    p = u * v
+    (u_hi, u_lo), (v_hi, v_lo) = _split(u), _split(v)
+    e = u_hi * v_hi - p
+    e += u_hi * v_lo
+    e += u_lo * v_hi
+    e += u_lo * v_lo
+    return p, e
+
+
+def _decade(a: np.ndarray) -> np.ndarray:
+    """floor(log10(a)) of the positive doubles a, a guess that may miss by one next to a power of ten."""
+    return np.floor(np.log10(a)).astype(np.int64)
+
+
+def _sci_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The %.16e text of the doubles x as N and the _DECADES index of k, and which of them are exact.
 
     A value is N * 10^(k-16) with N the integer in [1e16, 1e17) nearest
     |x| * 10^(16-k), k = floor(log10|x|).  That product is p + e: p, the
@@ -120,35 +145,40 @@ def _sci_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     checked: e is within 1e-14 of the exact remainder (|e| < 20, and the
     three roundings that make it each err by under 2e-15), so floor(e) and
     e - floor(e) round N as Python does unless that fraction lies within
-    1e-6 of a tie.  Zeros are N = 0 at k = 0.  Left unwritten: non-finite
-    values, |x| outside _SCI_RANGE, a fraction near a tie, and a decade
-    guess that log10 rounded across an integer, which shows as N below 1e16
-    before rounding or at 1e17 after it.  A cell's words: 1 the sign,
-    leading digit and '.', right-aligned; 2-5 the other 16 digits; 6-7 the
-    exponent and ','.
+    1e-6 of a tie.  Not exact: non-finite values, |x| outside _SCI_RANGE,
+    a fraction near a tie, and a decade guess that missed, which shows as N
+    below 1e16 before rounding or at 1e17 after it.  Zeros, and the values
+    that are not exact, are N = 0 at k = 0.
     """
-    tab = _tables()
     a = np.abs(x)
     zero = a == 0
-    fast = (a >= _SCI_RANGE[0]) & (a <= _SCI_RANGE[1])
-    a[~fast] = 1.0
-    i = np.floor(np.log10(a)).astype(np.int64) - _DECADES.start
-    hi = tab["hi"][i]
-    p = a * hi
-    (a_hi, a_lo), (hi_hi, hi_lo) = _split(a), _split(hi)
-    e = a_hi * hi_hi - p  # Dekker's exact error of p, summed in his order
-    e += a_hi * hi_lo
-    e += a_lo * hi_hi
-    e += a_lo * hi_lo
-    e += a * tab["lo"][i]
+    exact = (a >= _SCI_RANGE[0]) & (a <= _SCI_RANGE[1])
+    a[~exact] = 1.0
+    i = _decade(a) - _DECADES.start
+    hi, lo = _pow10(i)
+    p, e = _two_product(a, hi)
+    e += a * lo
     whole = np.floor(e)
     e -= whole
     n = p.astype(np.int64) + whole.astype(np.int64)
-    fast &= (n >= 10**16) & (np.abs(e - 0.5) >= 1e-6)
+    exact &= (n >= 10**16) & (np.abs(e - 0.5) >= 1e-6)
     n += e > 0.5
-    fast &= n < 10**17
-    n[zero] = 0
-    i[zero] = -_DECADES.start
+    exact &= n < 10**17
+    blank = zero | ~exact
+    n[blank] = 0
+    i[blank] = -_DECADES.start
+    return n, i, exact | zero
+
+
+def _sci_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """%.16e cells of the doubles x into out; returns which are written, the format itself writing the rest.
+
+    The digits are _sci_digits', and a value it leaves inexact is left
+    unwritten.  A cell's words: 1 the sign, leading digit and '.',
+    right-aligned; 2-5 the other 16 digits; 6-7 the exponent and ','.
+    """
+    tab = _tables()
+    n, i, written = _sci_digits(x)
     lead = n // 10**16
     n -= lead * 10**16
     quads = tab["quads"]
@@ -159,7 +189,7 @@ def _sci_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
         out[..., j + 1] = quads[half - top * 10**4]
     out[..., 1] = tab["head"][lead + 10 * np.signbit(x)]
     out[..., 6:].view(np.uint64)[..., 0] = tab["exp"][i]
-    return fast | zero
+    return written
 
 
 def _int_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -184,10 +214,12 @@ def _int_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 #: the cells of each TRACE_COLUMNS format: writer(values, uint32 words of their zeroed cells) -> which it wrote
 _CELL_WRITERS = {"%d": _int_cells, "%.16e": _sci_cells}
+#: TRACE_COLUMNS in runs of one format: (format, the run's columns)
+_RUNS = [(fmt, list(cols)) for fmt, cols in groupby(TRACE_COLUMNS, key=lambda col: col[2])]
 
 
 def _csv_blocks(trace: engine.Trace) -> Iterator[bytes]:
-    """The bytes of trace.csv of trace: the header, then its rows in the TRACE_COLUMNS formats, WRITE_BLOCK at a time.
+    """The bytes of trace.csv of trace: the header, then its rows in the TRACE_COLUMNS formats, TRACE_BLOCK at a time.
 
     A block is one uint8 array of _CELL bytes per value, NULs dropped.  A
     cell holds the value's text and ',', with the text in one piece so that
@@ -196,11 +228,10 @@ def _csv_blocks(trace: engine.Trace) -> Iterator[bytes]:
     format itself writes each value that the call leaves unwritten, and a
     row's last ',' becomes '\\n'.
     """
-    runs = [(fmt, [getattr(trace, attr) for _, attr, _ in cols])
-            for fmt, cols in groupby(TRACE_COLUMNS, key=lambda col: col[2])]
-    yield (",".join(TRACE_HEADER) + "\n").encode()
-    for lo in range(0, len(trace), WRITE_BLOCK):
-        n = min(WRITE_BLOCK, len(trace) - lo)
+    runs = [(fmt, [getattr(trace, attr) for _, attr, _ in cols]) for fmt, cols in _RUNS]
+    yield _HEADER_LINE
+    for lo in range(0, len(trace), TRACE_BLOCK):
+        n = min(TRACE_BLOCK, len(trace) - lo)
         rows = np.zeros((n, len(TRACE_COLUMNS), _CELL), np.uint8)
         words = rows.view(np.uint32).swapaxes(0, 1)  # column, row, word
         at = 0
@@ -229,8 +260,199 @@ def write_trace_csv(path: Path, trace: engine.Trace) -> dict:
     return {"bytes": size, "sha256": digest.hexdigest()}
 
 
-def read_trace_csv(path: Path) -> dict[str, np.ndarray]:
-    """trace.csv columns by header name; any malformed file is a ConfigError naming the path."""
+def _words_at(blk: np.ndarray, at: np.ndarray, count: int) -> np.ndarray:
+    """The count little-endian uint64 words of the uint8 blk from each offset in at, as count contiguous rows."""
+    windows = np.lib.stride_tricks.as_strided(blk, (blk.size - 8 * count + 1, 8 * count), (1, 1), writeable=False)
+    return np.ascontiguousarray(windows[at].view("<u8").T)
+
+
+#: eight ASCII '0's, as one word
+_ZEROS = 0x3030303030303030
+
+
+def _digit_faults(d: np.ndarray) -> np.ndarray:
+    """Nonzero where a word of d, ASCII text minus _ZEROS, holds a byte that was no digit.
+
+    Such a byte is above 9, and so gets its high bit with 0x76 added, or
+    had it or took it from a borrow; a byte's carry or borrow only reaches
+    the bytes above a faulty byte.
+    """
+    return (d | (d + 0x7676767676767676)) & 0x8080808080808080
+
+
+def _eight_digits(d: np.ndarray) -> np.ndarray:
+    """The int64 that each uint64 word of eight digits (ASCII text minus _ZEROS) spells, first digit in the low byte."""
+    d = (d * 10 + (d >> 8)) & 0x00FF00FF00FF00FF  # digit pairs
+    d = (d * 100 + (d >> 16)) & 0x0000FFFF0000FFFF  # then fours
+    return ((d * 10000 + (d >> 32)) & 0xFFFFFFFF).astype(np.int64)
+
+
+#: 'e+' and 'e-' as the low two bytes of a little-endian word
+_E_PLUS, _E_MINUS = (int.from_bytes(b, "little") for b in (b"e+", b"e-"))
+#: at index c, the mask of a word's low c bytes
+_BYTES = np.array([(1 << 8 * c) - 1 for c in range(9)], np.uint64)
+
+
+def _sci_texts(blk: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """The %.16e texts -?d.d{16}e[+-]d{2,3} blk[start:end] as N, the _DECADES index of k, the sign, and which are such.
+
+    A field that is no such text must be nan, inf or -inf, which gets N = 0
+    at k = 0, as does a k outside _DECADES; None if one is none of these.
+    """
+    neg = blk[start] == ord("-")
+    m = start + neg  # the leading digit
+    words = _words_at(blk, m - 6, 4)  # bytes 6-7 the leading digit and '.', 8-23 the others, 24- 'e', sign, exponent
+    lead = (words[0] >> 48) - int.from_bytes(b"0.", "little")
+    digits = words[1:3] - _ZEROS
+    tag = words[3] & 0xFFFF
+    exp = (words[3] >> 16) - _ZEROS
+    width = end - m - 20  # of the exponent
+    text = ((lead < 10) & ((tag == _E_PLUS) | (tag == _E_MINUS)) & ((width == 2) | (width == 3))
+            & ((_digit_faults(digits[0]) | _digit_faults(digits[1])
+                | _digit_faults(exp) & np.where(width == 3, np.uint64(0xFFFFFF), np.uint64(0xFFFF))) == 0))
+    if not text.all():
+        for j in np.flatnonzero(~text).tolist():
+            if blk[start[j]:end[j]].tobytes() not in (b"nan", b"inf", b"-inf"):
+                return None
+    k = (exp & 0xFF) * 10 + (exp >> 8 & 0xFF)
+    k = np.where(width == 3, k * 10 + (exp >> 16 & 0xFF), k).astype(np.int64)
+    np.negative(k, out=k, where=tag == _E_MINUS)
+    i = k - _DECADES.start
+    text &= (i >= 0) & (i < len(_DECADES))
+    eights = _eight_digits(digits)
+    n = lead.astype(np.int64) * 10**16 + eights[0] * 10**8 + eights[1]
+    n[~text] = 0
+    i[~text] = -_DECADES.start
+    return n, i, neg, text
+
+
+def _sci_value(n: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """N * 10^(k-16) as doubles, N < 1e17 and k at the _DECADES indices i, within 1e-15 ulp before the last rounding.
+
+    It is the quotient of N by 10^(16-k) = hi + lo, corrected by the
+    quotient's remainder, which the Dekker product's error gives exactly.
+    """
+    hi, lo = _pow10(i)
+    n_hi = n.astype(np.float64)
+    n_lo = (n - n_hi.astype(np.int64)).astype(np.float64)
+    q = n_hi / hi
+    p, e = _two_product(q, hi)  # n_hi - p is exact: p is within a factor 2 of n_hi
+    return q + ((n_hi - p) - e + n_lo - q * lo) / hi
+
+
+def _sci_fields(blk: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The %.16e fields blk[start:end] as doubles, and which are proven; None if one is not a %.16e text.
+
+    The double of a text is _sci_value of its N and k.  It is proven, and
+    so the double nearest the text, if _sci_digits, the writer's own
+    arithmetic, gives that double the same N and k and calls them exact:
+    the text then is the 17-digit %.16e text of the double, and a 17-digit
+    text lies within 0.91 of half an ulp from its double, farther from a
+    rounding tie than _sci_value can err.  The rest are proven by none:
+    nan, inf and -inf, k outside _DECADES, a text that is not the writer's
+    text of a double and one that _sci_digits leaves inexact.
+    """
+    texts = _sci_texts(blk, start, end)
+    if texts is None:
+        return None
+    n, i, neg, text = texts
+    x = _sci_value(n, i)
+    n_x, i_x, exact = _sci_digits(x)
+    np.negative(x, out=x, where=neg)
+    return x, text & exact & (n_x == n) & (i_x == i)
+
+
+def _int_fields(blk: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The %d fields blk[start:end] as doubles, and which are proven; None if one is not a %d text (-?\\d+).
+
+    A text of up to 16 digits is proven: its int64 converts to the double
+    nearest it.  Longer ones are proven by none.
+    """
+    neg = blk[start] == ord("-")
+    count = end - start - neg
+    words = _words_at(blk, end - 16, 2)  # the 16 bytes before the field's end
+    left = _BYTES[8 - np.minimum(np.maximum([count - 8, count], 0), 8)]  # the bytes left of the first digit, as '0's
+    digits = (words & ~left | _ZEROS & left) - _ZEROS
+    short = (count > 0) & (count <= 16) & ((_digit_faults(digits[0]) | _digit_faults(digits[1])) == 0)
+    if not short.all():
+        for j in np.flatnonzero(~short).tolist():
+            text = blk[start[j] + neg[j]:end[j]].tobytes()
+            if not (len(text) > 16 and text.isdigit()):
+                return None
+    eights = _eight_digits(digits)
+    x = (eights[0] * 10**8 + eights[1]).astype(np.float64)
+    np.negative(x, out=x, where=neg)
+    return x, short
+
+
+#: the fields of each TRACE_COLUMNS format: reader(uint8 block, field starts, field ends) -> (values, proven) or None
+_FIELD_READERS = {"%d": _int_fields, "%.16e": _sci_fields}
+#: NULs before _parse_trace's window (and _CELL after it), so that the words _words_at takes of a field lie in its buffer
+_PAD = 16
+
+
+def _parse_block(buf: np.ndarray, size: int, rows: int) -> np.ndarray | None:
+    """The values of the rows in buf[_PAD:_PAD + size], one row per column; None if they break the writer's grammar.
+
+    A row is its fields in the TRACE_COLUMNS formats, joined by ',' and
+    ended by '\\n'.  Each run of columns with one format is parsed in one
+    call of the format's _FIELD_READERS entry, and float() parses each
+    field the call leaves unproven: on a text the call took for its
+    format's, float() rounds as correctly as np.loadtxt.
+    """
+    text = buf[_PAD:_PAD + size]
+    ends = np.flatnonzero((text == ord(",")) | (text == ord("\n"))) + _PAD
+    cols = len(TRACE_COLUMNS)
+    if ends.size != rows * cols or not (buf[ends[cols - 1::cols]] == ord("\n")).all():
+        return None  # the text holds rows lines, so the other ends are ','
+    starts = np.concatenate([[_PAD], ends[:-1] + 1]).reshape(rows, cols).T
+    ends = ends.reshape(rows, cols).T
+    out = np.empty((cols, rows))
+    at = 0
+    for fmt, run in _RUNS:
+        start, end = starts[at:at + len(run)].ravel(), ends[at:at + len(run)].ravel()
+        fields = _FIELD_READERS[fmt](buf, start, end)
+        if fields is None:
+            return None
+        x, proven = fields
+        if not proven.all():
+            for j in np.flatnonzero(~proven).tolist():
+                x[j] = float(buf[start[j]:end[j]].tobytes())
+        out[at:at + len(run)] = x.reshape(len(run), rows)
+        at += len(run)
+    return out
+
+
+def _parse_trace(fh: io.BufferedIOBase) -> np.ndarray | None:
+    """The values of a binary trace.csv stream, one row per column, if it keeps the writer's grammar line for line.
+
+    That is _HEADER_LINE, then one or more rows, each ended by '\\n'; None
+    for any other stream.  The stream is read into one NUL-padded window,
+    as long as the file or as TRACE_BLOCK rows of the writer (at most _CELL
+    bytes a value), whichever is shorter; the window's first TRACE_BLOCK
+    rows are parsed, and the bytes after them move to its start.
+    """
+    if fh.read(len(_HEADER_LINE)) != _HEADER_LINE:
+        return None
+    room = min(TRACE_BLOCK * len(TRACE_COLUMNS) * _CELL, os.fstat(fh.fileno()).st_size)
+    buf = np.zeros(_PAD + room + _CELL, np.uint8)
+    window, blocks, held = buf[_PAD:-_CELL], [], 0
+    while True:
+        held += fh.readinto(window[held:])
+        lines = np.flatnonzero(window[:held] == ord("\n"))[:TRACE_BLOCK]
+        if not lines.size:  # the end, or a line that the window cannot hold
+            return np.concatenate(blocks, axis=1) if blocks and not held else None
+        size = int(lines[-1]) + 1
+        block = _parse_block(buf, size, lines.size)
+        if block is None:
+            return None
+        blocks.append(block)
+        window[:held - size] = window[size:held]
+        held -= size
+
+
+def _loadtxt_trace(path: Path) -> np.ndarray:
+    """The values of any trace.csv that np.loadtxt reads, one row per column; a file it cannot read is a ConfigError."""
     with open(path, errors="replace") as fh:  # bytes that are no text fail below as fields that are no numbers
         header = fh.readline().rstrip("\n").split(",")
         if header != TRACE_HEADER:
@@ -246,7 +468,18 @@ def read_trace_csv(path: Path) -> dict[str, np.ndarray]:
     if rows.shape[1] != len(TRACE_COLUMNS):
         raise ConfigError(f"{path} has {rows.shape[1]} fields per row, expected {len(TRACE_COLUMNS)}")
     # contiguous copies: a BLAS dot product over a strided column can round differently
-    cols = dict(zip(TRACE_HEADER, rows.T.copy()))
+    return rows.T.copy()
+
+
+def read_trace_csv(path: Path) -> dict[str, np.ndarray]:
+    """trace.csv columns by header name, with np.loadtxt's dtypes and bits; any malformed file is a ConfigError.
+
+    A file in the writer's grammar is parsed from its bytes (_parse_trace);
+    np.loadtxt reads any other, and names the path in its errors.
+    """
+    with open(path, "rb") as fh:
+        values = _parse_trace(fh)
+    cols = dict(zip(TRACE_HEADER, _loadtxt_trace(path) if values is None else values))
     t = cols["t"]
     bad = np.flatnonzero(~((np.floor(t) == t) & (np.abs(t) < 2.0**63)))  # nan, inf, fractions, past int64
     if bad.size:
@@ -260,16 +493,20 @@ def load_run(run_dir: Path, cfg: cfgmod.RunConfig) -> engine.Trace:
 
     It reads trace.csv, states.npz if kept, and the start-up facts in
     summary.json.  Any fault is a ConfigError naming its file, checked in
-    this order: trace.csv; summary.json being an object; states.npz as an
-    archive, then T+1 states on cfg's domain and T finite etas, all of its
-    dim; then summary.json's config_digest (cfg's), s_star (on the domain),
-    gamma_hat (a finite number) and warnings (a list of strings).
+    this order: trace.csv; summary.json being a JSON object in UTF-8;
+    states.npz as an archive, then T+1 states on cfg's domain and T finite
+    etas, all of its dim; then summary.json's config_digest (cfg's), s_star
+    (on the domain), gamma_hat (a finite number) and warnings (a list of
+    strings).
     """
     run_dir, g = Path(run_dir), cfg.geometry
     summary_path, states_path = run_dir / "summary.json", run_dir / "states.npz"
     cols = read_trace_csv(run_dir / "trace.csv")
     trace = engine.Trace(**{attr: cols[name] for name, attr, _ in TRACE_COLUMNS})
-    summary = json.loads(summary_path.read_text())
+    try:
+        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # also bytes that are no UTF-8
+        raise ConfigError(f"{summary_path} is not JSON: {exc}") from exc
     if not isinstance(summary, dict):
         raise ConfigError(f"{summary_path} is not a JSON object")
     if states_path.exists():

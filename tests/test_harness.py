@@ -1117,6 +1117,8 @@ def rewrite_summary(**change):
 
 DAMAGE = {
     "summary-not-object": lambda out: (out / "summary.json").write_text("[1, 2]"),
+    "summary-not-json": lambda out: (out / "summary.json").write_text("{"),
+    "summary-not-utf8": lambda out: (out / "summary.json").write_bytes(b"\xff\xfe{}"),
     "summary-digest-of-another-config": rewrite_summary(config_digest=config_digest(base_config(seed=2))),
     "summary-digest-number": rewrite_summary(config_digest=5),
     "summary-s-star-wrong-dim": rewrite_summary(s_star=[1.0]),
