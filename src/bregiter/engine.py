@@ -18,8 +18,11 @@ first-passage divergences are filled once per block by a batched map, with
 the bits of a per-step call.  Random-mode draws read no state, so a block
 makes them before its steps, in the perturbation module's draw order, with
 their unit directions and D(direction, 0) batched; a random step keeps its
-budget and the scaling of its eta.  A fault is reported at its earliest
-row, with the message, t and state of a per-step loop.
+budget and the scaling of its eta.  The step sizes of a block are made
+once per block (Schedule.alphas).  A lone run checks the finiteness of its
+states once per block, at the block's end or at its first fault, and a
+batch checks every step.  A fault is reported at its earliest row, with the
+message, t and state of a per-step loop.
 
 A sweep job steps its loops in the passes of passes, one call of loops
 each: the loops whose configs differ only in the seed and in the params
@@ -112,6 +115,18 @@ class Schedule:
             return self.c / (t + 1) ** self.p
         except OverflowError:
             return self.c * (t + 1.0) ** -self.p
+
+    def alphas(self, t0: int, t1: int) -> list[float]:
+        """[alpha(t) for t in range(t0, t1)], with the same bits.
+
+        An IEEE division of exact integers has the same bits in numpy as in
+        python, so accelerated steps divide once per call.
+        """
+        if self.kind == "accelerated":
+            return (2.0 / np.arange(t0 + 2, t1 + 2, dtype=float)).tolist()
+        if self.kind == "constant":
+            return [self.c] * (t1 - t0)
+        return [self.alpha(t) for t in range(t0, t1)]
 
 
 class EngineError(RuntimeError):
@@ -358,7 +373,7 @@ class _Noise:
         np.multiply(self.directions.take(at, axis=0), np.sqrt(target / self.bases.take(at))[:, None], out=out)
         if self.pm.injection == "scaled":
             out *= al
-        if (zero := target <= 0).any():  # also every row whose budget is <= 0
+        if np.count_nonzero(zero := target <= 0):  # also every row whose budget is <= 0
             out[zero] = 0.0
         self.j += ~(b <= 0)
 
@@ -391,19 +406,27 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, noise: _N
 
     The one per-step loop of the engine.  s is one state of shape (dim,), or
     a batch of shape (B, dim) whose rows step together, row r against
-    s_star[r] and row r of the operator: alpha_t, T, the average, the
-    finiteness check and the geometry's drift repair run once per step for
-    every row, each with the bits of its lone call.  noise holds the
-    perturbations of the rows (_Noise), and is None on a noise-free run.
-    Row i of a block of the buffers buf (see _buffers) holds s_u, T(s_u),
-    alpha_u and, on noisy runs, eta_u for u = t0 + i.  Each step computes only
-    what the next step reads; whoever consumes the block fills every other
-    per-row value by one batched map per block.  A step runs unchecked but
-    for one finiteness check and the drift repair: s_t, s_star and every
-    state before them were checked or settled already.  Row last takes no
-    step.  On a batch, a row whose step fails is marked in dead, the (B,)
-    flags of the failed rows, and steps on from its row of s_star (_revive);
-    every other row keeps its bits.
+    s_star[r] and row r of the operator: T, the average and the geometry's
+    drift repair run once per step for every row, each with the bits of its
+    lone call.  The step sizes of a block are made once, before its first
+    step (Schedule.alphas).  noise holds the perturbations of the rows
+    (_Noise), and is None on a noise-free run.  Row i of a block of the
+    buffers buf (see _buffers) holds s_u, T(s_u), alpha_u and, on noisy runs,
+    eta_u for u = t0 + i.  Each step computes only what the next step reads;
+    whoever consumes the block fills every other per-row value by one
+    batched map per block.  A step runs unchecked but for the drift repair
+    and the finiteness of its new state: s_t, s_star and every state before
+    them were checked or settled already.  Row last takes no step.
+
+    A lone run checks the finiteness of its states once per block, at the
+    block's end or at its first EngineError (_state_fault).  A non-finite
+    state steps on to that check, and its fault, the one a per-step check
+    gives, wins over every later fault of the block.  A drift repair passes
+    a non-finite state unchanged (the identity) or fails it
+    (NegativeEntropy), and then the step fails with that same fault.  A
+    batch checks every step: a row whose step fails is marked in dead, the
+    (B,) flags of the failed rows, and steps on from its row of s_star
+    (_revive); every other row keeps its bits.
 
     Yields (t0, m, fault) per block: its first row t0, its row count m, and
     None, or the EngineError of the step of row t0 + m - 1, the last row of
@@ -414,16 +437,19 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, noise: _N
     e_step = noise is not None and pm.kappa != 0
     b_s, b_ts, b_alpha, b_eta = buf
     eta = noise.eta if noise is not None else None
+    apply, project = op.apply, g._project
     e_t = 0.0 if lone else np.zeros(len(s))  # the budget's e_t unless e_step: delta0 + kappa * 0.0 is delta0
     for n in sizes:
         t0, end = t, min(t + n, last + 1)
         if noise is not None:
             noise.draw(min(end, last) - t0)
+        alphas = sched.alphas(t0, end)
+        b_alpha[:end - t0] = alphas
+        fault = None
         try:
-            for t in range(t0, end):
+            for t, al in zip(range(t0, end), alphas):
                 i = t - t0
-                b_alpha[i] = al = sched.alpha(t)
-                ts = op.apply(s, t)
+                ts = apply(s, t)
                 b_s[i] = s
                 b_ts[i] = ts
                 if e_step:
@@ -437,18 +463,23 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, noise: _N
                     else:
                         eta(t, s, e_t, al, eta_t := b_eta[i])
                     s_next = s_next + eta_t
-                try:
-                    if not _finite(s_next):
-                        raise EngineError(f"non-finite state at iteration {t}", t, s_next)
+                if lone:
                     try:
-                        s = g._project(s_next)
+                        s = project(s_next)
                     except DomainError as exc:
+                        if not _finite(s_next):
+                            raise EngineError(f"non-finite state at iteration {t}", t, s_next) from None
                         raise EngineError(f"domain escape at iteration {t}: {exc}", t, s_next) from exc
-                except EngineError:
-                    if lone:
-                        raise
-                    s = _revive(g, s_next, s_star, dead)
-        except EngineError as fault:
+                else:
+                    try:
+                        s = project(s_next) if _finite(s_next) else _revive(g, s_next, s_star, dead)
+                    except DomainError:
+                        s = _revive(g, s_next, s_star, dead)
+        except EngineError as exc:
+            fault = exc
+        if lone:
+            fault = _state_fault(b_s[:t - t0 + 1], t0, s) or fault
+        if fault is not None:
             yield t0, fault.t - t0 + 1, fault
             return
         if noise is not None:
@@ -457,6 +488,23 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, noise: _N
         if end > last:
             return
         t = end
+
+
+def _state_fault(rows: np.ndarray, t0: int, s: np.ndarray) -> EngineError | None:
+    """The fault of the first non-finite state of a lone block: of rows[1:], the states it made in its
+    rows t0 + 1.., then of s, the state it carries on.
+
+    The drift repair leaves a non-finite state as its step made it, or fails
+    that step (_blocks), so each row has the bits a per-step check reports.
+    """
+    if _finite(rows[1:]):
+        if _finite(s):
+            return None
+        i, state = len(rows), s
+    else:
+        i = 1 + int(np.argmin(np.isfinite(rows[1:]).all(axis=1)))
+        state = rows[i].copy()
+    return EngineError(f"non-finite state at iteration {t0 + i - 1}", t0 + i - 1, state)
 
 
 def _revive(g: Geometry, s: np.ndarray, s_star: np.ndarray, dead: np.ndarray) -> np.ndarray:

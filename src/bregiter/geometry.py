@@ -254,8 +254,8 @@ class NegativeEntropy(Geometry):
     def _project(self, s) -> np.ndarray:
         if s.ndim > 1:  # row by row: the scalar checks of one point keep a lone step fast
             return np.stack([self._project(row) for row in s])
-        low, total = float(s.min()), float(s.sum())
-        if low < self.rho * (1 - 1e-6) or abs(total - 1.0) > 1e-9:
+        low, total = min(s.tolist()), float(np.add.reduce(s))
+        if not (low >= self.rho * (1 - 1e-6) and abs(total - 1.0) <= 1e-9):  # fails every non-finite s
             raise DomainError(f"simplex drift exceeds repairable tolerance: min entry {low:g}, sum {total!r}")
         return s / total if low >= self.rho else hold_at_rho(s, self.rho)
 
@@ -269,12 +269,12 @@ def hold_at_rho(w: np.ndarray, rho: float) -> np.ndarray:
     holds nothing has the bits of w / w.sum().
     """
     held = w < rho
-    if not held.any():
-        return w / w.sum(axis=-1, keepdims=True)
+    if not np.count_nonzero(held):
+        return w / np.add.reduce(w, axis=-1, keepdims=True)
     while True:
         free = np.where(held, 0.0, w).sum(axis=-1, keepdims=True)
         out = np.where(held, rho, w / free * (1.0 - rho * held.sum(axis=-1, keepdims=True)))
-        if not (out < rho).any():
+        if not np.count_nonzero(out < rho):
             return out  # a row that holds nothing has the bits of w / w.sum(), times exactly 1.0
         held |= out < rho
 

@@ -193,7 +193,8 @@ def _sci_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _int_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """%d cells of the integers x into out; returns which are written: all but -2^63, whose |x| int64 lacks.
+    """%d cells of the integers x into out, whose words are NULs; returns which are written: all but
+    -2^63, whose |x| int64 lacks.
 
     A cell's words: 0 the sign; 1-5 up to 20 digits, right-aligned; 6 ','.
     """
@@ -207,6 +208,8 @@ def _int_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     for j in range(5, 0, -1):  # base-10^4 digits, units first; those left of the leading one are NULs
         higher = a // 10**4
         out[..., j] = quads[a - higher * 10**4 + (higher == 0) * (20000 if j == 5 else 10000)]
+        if not np.count_nonzero(higher):  # the digits left are NULs, as out holds them already
+            break
         a = higher
     out[..., 6] = tab["comma"]
     return written

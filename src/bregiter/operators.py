@@ -179,14 +179,15 @@ class ExpGradientStep(Operator):
         geom.check_point(q, "q")
         super().__init__(q.size)
         self.q = q
+        self._log_q = np.log(q)
         self.step = float(step)
         self.rho = rho
 
     def apply(self, p, t=0):
         p = np.asarray(p, dtype=float)
-        gkl = np.log(p) - np.log(self.q) + 1.0
+        gkl = np.log(p) - self._log_q + 1.0
         w = p * np.exp(-self.step * gkl)
-        return hold_at_rho(w / w.sum(axis=-1, keepdims=True), self.rho)
+        return hold_at_rho(w / np.add.reduce(w, axis=-1, keepdims=True), self.rho)
 
     def fixed_point(self, geometry=None):
         return self.q.copy()
@@ -235,6 +236,7 @@ class Bellman(Operator):
                 raise ValueError(f"context_y entries must broadcast to the rewards shape {r.shape}") from None
         self.context_y = context_y
         self.transitions = p
+        self._rows = p.reshape(-1, n_states)  # the (S A, S) matrix that apply multiplies
         self.rewards = r
         self.discount = float(discount)
         self.n_states = n_states
@@ -245,9 +247,9 @@ class Bellman(Operator):
         r = self.rewards
         if self.context_y is not None:  # an int array t picks one entry per row
             r = r + self.context_y[t % len(self.context_y)]
-        pv = np.matmul(self.transitions.reshape(-1, self.n_states), v[..., None])
+        pv = np.matmul(self._rows, v[..., None])
         q = r + self.discount * pv.reshape(v.shape[:-1] + (self.n_states, self.n_actions))
-        return q.max(axis=-1)
+        return np.maximum.reduce(q, axis=-1)
 
     def fixed_point(self, geometry=None):
         if self.n_actions ** self.n_states > self.ENUMERATION_LIMIT:

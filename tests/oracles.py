@@ -13,7 +13,8 @@ operator and constants passed in one row at a time, so they pin the batched
 passes to the exact bits, tie breaks and error order of a plain replay.
 After them come the row-by-row trace.csv writer and reader and the
 run-directory loader that the harness used before it formatted and parsed
-the trace in blocks.
+the trace in blocks, and last the operator and drift-repair maps as they
+read before their per-call invariants were hoisted.
 """
 
 import csv
@@ -408,9 +409,12 @@ def induction_loop(beta_grid, t_grid, tol=1e-12):
 
 
 class RunFailure(RuntimeError):
-    def __init__(self, message, t):
+    """A failed run or passage: the engine's message and iteration, and the state the step made (None at start-up)."""
+
+    def __init__(self, message, t, state=None):
         super().__init__(message)
         self.t = t
+        self.state = state
 
 
 def _start_loop(cfg, contraction=False):
@@ -431,11 +435,11 @@ def _start_loop(cfg, contraction=False):
 
 def _settle_loop(g, s_next, t):
     if not np.all(np.isfinite(s_next)):
-        raise RunFailure(f"non-finite state at iteration {t}", t)
+        raise RunFailure(f"non-finite state at iteration {t}", t, s_next)
     try:
         return g.project(s_next)
     except ValueError as exc:
-        raise RunFailure(f"domain escape at iteration {t}: {exc}", t) from exc
+        raise RunFailure(f"domain escape at iteration {t}: {exc}", t, s_next) from exc
 
 
 def _unit_direction_loop(dim, rng):
@@ -589,3 +593,53 @@ def load_run_fields(run_dir):
         delta_norm_sq=cols["delta_norm_sq"], eta_div=cols["eta_div"],
         states=states, etas=etas, meta=meta,
     )
+
+
+# ---------------------------------------------------------------------------
+# operator maps and drift repair, per call
+#
+# ExpGradientStep.apply, Bellman.apply, hold_at_rho and NegativeEntropy._project
+# as they read before the maps kept log q and the (S A, S) transition matrix
+# and reduced through the ufuncs themselves: log q and the reshape made on
+# every call, the .sum, .max and .any methods, and float(s.min()) and
+# float(s.sum()) of the drift test, which lets a nan entry pass.  They fix
+# the bits of every image and the message of every drift past repair.
+
+
+def hold_at_rho(w, rho):
+    held = w < rho
+    if not held.any():
+        return w / w.sum(axis=-1, keepdims=True)
+    while True:
+        free = np.where(held, 0.0, w).sum(axis=-1, keepdims=True)
+        out = np.where(held, rho, w / free * (1.0 - rho * held.sum(axis=-1, keepdims=True)))
+        if not (out < rho).any():
+            return out
+        held |= out < rho
+
+
+def exp_gradient_apply(op, p, t=0):
+    p = np.asarray(p, dtype=float)
+    gkl = np.log(p) - np.log(op.q) + 1.0
+    w = p * np.exp(-op.step * gkl)
+    return hold_at_rho(w / w.sum(axis=-1, keepdims=True), op.rho)
+
+
+def bellman_apply(op, v, t=0):
+    v = np.asarray(v, dtype=float)
+    r = op.rewards
+    if op.context_y is not None:
+        r = r + op.context_y[t % len(op.context_y)]
+    pv = np.matmul(op.transitions.reshape(-1, op.n_states), v[..., None])
+    q = r + op.discount * pv.reshape(v.shape[:-1] + (op.n_states, op.n_actions))
+    return q.max(axis=-1)
+
+
+def negative_entropy_project(g, s):
+    """The drift repair of g, a NegativeEntropy, on a point or row by row; ValueError past repair."""
+    if s.ndim > 1:
+        return np.stack([negative_entropy_project(g, row) for row in s])
+    low, total = float(s.min()), float(s.sum())
+    if low < g.rho * (1 - 1e-6) or abs(total - 1.0) > 1e-9:
+        raise ValueError(f"simplex drift exceeds repairable tolerance: min entry {low:g}, sum {total!r}")
+    return s / total if low >= g.rho else hold_at_rho(s, g.rho)

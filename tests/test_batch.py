@@ -15,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bregiter.geometry import DomainError, NegativeEntropy, Quadratic, SquaredEuclidean, three_point_residual
+from bregiter.geometry import (
+    DomainError,
+    NegativeEntropy,
+    Quadratic,
+    SquaredEuclidean,
+    hold_at_rho,
+    three_point_residual,
+)
 from bregiter.operators import (
     AffineColinear,
     AffineRotation,
@@ -215,6 +222,69 @@ def test_exp_gradient_hold_takes_a_second_pass():
     g.check_point(images, "image")
     assert np.array_equal(images, rowwise(lambda x: plain_apply(op, x, 0), rows))
     assert np.array_equal(images, rowwise(op.apply, rows))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, st.sampled_from(["exp-gradient-step", "bellman"]), dims, sizes, st.booleans())
+def test_operator_maps_have_the_bits_of_their_per_call_formulas(seed, kind, dim, n, context):
+    rng = np.random.default_rng(seed)
+    op, g = make_operator(kind, dim, rng)
+    if kind == "bellman" and not context:
+        op = Bellman(op.transitions, op.rewards, op.discount)
+    oracle = oracles.exp_gradient_apply if kind == "exp-gradient-step" else oracles.bellman_apply
+    s = points(g, rng, n)
+    t = rng.integers(0, 50, n)
+    assert same_bits(op.apply(s, t), oracle(op, s, t))
+    assert same_bits(op.apply(s[0], int(t[0])), oracle(op, s[0], int(t[0])))
+
+
+def test_exp_gradient_rows_that_hold_at_rho_have_the_bits_of_the_per_call_formula():
+    rho = 1e-6
+    q = np.array([rho * (1 - 9e-10), np.nextafter(rho, 1.0), 0.5, 0.0])
+    q[3] = 1.0 - q[:3].sum()
+    for op, g in ((ExpGradientStep([0.5, 0.3, 0.2], 3.0), NegativeEntropy(3, rho)),
+                  (ExpGradientStep(q, 0.5), NegativeEntropy(4, rho))):
+        rows = np.vstack([op.q, g.sample_point(np.random.default_rng(0), 256)])
+        images = op.apply(rows)
+        held = (images == rho).any(axis=1)
+        assert held.any() and not held.all()
+        assert same_bits(images, oracles.exp_gradient_apply(op, rows))
+        for row in rows:
+            assert same_bits(op.apply(row), oracles.exp_gradient_apply(op, row))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, st.integers(2, 24), sizes)
+def test_hold_at_rho_and_drift_repair_have_the_bits_of_their_per_call_formulas(seed, dim, n):
+    rng = np.random.default_rng(seed)
+    rho = 1e-6
+    g = NegativeEntropy(dim, rho)
+    w = g.sample_point(rng, n)
+    w[:, 0] = rng.choice([rho * (1 - 0.5e-6), rho * 0.5, rho, 0.3], n)  # rows below, at and above rho
+    w *= 1.0 + rng.choice([0.0, 3e-10, -3e-10, 1e-6], (n, 1))  # and sums drifted off 1, some past repair
+    assert same_bits(hold_at_rho(w, rho), oracles.hold_at_rho(w, rho))
+    for row in w:
+        assert same_bits(hold_at_rho(row, rho), oracles.hold_at_rho(row, rho))
+        try:
+            want = oracles.negative_entropy_project(g, row)
+        except ValueError as exc:
+            with pytest.raises(DomainError) as err:
+                g._project(row)
+            assert str(err.value) == str(exc)
+        else:
+            assert same_bits(g._project(row), want)
+
+
+@pytest.mark.parametrize("row", [[np.nan, 0.5, 0.5], [0.5, 0.5, np.nan], [0.5, np.inf, 0.5], [-np.inf, 0.5, 0.5],
+                                 [np.inf, -np.inf, 1.0]])
+def test_the_drift_repair_fails_every_non_finite_point(row):
+    # inf - inf is nan; the engine steps in a floating-point mode that ignores it
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="simplex drift exceeds repairable"):
+        NegativeEntropy(3, 1e-6)._project(np.array(row))
 
 
 def test_bellman_context_rows_follow_their_step():

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bregiter.config import from_dict
 from bregiter.engine import (
+    BLOCK,
     CENSORED,
+    PASSAGE_CAP,
     EngineError,
     Schedule,
     _finite,
@@ -63,6 +67,25 @@ def test_alpha_in_unit_interval():
                   Schedule("polynomial", c=0.9, p=1.5)):
         for t in (0, 1, 5, 1000, 10**6):
             assert 0.0 < sched.alpha(t) <= 1.0
+
+
+schedules = st.one_of(
+    st.just(Schedule("accelerated")),
+    st.builds(lambda c: Schedule("constant", c=c), st.floats(0.0, 1.0, exclude_min=True)),
+    st.builds(lambda c, p: Schedule("polynomial", c=c, p=p), st.floats(0.0, 1.0, exclude_min=True),
+              st.floats(0.0, 3.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(schedules, st.integers(0, PASSAGE_CAP), st.integers(1, BLOCK))
+@example(Schedule("polynomial", c=0.7, p=2000.0), 0, 40)  # (t + 1)^p overflows from t = 1 on
+@example(Schedule("polynomial", c=0.7, p=2000.0), PASSAGE_CAP - 5, 6)
+@example(Schedule("accelerated"), PASSAGE_CAP, BLOCK)
+def test_the_step_sizes_of_a_block_have_the_bits_of_alpha(sched, t0, n):
+    got = sched.alphas(t0, t0 + n)
+    assert len(got) == n and all(type(al) is float for al in got)
+    assert np.array(got).tobytes() == np.array([sched.alpha(t) for t in range(t0, t0 + n)]).tobytes()
 
 
 # ---------------------------------------------------------------------------

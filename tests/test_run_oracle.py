@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 import oracles
 from bregiter import engine
 from bregiter.config import KINDS, from_dict
+from bregiter.geometry import DomainError
+from bregiter.perturbation import PerturbationModel
 from test_batch import spd
 from test_harness import KAPPA0_OVERFLOW
 
@@ -353,3 +355,103 @@ def test_first_passage_stops_at_a_non_finite_divergence(monkeypatch):
             resume()
         assert (str(exc.value), exc.value.t) == ("non-finite divergence at iteration 7", 7)
         assert np.isfinite(exc.value.state).all()
+
+
+def failure(f, cfg):
+    """The message, t and state bytes of the failure of f(cfg)."""
+    with pytest.raises((engine.EngineError, oracles.RunFailure)) as exc:
+        f(cfg)
+    return str(exc.value), exc.value.t, np.asarray(exc.value.state).tobytes()
+
+
+def stepped_config(gkind, mode="zero", kappa=0.0):
+    """Ten clean accelerated steps toward target on gkind's geometry, with mode's perturbations of delta0 1e-3."""
+    simplex = gkind == "negative-entropy"
+    raw = {
+        "geometry": {"kind": gkind, "dim": 3, "params": {"rho": 1e-6} if simplex else {}},
+        "operator": {"kind": "affine-colinear",
+                     "params": {"gamma": 0.5, "target": [0.2, 0.3, 0.5] if simplex else [2.0, -1.0, 0.5]}},
+        "schedule": {"kind": "accelerated"},
+        "s0": [0.6, 0.3, 0.1] if simplex else [0.0, 0.0, 0.0],
+        "iterations": 10,
+        "seed": 5,
+    }
+    if not simplex:
+        raw["perturbation"] = {"mode": mode, "delta0": 1e-3, "kappa": kappa, "injection": "unscaled"}
+    return from_dict(raw)
+
+
+def failing_apply(monkeypatch, cfg, images):
+    """Make T(s_t) of cfg's operator images[t] for the steps t that images names."""
+    plain = type(cfg.operator).apply
+
+    def apply(self, s, t=0):
+        return np.array(images[t], dtype=float) if np.ndim(t) == 0 and t in images else plain(self, s, t)
+
+    monkeypatch.setattr(type(cfg.operator), "apply", apply)
+
+
+# the oracle runs outside the engine's floating-point mode, and warns where its arithmetic overflows
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("block", [1, 7, engine.BLOCK])
+@pytest.mark.parametrize("step", [3, 6, 8])  # at block 7: inside the first block, its last step, the second
+@pytest.mark.parametrize("mode, kappa", [("zero", 0.0), ("random", 0.1), ("adversarial", 0.0),
+                                         ("adversarial", 0.1)])
+def test_a_non_finite_state_fails_before_a_later_fault_of_its_block(monkeypatch, mode, kappa, step, block):
+    # T(s_step) = inf makes s_{step+1} inf, and the adversarial direction of the next step overflows
+    cfg = stepped_config("squared-euclidean", mode, kappa)
+    failing_apply(monkeypatch, cfg, {step: [np.inf, 1.0, 1.0]})
+    want = failure(oracles.run_loop, cfg)
+    assert want[:2] == (f"non-finite state at iteration {step}", step)
+    raised, plain = [], PerturbationModel.sample
+
+    def sample(self, *args):
+        try:
+            return plain(self, *args)
+        except DomainError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(PerturbationModel, "sample", sample)
+    with mock.patch.object(engine, "BLOCK", block):
+        assert failure(engine.run, cfg) == want
+    # a block that steps on from s_{step+1} meets the later fault
+    later = mode == "adversarial" and (step + 1) // block == step // block
+    assert raised == ["||s_t - s_star|| overflows; the adversarial direction is undefined"] * later
+
+
+@pytest.mark.parametrize("block", [1, 7, engine.BLOCK])
+@pytest.mark.parametrize("image", [[np.nan, 0.5, 0.5], [0.5, 0.5, np.nan], [0.5, np.inf, 0.5], [-np.inf, 0.5, 0.5]])
+def test_a_non_finite_state_on_the_simplex_fails_unprojected_before_a_later_drift_escape(monkeypatch, image, block):
+    # the drift repair fails every non-finite state, also one whose nan the min of its entries skips
+    cfg = stepped_config("negative-entropy")
+    failing_apply(monkeypatch, cfg, {4: image, 6: [3.0, 0.5, -2.5]})
+    want = failure(oracles.run_loop, cfg)
+    assert want[:2] == ("non-finite state at iteration 4", 4)
+    with mock.patch.object(engine, "BLOCK", block):
+        assert failure(engine.run, cfg) == want
+    monkeypatch.undo()
+    failing_apply(monkeypatch, cfg, {6: [3.0, 0.5, -2.5]})  # the later fault, alone
+    want = failure(oracles.run_loop, cfg)
+    assert want[0].startswith("domain escape at iteration 6: simplex drift exceeds repairable tolerance")
+    with mock.patch.object(engine, "BLOCK", block):
+        assert failure(engine.run, cfg) == want
+
+
+@pytest.mark.parametrize("block", [1, 7, engine.BLOCK])
+@pytest.mark.parametrize("gkind", ["squared-euclidean", "negative-entropy"])
+@pytest.mark.parametrize("met", [5, None])
+def test_a_passage_meets_its_targets_before_a_failing_pair_or_fails_at_its_first(monkeypatch, gkind, met, block):
+    cfg = stepped_config(gkind)
+    e = oracles.run_loop(cfg)["e"]
+    assert (np.diff(e) < 0).all()
+    eps = e[met] if met is not None else e[8]
+    failing_apply(monkeypatch, cfg, {6: [0.5, 0.5, np.nan], 8: [3.0, 0.5, -2.5]})  # a drift escape on the simplex
+    with mock.patch.object(engine, "PASSAGE_BLOCKS", (block,)):
+        if met is not None:
+            assert oracles.passages_loop(cfg, [eps], 100) == [met]
+            assert engine.iterations_to_epsilon(cfg, eps, 100) == met
+        else:
+            want = failure(lambda c: oracles.passages_loop(c, [eps], 100), cfg)
+            assert want[:2] == ("non-finite state at iteration 6", 6)
+            assert failure(lambda c: engine.iterations_to_epsilon(c, eps, 100), cfg) == want
