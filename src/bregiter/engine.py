@@ -19,23 +19,24 @@ the bits of a per-step call.  Random-mode draws read no state, so a block
 makes them before its steps, in the perturbation module's draw order, with
 their unit directions and D(direction, 0) batched; a random step keeps its
 budget and the scaling of its eta.  The step sizes of a block are made
-once per block (Schedule.alphas).  A lone run checks the finiteness of its
-states once per block, at the block's end or at its first fault, and a
-batch checks every step.  A fault is reported at its earliest row, with the
-message, t and state of a per-step loop.
+once per block (Schedule.alphas), and so is the finiteness check of its
+states: a lone run checks them at the block's end or at its first fault,
+and a batch marks a row failed at its first divergence that is not finite.
+A fault is reported at its earliest row, with the message, t and state of a
+per-step loop.
 
-A sweep job steps its loops in the passes of passes, one call of loops
-each: the loops whose configs differ only in the seed and in the params
+A sweep job is a pass of passes, or a part of one, stepped by one call of
+loops: the loops whose configs differ only in the seed and in the params
 that their operator kind stacks (Operator.stackable) step together as the
 rows of one (B, dim) state.  The work that reads no draw runs once per step
 for every row; row r reads its own row of the stacked operator and of
 s_star, draws its perturbations from its own generator, and gets the bits of
 its lone loop, or fails alone while the other rows step on.  In random mode
 the etas of all rows are one array expression per step.  A pass holds at
-most PASS_BYTES of traces, so a caller that drops each pass's traces before
-it steps the next holds about that much at once.  A lone run (B = 1) steps a
-(dim,) state, whose random etas come from python floats: at B = 1 the array
-expression costs more than twice as much per step.
+most PASS_BYTES of traces, so a worker, which drops each job's traces before
+it steps the next, holds about that much at once.  A lone run (B = 1) steps
+a (dim,) state, whose random etas come from python floats: at B = 1 the
+array expression costs more than twice as much per step.
 """
 
 from __future__ import annotations
@@ -249,34 +250,36 @@ def _started(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, dict]:
 
 
 def passes(cfgs: Iterable[RunConfig]) -> list[list[RunConfig]]:
-    """The passes that loops steps the loops of cfgs in: one config per distinct loop_key.
+    """The passes of loops that step cfgs: every config, those of a loop_key adjacent.
 
-    The keys of one batch_key form passes in order of first appearance, each
-    holding at most PASS_BYTES of traces and retained states (one row at
-    least).
+    The loop keys of one batch_key, in order of first appearance, form passes
+    of whole keys, each holding at most PASS_BYTES of traces and retained
+    states (one key at least); a key's configs keep their order.
     """
-    batches: dict[str, dict[str, RunConfig]] = {}
+    batches: dict[str, dict[str, list[RunConfig]]] = {}
     for cfg in cfgs:
-        batches.setdefault(cfg.batch_key, {}).setdefault(cfg.loop_key, cfg)
+        batches.setdefault(cfg.batch_key, {}).setdefault(cfg.loop_key, []).append(cfg)
     out = []
     for batch in batches.values():
-        rows = list(batch.values())
-        cfg = rows[0]
+        keys = list(batch.values())
+        cfg = keys[0][0]
         size = max(1, PASS_BYTES // (8 * (cfg.iterations + 1) * (4 + 2 * cfg.geometry.dim * cfg.retain_states)))
-        out += [rows[lo:lo + size] for lo in range(0, len(rows), size)]
+        out += [[c for key in keys[lo:lo + size] for c in key] for lo in range(0, len(keys), size)]
     return out
 
 
 def loops(cfgs: list[RunConfig]) -> dict[str, Trace]:
-    """The loop of each config of cfgs, one pass of passes, by loop_key, without its start-up facts.
+    """The loop of each loop_key of cfgs, a pass of passes, without its start-up facts.
 
-    The configs step as the rows of one pass of _loop: row r starts from its
-    own fixed point where the rows stack their operator params, and the rows
-    of any other batch share one start-up.  Each Trace has the bits of the
-    loop of run on a config of its key; with_start adds the start-up facts.
-    A config whose loop fails, at start-up or at a step, is left out, and the
-    other rows step on: a lone run tells where it fails.
+    The first config of each key (adjacent, as in a pass) is a row of one
+    pass of _loop: row r starts from its own fixed point where the rows stack
+    their operator params, and the rows of any other batch share one
+    start-up.  Each Trace has the bits of the loop of run on a config of its
+    key; with_start adds the start-up facts.  A key whose loop fails, at
+    start-up or at a step, is left out, and the other rows step on: a lone
+    run tells where it fails.
     """
+    cfgs = [next(group) for _, group in itertools.groupby(cfgs, key=lambda cfg: cfg.loop_key)]
     stacked = cfgs[0].operator.stackable
     starts = [_start_or_none(cfg) for cfg in cfgs] if stacked else [_start_or_none(cfgs[0])] * len(cfgs)
     rows = [(cfg, start) for cfg, start in zip(cfgs, starts) if start is not None]
@@ -414,19 +417,20 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, noise: _N
     buffers buf (see _buffers) holds s_u, T(s_u), alpha_u and, on noisy runs,
     eta_u for u = t0 + i.  Each step computes only what the next step reads;
     whoever consumes the block fills every other per-row value by one
-    batched map per block.  A step runs unchecked but for the drift repair
-    and the finiteness of its new state: s_t, s_star and every state before
-    them were checked or settled already.  Row last takes no step.
+    batched map per block.  A step runs unchecked but for the drift repair:
+    s_t, s_star and every state before them were checked or settled already.
+    Row last takes no step.
 
-    A lone run checks the finiteness of its states once per block, at the
-    block's end or at its first EngineError (_state_fault).  A non-finite
+    A drift repair passes a non-finite state unchanged (the identity) or
+    fails it (NegativeEntropy), and a lone step then fails with the fault of
+    a non-finite state.  A lone run checks its states once per block, at the
+    block's end or at its first EngineError (_state_fault): a non-finite
     state steps on to that check, and its fault, the one a per-step check
-    gives, wins over every later fault of the block.  A drift repair passes
-    a non-finite state unchanged (the identity) or fails it
-    (NegativeEntropy), and then the step fails with that same fault.  A
-    batch checks every step: a row whose step fails is marked in dead, the
-    (B,) flags of the failed rows, and steps on from its row of s_star
-    (_revive); every other row keeps its bits.
+    gives, wins over every later fault of the block.  In a batch, a row whose
+    repair fails is marked in dead, the (B,) flags of the failed rows, and
+    steps on from its row of s_star (_revive); a non-finite row that the
+    identity passes steps on, and _loop marks it at its divergence, which is
+    not finite.  Every other row keeps its bits.
 
     Yields (t0, m, fault) per block: its first row t0, its row count m, and
     None, or the EngineError of the step of row t0 + m - 1, the last row of
@@ -472,7 +476,7 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, noise: _N
                         raise EngineError(f"domain escape at iteration {t}: {exc}", t, s_next) from exc
                 else:
                     try:
-                        s = project(s_next) if _finite(s_next) else _revive(g, s_next, s_star, dead)
+                        s = project(s_next)
                     except DomainError:
                         s = _revive(g, s_next, s_star, dead)
         except EngineError as exc:
@@ -533,8 +537,9 @@ def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray, seeds: list[int]) -
     (m, B, dim) rows give each row the bits of a per-step call for e_t,
     ||T(s_t) - s_t||^2 and D(eta_t, 0).  A lone loop fails at its first
     row whose e_t is not finite, before any failed step of its block.  A row
-    of a batch fails alone, at a failed step (_blocks) or at an e_t that is
-    not finite, and gets None; its lone loop tells where.  a_t and
+    of a batch fails alone, at a failed drift repair (_blocks) or at an e_t
+    that is not finite, as that of a non-finite state is, and gets None; its
+    lone loop tells where.  a_t and
     ||T(s_t) - s_t||^2 may read inf.  Each row's Trace is contiguous.
     """
     g, pm = cfg.geometry, cfg.perturbation

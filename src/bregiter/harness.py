@@ -712,13 +712,13 @@ def expand_sweep(raw: dict) -> list[tuple[dict, dict]]:
     return points
 
 
-def _sweep_jobs(batches: list[list], parallel: int) -> list[list]:
-    """The jobs of a sweep: one per batch of points, the largest halved until each of parallel workers has one.
+def _sweep_jobs(passes: list[list], parallel: int) -> list[list]:
+    """The jobs of a sweep: one per pass, the largest halved until each of parallel workers has one.
 
-    Each half runs its loops once.  Halves stay in place, so the jobs list the
-    points in batch order at any parallel.
+    Each half steps its loops once.  Halves stay in place, so the jobs list the
+    configs in pass order at any parallel.
     """
-    jobs = list(batches)
+    jobs = list(passes)
     while len(jobs) < parallel and max(map(len, jobs), default=0) > 1:
         i = max(range(len(jobs)), key=lambda j: len(jobs[j]))
         half = len(jobs[i]) // 2
@@ -726,39 +726,27 @@ def _sweep_jobs(batches: list[list], parallel: int) -> list[list]:
     return jobs
 
 
-def _sweep_group(points: list[tuple]) -> list[dict]:
-    """Worker for the sweep points of one job: the loop of each loop_key steps once, for all its points.
+def _sweep_group(out_root: Path, cfgs: list[cfgmod.RunConfig]) -> list[dict]:
+    """Worker for the sweep points of one job: one engine.loops call steps the loop of each loop_key once.
 
-    The job's loops step in the passes of engine.passes; the points of a
-    pass are written before the next pass steps, which frees its traces.  A
-    point whose loop engine.loops left out, as a failed loop does, runs
-    alone, so each row, ok or error, is that of a lone run.
+    The configs of a key are adjacent and share one Loop, which formats their
+    trace.csv once.  A point whose loop engine.loops left out, as a failed
+    loop does, runs alone, so each row, ok or error, is that of a lone run.
     """
-    by_key: dict[str, list[tuple]] = {}
-    for point in points:
-        by_key.setdefault(point[0].loop_key, []).append(point)
+    traces = engine.loops(cfgs)
     rows = []
-    for cfgs in engine.passes(cfg for cfg, _ in points):
-        rows += _pass_rows(engine.loops(cfgs), [by_key[cfg.loop_key] for cfg in cfgs])
-    return rows
-
-
-def _pass_rows(traces: dict, groups: list[list[tuple]]) -> list[dict]:
-    """The rows of the points of one pass, grouped by loop_key, from the pass's traces."""
-    rows = []
-    for points in groups:  # one Loop formats the trace.csv of a key
-        trace = traces.get(points[0][0].loop_key)
+    for key, points in groupby(cfgs, key=lambda cfg: cfg.loop_key):
+        trace = traces.get(key)
         loop = None if trace is None else Loop(trace)
-        rows += [_sweep_point(point, loop) for point in points]
+        rows += [_sweep_point(cfg, out_root, loop) for cfg in points]
     return rows
 
 
-def _sweep_point(args: tuple, loop: Loop | None) -> dict:
+def _sweep_point(cfg: cfgmod.RunConfig, out_root: Path, loop: Loop | None) -> dict:
     """One parsed sweep point; returns its index row without the axis values, never raises."""
-    cfg, out_root = args
     digest = cfg.digest
     try:
-        summary = run_to_dir(cfg, Path(out_root) / digest[:12], loop)
+        summary = run_to_dir(cfg, out_root / digest[:12], loop)
     except (EngineError, ValueError, OSError) as exc:
         return {"digest": digest, "status": f"error: {exc}"}
     eps_ts = {f"t_eps[{item['eps']:g}]": item["t"] for item in summary["iterations_to_eps"]}
@@ -772,11 +760,11 @@ def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1) -> int:
     """Run the Cartesian sweep; per-point failures are recorded, not fatal.
 
     Output is independent of the parallelism level: each point runs under a
-    digest-named subdirectory and index.csv rows are sorted by digest.  Points
-    with one batch_key form one job, whose loops step in stacked passes of
-    engine.loops, a loop_key's loop once.  A repeated point runs once and its row is
-    repeated.  A point that does not parse gets its error row here and no
-    job.
+    digest-named subdirectory and index.csv rows are sorted by digest.  Each
+    pass of engine.passes, planned once here for every point, is one job,
+    whose loops step in one stacked pass of engine.loops, a loop_key's loop
+    once.  A repeated point runs once and its row is repeated.  A point that
+    does not parse gets its error row here and no job.
     """
     try:
         raw = cfgmod.load_config_file(config_path)
@@ -789,7 +777,7 @@ def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1) -> int:
         return EXIT_CONFIG
 
     out_root = Path(out_dir)
-    digests, by_digest, batches = [], {}, {}
+    digests, by_digest, cfgs = [], {}, {}
     for _, point in points:
         try:
             cfg = cfgmod.from_dict(point)
@@ -798,16 +786,16 @@ def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1) -> int:
             by_digest[digest] = {"digest": digest, "status": f"error: {exc}"}
         else:
             digest = cfg.digest
-            batches.setdefault(cfg.batch_key, {}).setdefault(cfg.loop_key, {})[digest] = (cfg, str(out_root))
+            cfgs[digest] = cfg
         digests.append(digest)
-    jobs = _sweep_jobs([[point for key in batch.values() for point in key.values()] for batch in batches.values()],
-                       parallel)
+    jobs = _sweep_jobs(engine.passes(cfgs.values()), parallel)
+    group = functools.partial(_sweep_group, out_root)
     workers = min(parallel, len(jobs))  # a pool starts all its workers at once, busy or not
     if workers <= 1:
-        done = [row for job in jobs for row in _sweep_group(job)]
+        done = [row for job in jobs for row in group(job)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = [row for job_rows in pool.map(_sweep_group, jobs) for row in job_rows]
+            done = [row for job_rows in pool.map(group, jobs) for row in job_rows]
 
     by_digest.update((row["digest"], row) for row in done)
     rows = [{**by_digest[digest], **{f"axis:{k}": v for k, v in axis_values.items()}}

@@ -450,8 +450,11 @@ def _unit_direction_loop(dim, rng):
             return d / n
 
 
-def perturbation_loop(pm, g, s_t, s_star, e_t, alpha_t, rng):
-    """eta for one step: direction, then budget fraction, scaled to its divergence target."""
+def perturbation_loop(pm, g, t, s_t, s_star, e_t, alpha_t, rng):
+    """eta for step t: direction, then budget fraction, scaled to its divergence target.
+
+    An adversarial direction is undefined where ||s_t - s_star|| overflows, which fails step t at s_t.
+    """
     zero = np.zeros(g.dim)
     b = pm.delta0 + pm.kappa * e_t
     if b <= 0:
@@ -463,6 +466,9 @@ def perturbation_loop(pm, g, s_t, s_star, e_t, alpha_t, rng):
     else:
         d = s_t - s_star
         norm = float(np.linalg.norm(d))
+        if norm == math.inf:
+            raise RunFailure(f"perturbation failed at iteration {t}: ||s_t - s_star|| overflows; "
+                             "the adversarial direction is undefined", t, s_t)
         direction = _unit_direction_loop(g.dim, rng) if norm == 0.0 else d / norm
         target = b
     if target <= 0:
@@ -498,7 +504,7 @@ def run_loop(cfg):
             break
         s_next = (1.0 - al) * s + al * ts
         if noisy:
-            eta = perturbation_loop(pm, g, s, s_star, e_t, al, rng)
+            eta = perturbation_loop(pm, g, t, s, s_star, e_t, al, rng)
             if np.any(eta):
                 eta_div[t] = g.divergence(eta, zero)
             if etas is not None:

@@ -977,11 +977,12 @@ def test_sweep_starts_no_more_workers_than_jobs(tmp_path, monkeypatch, gammas, p
 def test_sweep_point_that_does_not_parse_gets_no_job(tmp_path, monkeypatch):
     ran = []
     plain = harness._sweep_point
-    monkeypatch.setattr(harness, "_sweep_point", lambda args, loop: ran.append(args) or plain(args, loop))
+    monkeypatch.setattr(harness, "_sweep_point",
+                        lambda cfg, out_root, loop: ran.append(cfg) or plain(cfg, out_root, loop))
     raw = sweep_config()
     raw["sweep"] = {"operator.params.gamma": [0.5, 1.5]}
     assert cmd_sweep(write_config(tmp_path / "c.json", raw), str(tmp_path / "s"), parallel=1) == 0
-    assert [cfg.operator.gamma for cfg, _ in ran] == [0.5]
+    assert [cfg.operator.gamma for cfg in ran] == [0.5]
     assert "error: operator: gamma" in (tmp_path / "s" / "index.csv").read_text()
 
 

@@ -6,6 +6,7 @@ unscaled, and states retained or not.  Every recorded array must carry the
 bits of oracles.run_loop, and every failure its message and iteration.
 """
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -15,11 +16,11 @@ from hypothesis import strategies as st
 
 import oracles
 from bregiter import engine
-from bregiter.config import KINDS, from_dict
+from bregiter.config import KINDS, apply_overrides, from_dict
 from bregiter.geometry import DomainError
 from bregiter.perturbation import PerturbationModel
 from test_batch import spd
-from test_harness import KAPPA0_OVERFLOW
+from test_harness import CONFIGS, KAPPA0_OVERFLOW, OVERFLOW_CASES, OVERFLOW_TARGET
 
 
 def simplex_point(rng, dim):
@@ -418,6 +419,19 @@ def test_a_non_finite_state_fails_before_a_later_fault_of_its_block(monkeypatch,
     # a block that steps on from s_{step+1} meets the later fault
     later = mode == "adversarial" and (step + 1) // block == step // block
     assert raised == ["||s_t - s_star|| overflows; the adversarial direction is undefined"] * later
+
+
+# the oracle runs outside the engine's floating-point mode, and warns where its norm overflows
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_an_overflowing_adversarial_direction_fails_its_step_as_in_the_checked_loop():
+    # A = 1e-3 I keeps e_0 finite, so the run starts and its first adversarial direction overflows
+    changes, (error, t) = OVERFLOW_CASES["quadratic"]
+    overrides = {**changes, "operator.params.target": OVERFLOW_TARGET, "iterations": 5}
+    cfg = from_dict(apply_overrides(json.loads((CONFIGS / "affine_adversarial_scaled.json").read_text()),
+                                    [f"{k}={json.dumps(v)}" for k, v in overrides.items()]))
+    want = failure(oracles.run_loop, cfg)
+    assert want == (error, t, np.zeros(2).tobytes())
+    assert failure(engine.run, cfg) == want
 
 
 @pytest.mark.parametrize("block", [1, 7, engine.BLOCK])

@@ -115,7 +115,7 @@ def test_a_loop_serves_every_config_of_its_key(seed, pair, schedule, mode, injec
     fresh, fresh_err = outcome(engine.run, twin)
     want, want_err = outcome(oracles.run_loop, twin)
     assert fresh_err == want_err
-    assert engine.passes([cfg, twin]) == [[cfg]]
+    assert engine.passes([cfg, twin]) == [[cfg, twin]]
     loops = engine.loops([cfg])
     assert set(loops) <= {cfg.loop_key}
     loop = loops.get(cfg.loop_key)
@@ -332,7 +332,10 @@ def assert_sweep_equals_lone_runs(sweep_dir, lone):
 
 
 def counting_passes(monkeypatch):
-    """Record the rows of every pass of engine.loops made in this process, as (seed, gamma), and those it left out."""
+    """Record the rows of every pass of engine.loops made in this process, as (seed, gamma), and those it left out.
+
+    A row is the first config of each distinct loop key of the pass, the one that engine.loops steps.
+    """
     passes, plain = [], engine.loops
 
     def row(cfg):
@@ -340,7 +343,10 @@ def counting_passes(monkeypatch):
 
     def counted(cfgs):
         out = plain(cfgs)
-        passes.append(([row(cfg) for cfg in cfgs], [row(cfg) for cfg in cfgs if cfg.loop_key not in out]))
+        rows = {}
+        for cfg in cfgs:
+            rows.setdefault(cfg.loop_key, row(cfg))
+        passes.append((list(rows.values()), [r for key, r in rows.items() if key not in out]))
         return out
 
     monkeypatch.setattr(engine, "loops", counted)
@@ -543,6 +549,43 @@ def test_the_byte_cap_splits_a_job_into_passes_with_unchanged_files(tmp_path, mo
         assert cmd_sweep(str(path), str(out), parallel=parallel) == 0
         assert_same_sweep(out, tmp_path / "whole")
     assert [(len(rows), failed) for rows, failed in passes] == [(2, [])] * 4 + [(1, [])]
+
+
+def test_a_capped_sweep_passes_whole_loop_keys_and_steps_each_once_per_job(tmp_path, monkeypatch):
+    # noise-free, so the three seeds of a gamma share its loop key
+    raw = {**SWEEP, "iterations": 120, "eps_list": [1e-3],
+           "sweep": {"operator.params.gamma": [0.1, 0.2, 0.3, 0.4], "seed": [1, 2, 3]}}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(raw))
+    assert cmd_sweep(str(path), str(tmp_path / "whole"), parallel=1) == 0
+    cfgs = [config.from_dict(point) for _, point in expand_sweep(raw)]  # gamma by gamma, seeds 1, 2, 3
+    assert len({cfg.batch_key for cfg in cfgs}) == 1
+    assert [len({cfg.loop_key for cfg in cfgs[lo:lo + 3]}) for lo in range(0, 12, 3)] == [1] * 4
+    assert len({cfg.loop_key for cfg in cfgs}) == 4
+    monkeypatch.setattr(engine, "PASS_BYTES", 3 * 8 * (120 + 1) * (4 + 2 * 2) + 1)  # three keys a pass
+    assert engine.passes(cfgs) == [cfgs[:9], cfgs[9:]]
+    assert engine.passes(cfgs[::3] + cfgs[1::3] + cfgs[2::3]) == [cfgs[:9], cfgs[9:]]  # seed by seed
+    stepped, plain_loop, plain_loops = [], engine._loop, engine.loops
+
+    def loop(cfg, s_star, s, seeds):
+        stepped.append(len(seeds))
+        return plain_loop(cfg, s_star, s, seeds)
+
+    def loops(cfgs):  # in a worker too, where a failed check fails the sweep
+        before = len(stepped)
+        traces = plain_loops(cfgs)
+        assert stepped[before:] == [len({cfg.loop_key for cfg in cfgs})]  # one pass of _loop, a row per key
+        return traces
+
+    monkeypatch.setattr(engine, "_loop", loop)
+    monkeypatch.setattr(engine, "loops", loops)
+    passes = counting_passes(monkeypatch)
+    for parallel in (1, 2, 4):  # at 4, the halves of the first pass split the seeds of gamma 0.2
+        out = tmp_path / f"capped{parallel}"
+        assert cmd_sweep(str(path), str(out), parallel=parallel) == 0
+        assert_same_sweep(out, tmp_path / "whole")
+    assert passes == [([(1, 0.1), (1, 0.2), (1, 0.3)], []), ([(1, 0.4)], [])]  # the serial sweep
+    assert stepped == [3, 1]
 
 
 def test_a_job_frees_each_pass_before_it_steps_the_next(tmp_path, monkeypatch):
