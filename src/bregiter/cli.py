@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="expand the config's sweep block and run every point")
     p_sweep.add_argument("--config", required=True, help="path to a JSON config with a sweep block")
     p_sweep.add_argument("--out", required=True, help="root directory for per-point run dirs")
-    p_sweep.add_argument("--parallel", type=int, default=1, help="worker processes (1 = serial)")
+    p_sweep.add_argument("--parallel", type=int, default=1, help="worker processes, this one included (1 = serial)")
 
     p_audit = sub.add_parser("audit", help="check the recorded bounds along a finished run")
     p_audit.add_argument("--dir", required=True, help="run directory produced by the run command")

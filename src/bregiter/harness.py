@@ -17,12 +17,12 @@ import io
 import json
 import math
 import os
+import pickle
 import sys
 import time
 import warnings
 import zipfile
-from concurrent.futures import ProcessPoolExecutor
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import asdict
 from itertools import groupby, product
 from pathlib import Path
@@ -713,17 +713,83 @@ def expand_sweep(raw: dict) -> list[tuple[dict, dict]]:
 
 
 def _sweep_jobs(passes: list[list], parallel: int) -> list[list]:
-    """The jobs of a sweep: one per pass, the largest halved until each of parallel workers has one.
+    """The jobs of a sweep: one per pass, the largest cut in two until each of parallel workers has one.
 
-    Each half steps its loops once.  Halves stay in place, so the jobs list the
-    configs in pass order at any parallel.
+    A job of two or more loop keys is cut at the key boundary nearest its
+    middle, so each key steps in one job; a job of one key is halved by
+    configs, and each half steps the key.  Halves stay in place, so the jobs
+    list the configs in pass order at any parallel.
     """
     jobs = list(passes)
     while len(jobs) < parallel and max(map(len, jobs), default=0) > 1:
         i = max(range(len(jobs)), key=lambda j: len(jobs[j]))
-        half = len(jobs[i]) // 2
-        jobs[i:i + 1] = [jobs[i][:half], jobs[i][half:]]
+        job = jobs[i]
+        cuts = [c for c in range(1, len(job)) if job[c].loop_key != job[c - 1].loop_key] or [len(job) // 2]
+        cut = min(cuts, key=lambda c: abs(2 * c - len(job)))
+        jobs[i:i + 1] = [job[:cut], job[cut:]]
     return jobs
+
+
+def _fan_out(fn: Callable[[list], list], jobs: list, workers: int) -> list:
+    """The rows of fn over every job: share k, jobs[k::workers], runs in forked child k, and share 0 here.
+
+    Each child inherits the jobs and sends back its rows, or the exception of
+    its share, pickled over a pipe.  Every child is reaped before this returns
+    or raises; then a child's exception is raised here, and a child that
+    ended without reporting raises a RuntimeError.  With one worker every job
+    runs here.
+    """
+    if workers <= 1:
+        return [row for job in jobs for row in fn(job)]
+    children = []
+    try:
+        for k in range(1, workers):
+            children.append(_fork(fn, jobs[k::workers]))
+        rows = [row for job in jobs[::workers] for row in fn(job)]
+    finally:
+        ends = [_reap(pid, fd) for pid, fd in children]
+    for pid, code, report in ends:
+        if code or not report:
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            raise RuntimeError(f"sweep worker {pid} ended with {how} without reporting")
+        ok, value = pickle.loads(report)
+        if not ok:
+            raise value
+        rows += value
+    return rows
+
+
+def _fork(fn: Callable[[list], list], share: list) -> tuple[int, int]:
+    """Fork a child that runs fn over the jobs of share; returns its pid and the read end of its pipe."""
+    fd, out = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(fd)
+        os.close(out)
+        raise
+    if pid:
+        os.close(out)
+        return pid, fd
+    code = 1  # the child reports once and leaves through os._exit: no exit handler, no stdio flush
+    try:
+        os.close(fd)
+        try:
+            report = True, [row for job in share for row in fn(job)]
+        except Exception as exc:
+            report = False, exc
+        with open(out, "wb") as fh:
+            fh.write(pickle.dumps(report))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, fd: int) -> tuple[int, int, bytes]:
+    """The pid, exit code (minus the signal if a signal ended it) and report of a child of _fork."""
+    with open(fd, "rb") as fh:
+        report = fh.read()  # to the end before waiting: a child blocks on a full pipe
+    return pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), report
 
 
 def _sweep_group(out_root: Path, cfgs: list[cfgmod.RunConfig]) -> list[dict]:
@@ -763,8 +829,11 @@ def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1) -> int:
     digest-named subdirectory and index.csv rows are sorted by digest.  Each
     pass of engine.passes, planned once here for every point, is one job,
     whose loops step in one stacked pass of engine.loops, a loop_key's loop
-    once.  A repeated point runs once and its row is repeated.  A point that
-    does not parse gets its error row here and no job.
+    once.  parallel counts this process: it runs a share of the jobs and
+    forks a child for each other share (_fan_out), no more processes than
+    jobs or than the CPUs it may use, and none where os.fork does not exist.
+    A repeated point runs once and its row is repeated.  A point that does
+    not parse gets its error row here and no job.
     """
     try:
         raw = cfgmod.load_config_file(config_path)
@@ -788,14 +857,11 @@ def cmd_sweep(config_path: str, out_dir: str, parallel: int = 1) -> int:
             digest = cfg.digest
             cfgs[digest] = cfg
         digests.append(digest)
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    parallel = min(parallel, cpus if hasattr(os, "fork") else 1)
     jobs = _sweep_jobs(engine.passes(cfgs.values()), parallel)
-    group = functools.partial(_sweep_group, out_root)
-    workers = min(parallel, len(jobs))  # a pool starts all its workers at once, busy or not
-    if workers <= 1:
-        done = [row for job in jobs for row in group(job)]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = [row for job_rows in pool.map(group, jobs) for row in job_rows]
+    done = _fan_out(functools.partial(_sweep_group, out_root), jobs, min(parallel, len(jobs)))
 
     by_digest.update((row["digest"], row) for row in done)
     rows = [{**by_digest[digest], **{f"axis:{k}": v for k, v in axis_values.items()}}

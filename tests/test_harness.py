@@ -3,7 +3,9 @@ import functools
 import inspect
 import json
 import math
+import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -947,31 +949,127 @@ def test_sweep_point_with_a_bad_value_gets_an_error_row(tmp_path, capsys, axis, 
     assert capsys.readouterr().out.startswith(f"sweep: {len(statuses)} points, {n_failed} failed, ")
 
 
-@pytest.mark.parametrize("gammas, parallel, pools", [([0.25, 0.5], 8, [2]), ([0.5], 4, [])])
-def test_sweep_starts_no_more_workers_than_jobs(tmp_path, monkeypatch, gammas, parallel, pools):
-    started = []
-
-    class InProcessPool:
-        """Records the workers a sweep asks for and maps its jobs in this process."""
-
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+@pytest.mark.parametrize("gammas, parallel, forks", [([0.25, 0.5], 8, 1), ([0.5], 4, 0)])
+def test_sweep_starts_no_more_workers_than_jobs(tmp_path, monkeypatch, gammas, parallel, forks):
+    started, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)  # a CPU per worker
+    monkeypatch.setattr(os, "fork", lambda: started.append(1) or fork())
     cfg_path = write_config(tmp_path / "c.json", sweep_config(sweep={"operator.params.gamma": gammas}))
     assert cmd_sweep(cfg_path, str(tmp_path / "s1"), parallel=1) == 0
     assert cmd_sweep(cfg_path, str(tmp_path / "sN"), parallel=parallel) == 0
-    assert started == pools
+    assert len(started) == forks  # this process is a worker too
     assert (tmp_path / "sN" / "index.csv").read_bytes() == (tmp_path / "s1" / "index.csv").read_bytes()
+
+
+@pytest.mark.parametrize("affinity, cpu_count, forks", [(3, 64, 2), (None, 2, 1), (1, 64, 0)])
+def test_a_sweep_forks_no_more_processes_than_the_cpus_it_may_use(tmp_path, monkeypatch, affinity, cpu_count,
+                                                                  forks):
+    # three loop keys of two points each, so three jobs at most; os.fork only records, and starts no process
+    started, halved, plain = [], [], harness._sweep_jobs
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    monkeypatch.setattr(os, "fork", lambda: started.append(1) or 10**7 + len(started))  # a pid of no process
+    monkeypatch.setattr(os, "waitpid", lambda pid, options: (pid, 0))
+    monkeypatch.setattr(harness, "_sweep_jobs", lambda passes, parallel: halved.append(parallel) or
+                        plain(passes, parallel))
+    cfg_path = write_config(tmp_path / "c.json", sweep_config())
+    if forks:  # the stubbed children never report, so the sweep fails as if they had died
+        with pytest.raises(RuntimeError, match="sweep worker 10000001 ended with exit status 0 without reporting"):
+            cmd_sweep(cfg_path, str(tmp_path / "s"), parallel=1000)
+    else:
+        assert cmd_sweep(cfg_path, str(tmp_path / "s"), parallel=1000) == 0
+    assert len(started) == forks and halved == [forks + 1]
+
+
+def test_a_sweep_without_fork_runs_every_job_in_process(tmp_path, monkeypatch):
+    cfg_path = write_config(tmp_path / "c.json", sweep_config())
+    assert cmd_sweep(cfg_path, str(tmp_path / "s1"), parallel=1) == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    monkeypatch.delattr(os, "fork")
+    assert cmd_sweep(cfg_path, str(tmp_path / "s4"), parallel=4) == 0
+    assert (tmp_path / "s4" / "index.csv").read_bytes() == (tmp_path / "s1" / "index.csv").read_bytes()
+
+
+def fail_share(monkeypatch, fail, here):
+    """Make the sweep jobs of this process (here) or of its forked workers call fail; two CPUs, so --parallel 2 forks."""
+    parent, plain = os.getpid(), harness._sweep_group
+    monkeypatch.setattr(harness, "_sweep_group", lambda out_root, cfgs: fail()
+                        if (os.getpid() == parent) == here else plain(out_root, cfgs))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def raise_in_share():
+    raise ValueError("a share failed")
+
+
+@pytest.mark.parametrize("here, fail, error, message", [
+    (False, raise_in_share, ValueError, "a share failed"),
+    (False, lambda: os._exit(9), RuntimeError, r"sweep worker \d+ ended with exit status 9 without reporting"),
+    (False, lambda: os.kill(os.getpid(), signal.SIGKILL), RuntimeError,
+     rf"sweep worker \d+ ended with signal {signal.SIGKILL.value} without reporting"),
+    (True, raise_in_share, ValueError, "a share failed"),
+], ids=["worker-raises", "worker-exits", "worker-killed", "own-share-raises"])
+def test_a_failed_share_fails_the_sweep_after_every_worker_is_reaped(tmp_path, monkeypatch, here, fail, error,
+                                                                     message):
+    fail_share(monkeypatch, fail, here)
+    out = tmp_path / "s"
+    with pytest.raises(error, match=message):
+        cmd_sweep(write_config(tmp_path / "c.json", sweep_config()), str(out), parallel=2)
+    assert not (out / "index.csv").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_fork_that_fails_reaps_the_workers_already_started(tmp_path, monkeypatch):
+    started, fork = [], os.fork
+
+    def second_fork_fails():
+        started.append(1)
+        if len(started) == 2:
+            raise BlockingIOError(11, "no process for the second worker")
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    out = tmp_path / "s"
+    with pytest.raises(BlockingIOError, match="no process for the second worker"):
+        cmd_sweep(write_config(tmp_path / "c.json", sweep_config()), str(out), parallel=3)
+    assert not (out / "index.csv").exists() and len(started) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert fds is None or len(os.listdir("/proc/self/fd")) == fds  # both ends of both pipes closed
+
+
+PENDING_STDIO = """
+import atexit, os, sys
+from bregiter.harness import cmd_sweep
+os.sched_getaffinity = lambda pid: {0, 1}
+atexit.register(print, "at exit")
+print("pending in the stdout buffer")
+sys.exit(cmd_sweep(sys.argv[1], sys.argv[2], parallel=2))
+"""
+
+
+def test_a_parallel_sweep_prints_its_summary_once(tmp_path, monkeypatch, capfd):
+    # capfd, not capsys: a forked worker shares this process's file descriptors, not its sys.stdout buffer
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg_path, out = write_config(tmp_path / "c.json", sweep_config()), tmp_path / "s"
+    assert cmd_sweep(cfg_path, str(out), parallel=2) == 0
+    summary = f"sweep: 6 points, 0 failed, index at {out / 'index.csv'}\n"
+    assert capfd.readouterr() == (summary, "")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # a worker neither flushes the stdout buffer it inherits nor runs exit handlers
+    out = tmp_path / "t"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # stdout to a pipe is block-buffered
+    proc = subprocess.run([sys.executable, "-c", PENDING_STDIO, cfg_path, str(out)], capture_output=True, text=True,
+                          env={**env, "PYTHONPATH": str(Path(harness.__file__).parent.parent)})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"pending in the stdout buffer\nsweep: 6 points, 0 failed, index at {out / 'index.csv'}\nat exit\n"
 
 
 def test_sweep_point_that_does_not_parse_gets_no_job(tmp_path, monkeypatch):

@@ -13,7 +13,9 @@ writes, at any --parallel, block size and pass size.
 import csv
 import hashlib
 import json
+import os
 import weakref
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -219,11 +221,51 @@ def test_grouped_sweep_points_equal_lone_runs(tmp_path):
     assert blowups == {"error: non-finite divergence at iteration 2"}
 
 
+def cut_jobs(passes, parallel):
+    """The jobs of _sweep_jobs, as strings of loop keys, for passes of configs whose loop keys are letters."""
+    passes = [[SimpleNamespace(loop_key=key, n=n) for n, key in enumerate(keys)] for keys in passes.split()]
+    jobs = _sweep_jobs(passes, parallel)
+    assert [cfg for job in jobs for cfg in job] == [cfg for keys in passes for cfg in keys]  # in place, in order
+    return ["".join(cfg.loop_key for cfg in job) for job in jobs]
+
+
 def test_sweep_jobs_halve_the_largest_group_until_every_worker_has_one():
-    assert _sweep_jobs([[0, 1, 2, 3, 4]], 1) == [[0, 1, 2, 3, 4]]
-    assert _sweep_jobs([[0, 1, 2, 3, 4]], 4) == [[0], [1], [2], [3, 4]]
-    assert _sweep_jobs([[0, 1], [2, 3, 4]], 3) == [[0, 1], [2], [3, 4]]
-    assert _sweep_jobs([[0], [1], [2]], 4) == [[0], [1], [2]]
+    assert cut_jobs("abcde", 1) == ["abcde"]
+    assert cut_jobs("abcde", 4) == ["a", "b", "c", "de"]
+    assert cut_jobs("ab cde", 3) == ["ab", "c", "de"]
+    assert cut_jobs("a b c", 4) == ["a", "b", "c"]
+    assert cut_jobs("", 4) == []
+    # a job of several loop keys is cut at the key boundary nearest its middle, a job of one key by configs
+    assert cut_jobs("aabbccddee", 2) == ["aabb", "ccddee"]
+    assert cut_jobs("aabbccddee", 4) == ["aa", "bb", "cc", "ddee"]
+    assert cut_jobs("aaaaaaab", 2) == ["aaaaaaa", "b"]
+    assert cut_jobs("aaaaaaab", 3) == ["aaa", "aaaa", "b"]
+    assert cut_jobs("aaabbbccc dddd", 4) == ["aaa", "bbb", "ccc", "dddd"]
+    assert cut_jobs("aaaaa", 4) == ["a", "a", "a", "aa"]
+
+
+def test_a_sweep_steps_each_loop_key_in_one_job(tmp_path, monkeypatch):
+    # five noisy seeds, each the loop key of two eps_list points: no cut falls inside a key
+    raw = {**SWEEP, "perturbation": NOISY_PERTURBATIONS[2], "iterations": 120,
+           "sweep": {"seed": [1, 2, 3, 4, 5], "eps_list": [[1e-3], [1e-4]]}}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(raw))
+    log, plain = tmp_path / "stepped.log", engine.loops
+
+    def loops(cfgs):  # appends from every process of the sweep, in writes of one line
+        with open(log, "a") as fh:
+            fh.write(" ".join(sorted({str(cfg.seed) for cfg in cfgs})) + "\n")
+        return plain(cfgs)
+
+    monkeypatch.setattr(engine, "loops", loops)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    for parallel in (1, 2, 4):
+        log.write_text("")
+        assert cmd_sweep(str(path), str(tmp_path / f"p{parallel}"), parallel=parallel) == 0
+        jobs = log.read_text().splitlines()
+        assert len(jobs) == parallel and sorted(" ".join(jobs).split()) == ["1", "2", "3", "4", "5"], jobs
+    assert_same_sweep(tmp_path / "p2", tmp_path / "p1")
+    assert_same_sweep(tmp_path / "p4", tmp_path / "p1")
 
 
 def test_a_sweep_of_one_loop_key_fans_out(tmp_path):
@@ -334,8 +376,11 @@ def assert_sweep_equals_lone_runs(sweep_dir, lone):
 def counting_passes(monkeypatch):
     """Record the rows of every pass of engine.loops made in this process, as (seed, gamma), and those it left out.
 
-    A row is the first config of each distinct loop key of the pass, the one that engine.loops steps.
+    A row is the first config of each distinct loop key of the pass, the one that engine.loops steps.  This
+    process runs every pass of a serial sweep and share 0 of a parallel one; four CPUs are pinned, so the
+    shares of a --parallel 4 sweep do not depend on the host.
     """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     passes, plain = [], engine.loops
 
     def row(cfg):
@@ -373,7 +418,9 @@ def test_a_noisy_seed_sweep_writes_the_files_of_lone_runs(tmp_path, monkeypatch,
             assert_sweep_equals_lone_runs(out, lone)
             index.add((out / "index.csv").read_bytes())
     assert len(index) == 1
-    assert passes == [([(seed, 0.5) for seed in (1, 2, 3, 4, 5)], [])] * 3  # the serial sweeps, one pass each
+    # per block, the serial sweep's one pass, then share 0 of --parallel 2 and of 4, jobs cut at loop keys
+    assert passes == [([(seed, 0.5) for seed in (1, 2, 3, 4, 5)], []), ([(1, 0.5), (2, 0.5)], []),
+                      ([(1, 0.5)], [])] * 3
 
 
 def test_a_batch_with_failing_seeds_reruns_each_failing_point_alone(tmp_path, monkeypatch):
@@ -389,7 +436,8 @@ def test_a_batch_with_failing_seeds_reruns_each_failing_point_alone(tmp_path, mo
     for parallel in (1, 2, 4):
         assert cmd_sweep(str(path), str(tmp_path / f"p{parallel}"), parallel=parallel) == 0
         assert_sweep_equals_lone_runs(tmp_path / f"p{parallel}", lone)
-    assert passes == [([1, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 5, 6])]  # the serial sweep, whose failing rows fail alone
+    # the serial sweep, whose failing rows fail alone, then share 0 of --parallel 2 and of 4
+    assert passes == [([1, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 5, 6]), ([1, 2, 3, 4], [1, 2, 3]), ([1, 2], [1, 2])]
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +523,8 @@ def test_a_stacked_batch_with_a_failing_gamma_reruns_each_failing_point_alone(tm
         assert cmd_sweep(str(path), str(tmp_path / f"p{parallel}"), parallel=parallel) == 0
         assert_sweep_equals_lone_runs(tmp_path / f"p{parallel}", lone)
     rows = [(point["seed"], point["operator"]["params"]["gamma"]) for point in points]
-    assert passes == [(rows, [(seed, 0.9) for seed in (1, 2, 3, 4)])]  # the serial sweep
+    # the serial sweep, then share 0 of --parallel 2 and of 4
+    assert passes == [(rows, [(seed, 0.9) for seed in (1, 2, 3, 4)]), (rows[:6], []), (rows[:3], [])]
 
 
 @pytest.mark.parametrize("perturbation", STACKED_PERTURBATIONS,
@@ -496,7 +545,9 @@ def test_a_gamma_seed_sweep_steps_one_pass_and_writes_the_files_of_lone_runs(tmp
         assert_sweep_equals_lone_runs(out, lone)
         index.add((out / "index.csv").read_bytes())
     assert len(index) == 1
-    assert [(len(rows), failed) for rows, failed in passes] == [(len({cfg.loop_key for cfg in cfgs}), [])]
+    # the serial sweep, then share 0 of --parallel 2 and of 4: a key per gamma without noise, else one per point
+    shares = {3: [3, 1, 1], 9: [9, 4, 2]}[len({cfg.loop_key for cfg in cfgs})]
+    assert [(len(rows), failed) for rows, failed in passes] == [(n, []) for n in shares]
 
 
 @pytest.mark.parametrize("geometry", OVERFLOW_CASES)
@@ -548,7 +599,8 @@ def test_the_byte_cap_splits_a_job_into_passes_with_unchanged_files(tmp_path, mo
         out = tmp_path / f"capped{parallel}"
         assert cmd_sweep(str(path), str(out), parallel=parallel) == 0
         assert_same_sweep(out, tmp_path / "whole")
-    assert [(len(rows), failed) for rows, failed in passes] == [(2, [])] * 4 + [(1, [])]
+    # the serial sweep, then share 0 of --parallel 2: its first, third and fifth pass
+    assert [(len(rows), failed) for rows, failed in passes] == [(2, [])] * 4 + [(1, [])] + [(2, [])] * 2 + [(1, [])]
 
 
 def test_a_capped_sweep_passes_whole_loop_keys_and_steps_each_once_per_job(tmp_path, monkeypatch):
@@ -580,12 +632,14 @@ def test_a_capped_sweep_passes_whole_loop_keys_and_steps_each_once_per_job(tmp_p
     monkeypatch.setattr(engine, "_loop", loop)
     monkeypatch.setattr(engine, "loops", loops)
     passes = counting_passes(monkeypatch)
-    for parallel in (1, 2, 4):  # at 4, the halves of the first pass split the seeds of gamma 0.2
+    for parallel in (1, 2, 4):  # at 4, the first pass is cut into one job per gamma
         out = tmp_path / f"capped{parallel}"
         assert cmd_sweep(str(path), str(out), parallel=parallel) == 0
         assert_same_sweep(out, tmp_path / "whole")
-    assert passes == [([(1, 0.1), (1, 0.2), (1, 0.3)], []), ([(1, 0.4)], [])]  # the serial sweep
-    assert stepped == [3, 1]
+    # the serial sweep, then share 0 of --parallel 2 and of 4
+    assert passes == [([(1, 0.1), (1, 0.2), (1, 0.3)], []), ([(1, 0.4)], []), ([(1, 0.1), (1, 0.2), (1, 0.3)], []),
+                      ([(1, 0.1)], [])]
+    assert stepped == [3, 1, 3, 1]
 
 
 def test_a_job_frees_each_pass_before_it_steps_the_next(tmp_path, monkeypatch):
@@ -629,7 +683,7 @@ def test_a_gamma_seed_sweep_on_negative_entropy_equals_lone_runs(tmp_path, monke
     for parallel in (1, 2):
         assert cmd_sweep(str(path), str(tmp_path / f"p{parallel}"), parallel=parallel) == 0
         assert_sweep_equals_lone_runs(tmp_path / f"p{parallel}", lone)
-    assert [(len(rows), failed) for rows, failed in passes] == [(3, [])]
+    assert [(len(rows), failed) for rows, failed in passes] == [(3, []), (1, [])]  # serial, then share 0 of 2
 
 
 def test_a_sweep_makes_each_point_digest_and_keys_once(tmp_path, monkeypatch):
