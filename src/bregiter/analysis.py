@@ -38,6 +38,7 @@ THREE_POINT_TOL = 1e-9  # largest three-point residual that passes
 ENVELOPE_TOL = 1e-12  # largest excess of e_t over the iterated recursion envelope that passes
 AUDIT_TOL = 1e-10  # largest descent or cross-term violation that passes
 INDUCTION_TOL = 1e-12  # slack of each cell of the induction-step grid
+DOT_CHUNK = 10_000  # longest np.dot of fit_rate: OpenBLAS threads a longer ddot, whose bits vary with the threads
 
 
 def json_number(x: float) -> float | None:
@@ -237,14 +238,22 @@ def fit_rate(trace: Trace, window: tuple[int, int] | None = None) -> RateFit:
     x = np.log(tt + 1.0)
     y = np.log(e[t_lo : t_hi + 1])
     slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.dot(resid, resid))
-    ss_tot = float(np.dot(y - y.mean(), y - y.mean()))
+    ss_res = _sum_sq(y - (slope * x + intercept))
+    ss_tot = _sum_sq(y - y.mean())
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return RateFit(
         slope=float(slope), r2=float(r2), t_lo=t_lo, t_hi=t_hi, n_points=n,
         truncated=truncated, power_law=bool(r2 >= POWER_LAW_R2),
     )
+
+
+def _sum_sq(v: np.ndarray) -> float:
+    """v . v as the in-order sum of np.dot over chunks of at most DOT_CHUNK entries.
+
+    Up to DOT_CHUNK entries this is the one np.dot; past it, the bits do not
+    depend on the number of BLAS threads.
+    """
+    return float(sum(np.dot(v[i:i + DOT_CHUNK], v[i:i + DOT_CHUNK]) for i in range(0, v.size, DOT_CHUNK)))
 
 
 def _require_states(trace: Trace, what: str):
@@ -285,7 +294,7 @@ def audit_descent(trace: Trace, g: Geometry, op: Operator, bc: BoundConstants) -
     t = np.arange(trace.iterations)
     s = trace.states[t]
     al = trace.alpha[t]
-    ts = op.apply(s, t)
+    ts = op._apply(s, t)
     delta = ts - s
     x = (1.0 - al)[:, None] * s + al[:, None] * ts
     lhs = g._divergence(x, trace.s_star)

@@ -41,7 +41,6 @@ array expression costs more than twice as much per step.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import logging
 import math
@@ -317,30 +316,33 @@ class _Noise:
     whose budget is positive takes the row's next draw, and a step whose
     budget is <= 0 none, as sample would.  settle, after a block that left a
     row's draws unused, rewinds its generator and redraws the used ones, so
-    the next block starts where a per-step loop would.  Adversarial steps
-    call sample, row by row.
+    the next block starts where a per-step loop would.  In adversarial mode
+    each row has the eta of PerturbationModel.adversarial, bound once per
+    run against its s_star and generator: the rule that sample applies.
 
-    A lone row (s_star of shape (dim,)) has eta(t, s_t, e_t, alpha_t), which
-    returns eta_t from python floats.  The B rows of a batch (s_star of shape
-    (B, dim)) have eta(t, s_t, e_t, alpha_t, out), which writes the (B, dim)
-    etas of a step into out; in random mode that is one array expression over
-    the rows, each at its own draw index j[r], with the bits of the lone eta.
+    A lone row (s_star of shape (dim,)) has eta(s_t, e_t, alpha_t), which
+    returns eta_t from python floats and raises DomainError where the
+    adversarial direction overflows.  The B rows of a batch (s_star of shape
+    (B, dim)) have eta(s_t, e_t, alpha_t, out), which writes the (B, dim)
+    etas of a step into out, nan in a row whose eta fails; in random mode
+    that is one array expression over the rows, each at its own draw index
+    j[r], with the bits of the lone eta.
     """
 
-    __slots__ = ("pm", "g", "zero", "s_star", "rngs", "random", "lone", "eta", "states", "n",
+    __slots__ = ("pm", "g", "zero", "rngs", "random", "lone", "eta", "rules", "states", "n",
                  "directions", "bases", "u", "j", "first")
 
     def __init__(self, cfg: RunConfig, s_star: np.ndarray, seeds: list[int]):
         self.pm, self.g, self.zero = cfg.perturbation, cfg.geometry, cfg.geometry.zero
-        self.s_star = s_star
         self.rngs = [np.random.default_rng(seed) for seed in seeds]
         self.random = self.pm.mode == "random"
         self.lone = s_star.ndim == 1
-        if self.lone:
-            self.eta = self._drawn_eta if self.random else functools.partial(self._sample, s_star=s_star,
-                                                                              rng=self.rngs[0])
-        else:
-            self.eta = self._drawn_etas if self.random else self._sampled_etas
+        if self.random:
+            self.eta = self._drawn_eta if self.lone else self._drawn_etas
+            return
+        rows = [s_star] if self.lone else s_star
+        self.rules = [self.pm.adversarial(self.g, row, rng) for row, rng in zip(rows, self.rngs)]
+        self.eta = self.rules[0] if self.lone else self._adversarial_etas
 
     def draw(self, n: int):
         """The draws of the next n steps of each row, and the state-free part of their etas (random mode)."""
@@ -361,7 +363,7 @@ class _Noise:
             self.first = np.arange(len(drawn)) * n
             self.j = np.zeros(len(drawn), dtype=np.intp)
 
-    def _drawn_eta(self, t: int, s: np.ndarray, e_t: float, al: float) -> np.ndarray:
+    def _drawn_eta(self, s: np.ndarray, e_t: float, al: float) -> np.ndarray:
         if (b := self.pm.budget(e_t)) <= 0:  # sample's random branch, on the block's draws
             return self.zero
         j = self.j
@@ -369,7 +371,7 @@ class _Noise:
         u = self.u[j]
         return self.pm.eta_along(self.directions[j], self.bases[j], u * u * b, al, self.zero)
 
-    def _drawn_etas(self, t: int, s: np.ndarray, e_t: np.ndarray, al: float, out: np.ndarray):
+    def _drawn_etas(self, s: np.ndarray, e_t: np.ndarray, al: float, out: np.ndarray):
         b = self.pm.budget(e_t)
         at = self.first + self.j
         target = self.u.take(at) * b  # eta_along's target u * u * b, row by row
@@ -380,18 +382,11 @@ class _Noise:
             out[zero] = 0.0
         self.j += ~(b <= 0)
 
-    def _sample(self, t: int, s: np.ndarray, e_t: float, al: float, s_star: np.ndarray,
-                rng: np.random.Generator) -> np.ndarray:
-        try:
-            return self.pm.sample(self.g, s, s_star, e_t, al, rng)
-        except DomainError as exc:
-            raise EngineError(f"perturbation failed at iteration {t}: {exc}", t, s) from exc
-
-    def _sampled_etas(self, t: int, s: np.ndarray, e_t: np.ndarray, al: float, out: np.ndarray):
-        for r, rng in enumerate(self.rngs):
+    def _adversarial_etas(self, s: np.ndarray, e_t: np.ndarray, al: float, out: np.ndarray):
+        for r, eta in enumerate(self.rules):
             try:
-                out[r] = self._sample(t, s[r], e_t[r], al, self.s_star[r], rng)
-            except EngineError:  # the row's step fails (_blocks)
+                out[r] = eta(s[r], e_t[r], al)
+            except DomainError:  # the row's step fails (_blocks)
                 out[r] = np.nan
 
     def settle(self):
@@ -409,11 +404,13 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, noise: _N
 
     The one per-step loop of the engine.  s is one state of shape (dim,), or
     a batch of shape (B, dim) whose rows step together, row r against
-    s_star[r] and row r of the operator: T, the average and the geometry's
-    drift repair run once per step for every row, each with the bits of its
-    lone call.  The step sizes of a block are made once, before its first
-    step (Schedule.alphas).  noise holds the perturbations of the rows
-    (_Noise), and is None on a noise-free run.  Row i of a block of the
+    s_star[r] and row r of the operator: T (the operator's unchecked
+    _apply), the average and the geometry's drift repair run once per step
+    for every row, each with the bits of its lone call.  The step sizes of a
+    block are made once, before its first step (Schedule.alphas).  noise
+    holds the perturbations of the rows (_Noise), and is None on a
+    noise-free run; a lone step whose eta fails (DomainError) fails with
+    "perturbation failed at iteration t".  Row i of a block of the
     buffers buf (see _buffers) holds s_u, T(s_u), alpha_u and, on noisy runs,
     eta_u for u = t0 + i.  Each step computes only what the next step reads;
     whoever consumes the block fills every other per-row value by one
@@ -441,7 +438,7 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, noise: _N
     e_step = noise is not None and pm.kappa != 0
     b_s, b_ts, b_alpha, b_eta = buf
     eta = noise.eta if noise is not None else None
-    apply, project = op.apply, g._project
+    apply, project = op._apply, g._project
     e_t = 0.0 if lone else np.zeros(len(s))  # the budget's e_t unless e_step: delta0 + kappa * 0.0 is delta0
     for n in sizes:
         t0, end = t, min(t + n, last + 1)
@@ -463,9 +460,12 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, noise: _N
                 s_next = (1.0 - al) * s + al * ts
                 if eta is not None:
                     if lone:
-                        b_eta[i] = eta_t = eta(t, s, e_t, al)
+                        try:
+                            b_eta[i] = eta_t = eta(s, e_t, al)
+                        except DomainError as exc:
+                            raise EngineError(f"perturbation failed at iteration {t}: {exc}", t, s) from exc
                     else:
-                        eta(t, s, e_t, al, eta_t := b_eta[i])
+                        eta(s, e_t, al, eta_t := b_eta[i])
                     s_next = s_next + eta_t
                 if lone:
                     try:

@@ -266,7 +266,9 @@ def hold_at_rho(w: np.ndarray, rho: float) -> np.ndarray:
     The k entries of a row below rho are held at rho and the rest rescaled to
     fill 1 - k rho, again while a rescaled entry drops below rho; rho * dim < 1
     keeps one entry free, so this takes fewer than dim passes.  A row that
-    holds nothing has the bits of w / w.sum().
+    holds nothing has the bits of w / w.sum(): ExpGradientStep._apply divides
+    a lone row so itself, in place, where min(w.tolist()) >= rho.  w is
+    never written to.
     """
     held = w < rho
     if not np.count_nonzero(held):

@@ -715,17 +715,18 @@ def expand_sweep(raw: dict) -> list[tuple[dict, dict]]:
 def _sweep_jobs(passes: list[list], parallel: int) -> list[list]:
     """The jobs of a sweep: one per pass, the largest cut in two until each of parallel workers has one.
 
-    A job of two or more loop keys is cut at the key boundary nearest its
-    middle, so each key steps in one job; a job of one key is halved by
-    configs, and each half steps the key.  Halves stay in place, so the jobs
+    The job of the most loop keys is cut first, of those the one of the most
+    configs, at the key boundary nearest its middle, so each key steps in one
+    job.  Only when every job has one key is the one of the most configs
+    halved, and each half steps the key.  Halves stay in place, so the jobs
     list the configs in pass order at any parallel.
     """
     jobs = list(passes)
     while len(jobs) < parallel and max(map(len, jobs), default=0) > 1:
-        i = max(range(len(jobs)), key=lambda j: len(jobs[j]))
+        cuts = [[c for c in range(1, len(job)) if job[c].loop_key != job[c - 1].loop_key] for job in jobs]
+        i = max(range(len(jobs)), key=lambda j: (len(cuts[j]), len(jobs[j])))
         job = jobs[i]
-        cuts = [c for c in range(1, len(job)) if job[c].loop_key != job[c - 1].loop_key] or [len(job) // 2]
-        cut = min(cuts, key=lambda c: abs(2 * c - len(job)))
+        cut = min(cuts[i] or [len(job) // 2], key=lambda c: abs(2 * c - len(job)))
         jobs[i:i + 1] = [job[:cut], job[cut:]]
     return jobs
 

@@ -4,9 +4,12 @@ Every operator maps a state to a state via ``apply(s, t)``; only Bellman
 reads the iteration index, to cycle its context sequence y_t by t.
 ``apply`` also takes a (B, dim) batch of states, with an int array t of one
 step per row where the step matters (Bellman); each row gets the bits of
-the 1-d call.  Fixed points come from closed forms where one exists
-(affine kinds, gradient step, small Bellman problems by policy enumeration)
-and from plain iteration of ``apply`` otherwise.  Contraction factors are always measured
+the 1-d call.  ``apply`` coerces its input to a float array and calls the
+kind's ``_apply``, the same map on a float array, which the engine, the
+contraction estimate and the descent audit call directly.  Fixed points
+come from closed forms where one exists (affine kinds, gradient step,
+small Bellman problems by policy enumeration) and from plain iteration of
+``apply`` otherwise.  Contraction factors are always measured
 by pair sampling in a given geometry, never assumed from declared
 parameters, because the divergence in which the engine runs need not be the
 norm in which an operator is naturally contractive.
@@ -35,6 +38,17 @@ FIXED_POINT_TOL = 1e-14
 
 
 class Operator:
+    """Base class; a kind implements _apply, and fixed_point where it has a closed form.
+
+    apply(s, t) takes an array-like point of shape (dim,) or a (B, dim)
+    batch and coerces it to a float array once; _apply(s, t) is the same map
+    on a float array, unchecked, for callers that hold one (the engine, the
+    contraction estimate, the descent audit).  _apply never writes into s:
+    it computes in place only on arrays it made itself.  A lone (dim,) row
+    may take another numpy form than a batch does, with the bits of the
+    batch's row (tests/test_batch.py pins each kind).
+    """
+
     kind = "base"
 
     #: params that may differ between the rows of one batched pass of the engine.  A kind that has
@@ -45,7 +59,10 @@ class Operator:
     def __init__(self, dim: int):
         self.dim = int(dim)
 
-    def apply(self, s: np.ndarray, t: int = 0) -> np.ndarray:
+    def apply(self, s: ArrayLike, t=0) -> np.ndarray:
+        return self._apply(np.asarray(s, dtype=float), t)
+
+    def _apply(self, s: np.ndarray, t=0) -> np.ndarray:
         raise NotImplementedError
 
     def fixed_point(self, geometry: Geometry | None = None) -> np.ndarray:
@@ -54,7 +71,7 @@ class Operator:
         s = np.zeros(self.dim)
         residual = math.inf
         for _ in range(FIXED_POINT_MAX_ITER):
-            nxt = self.apply(s, 0)
+            nxt = self._apply(s, 0)
             residual = g.divergence(nxt, s)
             s = nxt
             if residual <= FIXED_POINT_TOL:
@@ -82,8 +99,7 @@ class AffineColinear(Operator):
         self.target = target
         self._pull = (1.0 - self.gamma) * target
 
-    def apply(self, s, t=0):
-        s = np.asarray(s, dtype=float)
+    def _apply(self, s, t=0):
         return self.gamma * s + self._pull
 
     @classmethod
@@ -117,9 +133,12 @@ class AffineRotation(Operator):
         self.rot = np.array([[c, -sn], [sn, c]])
         self.target = target
 
-    def apply(self, s, t=0):
-        s = np.asarray(s, dtype=float)
-        return self.gamma * np.matmul(self.rot, (s - self.target)[..., None])[..., 0] + self.target
+    def _apply(self, s, t=0):
+        d = s - self.target
+        out = self.rot @ d if s.ndim == 1 else np.matmul(self.rot, d[..., None])[..., 0]
+        out *= self.gamma
+        out += self.target
+        return out
 
     def fixed_point(self, geometry=None):
         return self.target.copy()
@@ -147,9 +166,11 @@ class GradientStep(Operator):
         self.b = b
         self.step = float(step)
 
-    def apply(self, s, t=0):
-        s = np.asarray(s, dtype=float)
-        return s - self.step * (np.matmul(self.a, s[..., None])[..., 0] - self.b)
+    def _apply(self, s, t=0):
+        out = self.a @ s if s.ndim == 1 else np.matmul(self.a, s[..., None])[..., 0]
+        out -= self.b
+        out *= self.step
+        return np.subtract(s, out, out=out)
 
     def fixed_point(self, geometry=None):
         return np.linalg.solve(self.a, self.b)
@@ -183,11 +204,21 @@ class ExpGradientStep(Operator):
         self.step = float(step)
         self.rho = rho
 
-    def apply(self, p, t=0):
-        p = np.asarray(p, dtype=float)
-        gkl = np.log(p) - self._log_q + 1.0
-        w = p * np.exp(-self.step * gkl)
-        return hold_at_rho(w / np.add.reduce(w, axis=-1, keepdims=True), self.rho)
+    def _apply(self, p, t=0):
+        w = np.log(p)  # p * exp(-step * (log p - log q + 1)), in place
+        w -= self._log_q
+        w += 1.0
+        w *= -self.step
+        np.exp(w, out=w)
+        w *= p
+        if p.ndim > 1:
+            w /= np.add.reduce(w, axis=-1, keepdims=True)
+            return hold_at_rho(w, self.rho)
+        w /= np.add.reduce(w)
+        if min(w.tolist()) >= self.rho:  # hold_at_rho's branch for a row that holds nothing
+            w /= np.add.reduce(w)
+            return w
+        return hold_at_rho(w, self.rho)
 
     def fixed_point(self, geometry=None):
         return self.q.copy()
@@ -242,13 +273,14 @@ class Bellman(Operator):
         self.n_states = n_states
         self.n_actions = n_actions
 
-    def apply(self, v, t=0):
-        v = np.asarray(v, dtype=float)
+    def _apply(self, v, t=0):
         r = self.rewards
         if self.context_y is not None:  # an int array t picks one entry per row
             r = r + self.context_y[t % len(self.context_y)]
-        pv = np.matmul(self._rows, v[..., None])
-        q = r + self.discount * pv.reshape(v.shape[:-1] + (self.n_states, self.n_actions))
+        q = self._rows @ v if v.ndim == 1 else np.matmul(self._rows, v[..., None])
+        q *= self.discount
+        q = q.reshape(v.shape[:-1] + (self.n_states, self.n_actions))
+        q += r
         return np.maximum.reduce(q, axis=-1)
 
     def fixed_point(self, geometry=None):
@@ -284,7 +316,7 @@ def estimate_contraction(op: Operator, g: Geometry, n_pairs: int = 256,
     kept = np.flatnonzero(~(base < skip_tol))  # a nan base is not degenerate
     if kept.size == 0:
         raise ValueError("all sampled pairs were degenerate; cannot estimate contraction")
-    images = op.apply(pts[(2 * kept[:, None] + [0, 1]).ravel()], 0)  # kept pairs, still interleaved
+    images = op._apply(pts[(2 * kept[:, None] + [0, 1]).ravel()], 0)  # kept pairs, still interleaved
     fault = g._fault(images)
     if fault is not None:
         i, what = fault

@@ -21,6 +21,7 @@ in the domain, so negative-entropy geometry is rejected.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,21 +79,42 @@ class PerturbationModel:
         if b <= 0:
             return zero
 
-        if self.mode == "random":
-            directions, u = self.draws(g.dim, 1, rng)
-            direction = directions[0]
-            target = u[0] * u[0] * b
-        else:  # adversarial
+        if self.mode == "adversarial":
+            return self.adversarial(g, s_star, rng)(s_t, e_t, alpha_t)
+        directions, u = self.draws(g.dim, 1, rng)
+        return self.eta_along(directions[0], g._divergence(directions[0], zero), u[0] * u[0] * b, alpha_t, zero)
+
+    def adversarial(self, g: Geometry, s_star: np.ndarray,
+                    rng: np.random.Generator) -> Callable[[np.ndarray, float, float], np.ndarray]:
+        """eta(s_t, e_t, alpha_t) of adversarial mode against s_star: the rule of sample, bound once.
+
+        eta spends the whole budget b along (s_t - s_star) / ||s_t - s_star||,
+        or along a direction drawn from rng (_unit_direction) where s_t is
+        s_star, and is g.zero where b <= 0.  It raises DomainError when
+        ||s_t - s_star|| overflows.  The budget's params, the injection, g.zero
+        and g._divergence are read here, once, not per step.
+        """
+        delta0, kappa, scaled = self.delta0, self.kappa, self.injection == "scaled"
+        zero, divergence, dim = g.zero, g._divergence, g.dim
+
+        def eta(s_t: np.ndarray, e_t: float, alpha_t: float) -> np.ndarray:
+            b = delta0 + kappa * e_t
+            if b <= 0:
+                return zero
             d = s_t - s_star
             norm = math.sqrt(d.dot(d))  # np.linalg.norm's formula for a 1-d float vector
             if norm == math.inf:
                 raise DomainError("||s_t - s_star|| overflows; the adversarial direction is undefined")
             if norm == 0.0:
-                direction = _unit_direction(g.dim, rng)
+                d = _unit_direction(dim, rng)
             else:
-                direction = d / norm
-            target = b
-        return self.eta_along(direction, g._divergence(direction, zero), target, alpha_t, zero)
+                d /= norm
+            d *= math.sqrt(b / divergence(d, zero))  # eta_along with target b
+            if scaled:
+                d *= alpha_t
+            return d
+
+        return eta
 
     def draws(self, dim: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """The unit directions, shape (n, dim), and budget fractions u of n random-mode steps.

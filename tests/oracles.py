@@ -608,8 +608,11 @@ def load_run_fields(run_dir):
 # as they read before the maps kept log q and the (S A, S) transition matrix
 # and reduced through the ufuncs themselves: log q and the reshape made on
 # every call, the .sum, .max and .any methods, and float(s.min()) and
-# float(s.sum()) of the drift test, which lets a nan entry pass.  They fix
-# the bits of every image and the message of every drift past repair.
+# float(s.sum()) of the drift test, which lets a nan entry pass.  The apply
+# of the other kinds as it read before each kind's _apply computed in place
+# and took a 1-d @ for a lone row: one expression, the stacked np.matmul for
+# a row and a batch alike.  They fix the bits of every image and the message
+# of every drift past repair; APPLY maps each operator kind to its formula.
 
 
 def hold_at_rho(w, rho):
@@ -622,6 +625,21 @@ def hold_at_rho(w, rho):
         if not (out < rho).any():
             return out
         held |= out < rho
+
+
+def affine_colinear_apply(op, s, t=0):
+    s = np.asarray(s, dtype=float)
+    return op.gamma * s + op._pull
+
+
+def affine_rotation_apply(op, s, t=0):
+    s = np.asarray(s, dtype=float)
+    return op.gamma * np.matmul(op.rot, (s - op.target)[..., None])[..., 0] + op.target
+
+
+def gradient_step_apply(op, s, t=0):
+    s = np.asarray(s, dtype=float)
+    return s - op.step * (np.matmul(op.a, s[..., None])[..., 0] - op.b)
 
 
 def exp_gradient_apply(op, p, t=0):
@@ -639,6 +657,15 @@ def bellman_apply(op, v, t=0):
     pv = np.matmul(op.transitions.reshape(-1, op.n_states), v[..., None])
     q = r + op.discount * pv.reshape(v.shape[:-1] + (op.n_states, op.n_actions))
     return q.max(axis=-1)
+
+
+APPLY = {
+    "affine-colinear": affine_colinear_apply,
+    "affine-rotation": affine_rotation_apply,
+    "gradient-step": gradient_step_apply,
+    "exp-gradient-step": exp_gradient_apply,
+    "bellman": bellman_apply,
+}
 
 
 def negative_entropy_project(g, s):

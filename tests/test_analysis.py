@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +124,25 @@ def test_fit_rate_truncates_at_zero_rows():
 def test_fit_rate_needs_ten_points():
     with pytest.raises(ValueError):
         fit_rate(np.ones(200), window=(5, 12))
+
+
+NOISY_FIT = """
+import numpy as np
+from bregiter.analysis import fit_rate
+t = np.arange(20000.0)
+e = 3.0 * (t + 1.0) ** -1.5 * np.exp(0.5 * np.random.default_rng(6).standard_normal(t.size))
+print(fit_rate(e, window=(0, t.size - 1)).r2.hex())
+"""
+
+
+def test_fit_rate_r2_does_not_depend_on_the_blas_thread_count():
+    # an np.dot over 20000 entries runs OpenBLAS's threaded ddot, whose r2 here differs at 1 and 2 threads
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r2 = [subprocess.run([sys.executable, "-c", NOISY_FIT], capture_output=True, text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}).stdout
+          for threads in ("1", "2")]
+    assert r2[0] and r2[0] == r2[1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ formula the recorded digests were made with (np.dot, @, tensordot, np.sum,
 np.linalg.solve).
 The maps reduce over coordinates with np.vecdot and stacked np.matmul
 because those keep the per-row BLAS dot order; einsum, tensordot, a 2-d @
-or a sum of products fail these tests on a large share of rows.
+or a sum of products fail these tests on a large share of rows.  An
+operator's lone (dim,) row may take the matrix-vector A @ s instead, which
+the tests below pin to the bits of its row of a batch.
 """
 
 import numpy as np
@@ -240,6 +242,49 @@ def test_operator_maps_have_the_bits_of_their_per_call_formulas(seed, kind, dim,
     t = rng.integers(0, 50, n)
     assert same_bits(op.apply(s, t), oracle(op, s, t))
     assert same_bits(op.apply(s[0], int(t[0])), oracle(op, s[0], int(t[0])))
+
+
+ENTRIES = {  # entries written over some of the inputs of an operator
+    "rho": [1e-6, 1e-6 * (1 - 1e-9), 0.5e-6, 1e-9],
+    "non-finite": [np.nan, np.inf, -np.inf],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, st.sampled_from(OPERATOR_KINDS), dims, sizes, st.sampled_from([None, *ENTRIES]), st.booleans())
+def test_each_kind_maps_a_row_and_a_batch_with_the_bits_of_its_formula(seed, kind, dim, n, entries, context):
+    # a lone row takes its own numpy form (a 1-d @, the hold test of a row) and must keep the batch's bits
+    rng = np.random.default_rng(seed)
+    op, g = make_operator(kind, dim, rng)
+    if kind == "bellman" and not context:
+        op = Bellman(op.transitions, op.rewards, op.discount)
+    s = points(g, rng, n)
+    if entries is not None:
+        hit = rng.random(s.shape) < 0.25
+        s[hit] = rng.choice(ENTRIES[entries], np.count_nonzero(hit))
+    t = rng.integers(0, 50, n)
+    oracle = oracles.APPLY[kind]
+    with np.errstate(all="ignore"):
+        images = op._apply(s, t)
+        assert same_bits(images, oracle(op, s, t))
+        for row, ti, image in zip(s, t.tolist(), images):
+            assert same_bits(op._apply(row, ti), image)
+            assert same_bits(oracle(op, row, ti), image)
+
+
+@pytest.mark.parametrize("kind", OPERATOR_KINDS)
+def test_no_kind_writes_into_its_input(kind):
+    rng = np.random.default_rng(3)
+    op, g = make_operator(kind, 4, rng)
+    s = points(g, rng, 5)
+    t = rng.integers(0, 50, 5)
+    s.setflags(write=False)
+    before = s.copy()
+    for x, ti in ((s, t), (s[0], 0)):
+        for image in (op._apply(x, ti), op.apply(x, ti)):
+            assert image.flags.writeable and not np.shares_memory(image, x)
+    assert same_bits(s, before)
+    assert same_bits(op.apply(s[0].tolist(), 0), op._apply(s[0], 0))  # apply takes any array-like
 
 
 def test_exp_gradient_rows_that_hold_at_rho_have_the_bits_of_the_per_call_formula():

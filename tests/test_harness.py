@@ -518,7 +518,7 @@ def test_domain_error_formats_plain_floats(tmp_path, capsys):
 def nan_on_rows(monkeypatch, rows):
     """Make AffineColinear map the given points (and only those) to nan."""
     bad = [np.asarray(r, dtype=float) for r in rows]
-    plain = AffineColinear.apply
+    plain = AffineColinear._apply
 
     def apply(self, s, t=0):
         s = np.asarray(s, dtype=float)
@@ -527,7 +527,7 @@ def nan_on_rows(monkeypatch, rows):
             hit |= np.all(s == r, axis=-1)
         return np.where(hit[..., None], np.nan, plain(self, s, t))
 
-    monkeypatch.setattr(AffineColinear, "apply", apply)
+    monkeypatch.setattr(AffineColinear, "_apply", apply)
 
 
 @pytest.mark.parametrize("bad_rows, culprit", [
@@ -577,13 +577,13 @@ def failed_run(tmp_path, capsys, config, t, what):
 
 
 def test_nan_operator_image_stops_the_run(tmp_path, monkeypatch, capsys):
-    on_step(monkeypatch, AffineColinear, "apply", 5, lambda out: np.full_like(out, np.nan))
+    on_step(monkeypatch, AffineColinear, "_apply", 5, lambda out: np.full_like(out, np.nan))
     assert failed_run(tmp_path, capsys, "affine_accel.json", 5, "non-finite state") == \
         "non-finite state at iteration 5"
 
 
 def test_off_simplex_operator_image_is_a_domain_escape(tmp_path, monkeypatch, capsys):
-    on_step(monkeypatch, ExpGradientStep, "apply", 3, lambda out: 0.5 * out)
+    on_step(monkeypatch, ExpGradientStep, "_apply", 3, lambda out: 0.5 * out)
     error = failed_run(tmp_path, capsys, "exp_gradient.json", 3, "domain escape")
     assert error.startswith("domain escape at iteration 3: simplex drift exceeds repairable tolerance")
 

@@ -317,12 +317,12 @@ def test_a_failing_step_past_the_last_target_of_a_block_stays_silent(monkeypatch
         "iterations": 3,
         "seed": 1,
     })  # e_t = 2.5 / (t + 1)^2: 0.0694 at t = 5, 0.0510 at t = 6, 0.0391 at t = 7
-    plain = type(cfg.operator).apply
+    plain = type(cfg.operator)._apply
 
     def apply(self, s, t=0):  # the step of row 6, inside the first block, fails
         return np.full_like(s, np.nan) if np.ndim(t) == 0 and t >= 6 else plain(self, s, t)
 
-    monkeypatch.setattr(type(cfg.operator), "apply", apply)
+    monkeypatch.setattr(type(cfg.operator), "_apply", apply)
     for passage in (lambda c: oracles.passages_loop(c, [eps], 100)[0],
                     lambda c: engine.iterations_to_epsilon(c, eps, 100)):
         got, err = outcome(passage, cfg)
@@ -340,12 +340,12 @@ def test_first_passage_stops_at_a_non_finite_divergence(monkeypatch):
         "iterations": 3,
         "seed": 1,
     })
-    plain = type(cfg.operator).apply
+    plain = type(cfg.operator)._apply
 
     def apply(self, s, t=0):  # a finite state whose divergence overflows, from step 6 on
         return np.full_like(s, 1e200) if np.ndim(t) == 0 and t >= 6 else plain(self, s, t)
 
-    monkeypatch.setattr(type(cfg.operator), "apply", apply)
+    monkeypatch.setattr(type(cfg.operator), "_apply", apply)
     with pytest.raises(oracles.RunFailure) as ref:
         oracles.passages_loop(cfg, [1e-9], 100)
     assert (str(ref.value), ref.value.t) == ("non-finite divergence at iteration 7", 7)
@@ -384,12 +384,12 @@ def stepped_config(gkind, mode="zero", kappa=0.0):
 
 def failing_apply(monkeypatch, cfg, images):
     """Make T(s_t) of cfg's operator images[t] for the steps t that images names."""
-    plain = type(cfg.operator).apply
+    plain = type(cfg.operator)._apply
 
     def apply(self, s, t=0):
         return np.array(images[t], dtype=float) if np.ndim(t) == 0 and t in images else plain(self, s, t)
 
-    monkeypatch.setattr(type(cfg.operator), "apply", apply)
+    monkeypatch.setattr(type(cfg.operator), "_apply", apply)
 
 
 # the oracle runs outside the engine's floating-point mode, and warns where its arithmetic overflows
@@ -404,16 +404,21 @@ def test_a_non_finite_state_fails_before_a_later_fault_of_its_block(monkeypatch,
     failing_apply(monkeypatch, cfg, {step: [np.inf, 1.0, 1.0]})
     want = failure(oracles.run_loop, cfg)
     assert want[:2] == (f"non-finite state at iteration {step}", step)
-    raised, plain = [], PerturbationModel.sample
+    raised, plain = [], PerturbationModel.adversarial
 
-    def sample(self, *args):
-        try:
-            return plain(self, *args)
-        except DomainError as exc:
-            raised.append(str(exc))
-            raise
+    def adversarial(self, *args):
+        eta = plain(self, *args)
 
-    monkeypatch.setattr(PerturbationModel, "sample", sample)
+        def spied(*step):
+            try:
+                return eta(*step)
+            except DomainError as exc:
+                raised.append(str(exc))
+                raise
+
+        return spied
+
+    monkeypatch.setattr(PerturbationModel, "adversarial", adversarial)
     with mock.patch.object(engine, "BLOCK", block):
         assert failure(engine.run, cfg) == want
     # a block that steps on from s_{step+1} meets the later fault

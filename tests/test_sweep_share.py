@@ -242,6 +242,10 @@ def test_sweep_jobs_halve_the_largest_group_until_every_worker_has_one():
     assert cut_jobs("aaaaaaab", 3) == ["aaa", "aaaa", "b"]
     assert cut_jobs("aaabbbccc dddd", 4) == ["aaa", "bbb", "ccc", "dddd"]
     assert cut_jobs("aaaaa", 4) == ["a", "a", "a", "aa"]
+    # the job of the most keys is cut first; a one-key job is halved only when every job has one key
+    assert cut_jobs("aaaaaa bc", 3) == ["aaaaaa", "b", "c"]
+    assert cut_jobs("aaaa bbcc", 3) == ["aaaa", "bb", "cc"]
+    assert cut_jobs("aaaa bbcc", 4) == ["aa", "aa", "bb", "cc"]
 
 
 def test_a_sweep_steps_each_loop_key_in_one_job(tmp_path, monkeypatch):
