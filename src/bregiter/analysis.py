@@ -39,6 +39,7 @@ ENVELOPE_TOL = 1e-12  # largest excess of e_t over the iterated recursion envelo
 AUDIT_TOL = 1e-10  # largest descent or cross-term violation that passes
 INDUCTION_TOL = 1e-12  # slack of each cell of the induction-step grid
 DOT_CHUNK = 10_000  # longest np.dot of fit_rate: OpenBLAS threads a longer ddot, whose bits vary with the threads
+ENVELOPE_BLOCK = 1024  # gronwall_envelope steps per block of coefficients: whole-T lists of floats raise peak RSS
 
 
 def json_number(x: float) -> float | None:
@@ -391,10 +392,14 @@ def gronwall_envelope(e0: float, bc: BoundConstants, T: int) -> tuple[np.ndarray
         raise ValueError(f"T must be >= 0, got {T}")
     beta, x = float(bc.beta), float(e0)
     k = 2.0 * (1.0 + float(bc.C0)) * float(bc.delta0)  # noise_term(t) = k / (t + 2)
+    # x_{t+1} = (1 - 2 beta / (t + 2)) x_t + k / (t + 2): the coefficients are the same IEEE operations
+    # in numpy (2 beta / (t + 2) groups left, t + 2 converts exactly), and only the recursion steps in floats
     env = [x]
-    for t in range(T):  # plain floats: the bits of the numpy recursion, at half its cost
-        x = (1.0 - 2.0 * beta / (t + 2)) * x + k / (t + 2)
-        env.append(x)
+    for lo in range(2, T + 2, ENVELOPE_BLOCK):
+        tt2 = np.arange(lo, min(lo + ENVELOPE_BLOCK, T + 2), dtype=float)
+        for a_t, c_t in zip((1.0 - (2.0 * beta) / tt2).tolist(), (k / tt2).tolist()):
+            x = a_t * x + c_t
+            env.append(x)
     env = np.array(env)
     tt = np.arange(T + 1, dtype=float)
     closed = e0 / (tt + 1) ** 2 + (2.0 * (1.0 + bc.C0) * bc.delta0 / bc.beta) / (tt + 1)

@@ -2,11 +2,14 @@
 
 Four subcommands map onto the harness: run, sweep, audit, rate.  All inputs
 come from flags and config files; nothing is read from the environment.
+-v sends the bregiter loggers' DEBUG lines (the progress of long loops and
+first passages) to stderr, for that call only.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 
 from . import __version__, harness
 
@@ -27,6 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Averaged fixed-point iteration runner and audit harness",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument("-v", dest="verbose", action="store_true",
+                        help="print progress lines of long loops and first passages to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute one configured run into a directory")
@@ -58,6 +63,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if not args.verbose:
+        return _dispatch(args)
+    logger, handler = logging.getLogger("bregiter"), logging.StreamHandler()  # stderr
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        return _dispatch(args)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "run":
         return harness.cmd_run(args.config, args.out, seed=args.seed, overrides=args.overrides)
     if args.command == "sweep":

@@ -50,12 +50,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import DomainError
+from .geometry import DomainError, Geometry
 from .operators import FixedPointError, estimate_contraction
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import RunConfig
-    from .geometry import Geometry
 
 log = logging.getLogger(__name__)
 
@@ -416,7 +415,9 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, noise: _N
     whoever consumes the block fills every other per-row value by one
     batched map per block.  A step runs unchecked but for the drift repair:
     s_t, s_star and every state before them were checked or settled already.
-    Row last takes no step.
+    Row last takes no step.  A geometry that keeps the identity repair
+    (Geometry._project: squared-euclidean, quadratic) is not called for it,
+    and its step takes the average itself, with the bits of the call.
 
     A drift repair passes a non-finite state unchanged (the identity) or
     fails it (NegativeEntropy), and a lone step then fails with the fault of
@@ -439,6 +440,7 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, noise: _N
     b_s, b_ts, b_alpha, b_eta = buf
     eta = noise.eta if noise is not None else None
     apply, project = op._apply, g._project
+    repair = type(g)._project is not Geometry._project
     e_t = 0.0 if lone else np.zeros(len(s))  # the budget's e_t unless e_step: delta0 + kappa * 0.0 is delta0
     for n in sizes:
         t0, end = t, min(t + n, last + 1)
@@ -467,7 +469,9 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, noise: _N
                     else:
                         eta(s, e_t, al, eta_t := b_eta[i])
                     s_next = s_next + eta_t
-                if lone:
+                if not repair:
+                    s = s_next
+                elif lone:
                     try:
                         s = project(s_next)
                     except DomainError as exc:
@@ -540,7 +544,9 @@ def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray, seeds: list[int]) -
     of a batch fails alone, at a failed drift repair (_blocks) or at an e_t
     that is not finite, as that of a non-finite state is, and gets None; its
     lone loop tells where.  a_t and
-    ||T(s_t) - s_t||^2 may read inf.  Each row's Trace is contiguous.
+    ||T(s_t) - s_t||^2 may read inf.  Each row's Trace is contiguous.  A
+    block that crosses a multiple of 100000 rows logs a DEBUG progress line
+    (bregiter -v), as _passages does.
     """
     g, pm = cfg.geometry, cfg.perturbation
     T, B = cfg.iterations, len(seeds)
@@ -579,6 +585,8 @@ def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray, seeds: list[int]) -
             eta_div[:, stepped] = g._divergence(b_eta[:n_step], g.zero).T  # 0.0 where eta is g.zero
             if etas is not None:
                 etas[:, stepped] = b_eta[:n_step].swapaxes(0, 1)
+        if (t0 + m) // 100_000 > t0 // 100_000:
+            log.debug("loop: t=%d of %d, B = %d", t0 + m - 1, T, B)
     rows = np.arange(T + 1)
     a = e * (rows + 1.0) ** 2
     return [None if dead is not None and dead[r] else

@@ -125,13 +125,19 @@ class Geometry:
         raise NotImplementedError
 
     def project(self, s) -> np.ndarray:
-        """Repair floating-point drift; raise DomainError if s is truly outside."""
+        """Repair floating-point drift; raise DomainError if s is truly outside.
+
+        A point with no drift to repair may come back as the checked input itself.
+        """
         return self._project(self.check_point(s))
 
     def _project(self, s: np.ndarray) -> np.ndarray:
         """project for a finite point of the right shape, or row by row for a (B, dim) batch of them.
 
-        Each row of a batch gets the bits of its own call.
+        Each row of a batch gets the bits of its own call.  Here the
+        identity, returning s itself: a geometry that does not override it
+        (squared-euclidean, quadratic) has no drift to repair, and the
+        engine's steps skip the call (engine._blocks).
         """
         return s
 
@@ -252,12 +258,21 @@ class NegativeEntropy(Geometry):
         return self._project(_as_points(s, self.dim, batch=False, finite=True))
 
     def _project(self, s) -> np.ndarray:
+        """s / sum(s), or hold_at_rho(s) where an entry is below rho; DomainError past repair.
+
+        A lone row whose entries are all at least rho and whose sum is
+        exactly 1.0 comes back as s itself, as from the identity repairs:
+        x / 1.0 is x in IEEE arithmetic, so the bits hold.  The engine calls
+        this once per step of a run on this geometry.
+        """
         if s.ndim > 1:  # row by row: the scalar checks of one point keep a lone step fast
             return np.stack([self._project(row) for row in s])
         low, total = min(s.tolist()), float(np.add.reduce(s))
         if not (low >= self.rho * (1 - 1e-6) and abs(total - 1.0) <= 1e-9):  # fails every non-finite s
             raise DomainError(f"simplex drift exceeds repairable tolerance: min entry {low:g}, sum {total!r}")
-        return s / total if low >= self.rho else hold_at_rho(s, self.rho)
+        if low < self.rho:
+            return hold_at_rho(s, self.rho)
+        return s if total == 1.0 else s / total
 
 
 def hold_at_rho(w: np.ndarray, rho: float) -> np.ndarray:

@@ -46,7 +46,9 @@ class Operator:
     contraction estimate, the descent audit).  _apply never writes into s:
     it computes in place only on arrays it made itself.  A lone (dim,) row
     may take another numpy form than a batch does, with the bits of the
-    batch's row (tests/test_batch.py pins each kind).
+    batch's row (tests/test_batch.py pins each kind): the matrix kinds take
+    the matrix-vector A.dot(s), which skips np.matmul's gufunc dispatch and
+    reaches the same BLAS dgemv.
     """
 
     kind = "base"
@@ -116,7 +118,10 @@ class AffineColinear(Operator):
 
 
 class AffineRotation(Operator):
-    """T(s) = gamma * R(theta) (s - target) + target in the plane."""
+    """T(s) = gamma * R(theta) (s - target) + target in the plane.
+
+    A lone row takes rot.dot(d), a batch the stacked np.matmul; both give each row the same bits.
+    """
 
     kind = "affine-rotation"
 
@@ -135,7 +140,7 @@ class AffineRotation(Operator):
 
     def _apply(self, s, t=0):
         d = s - self.target
-        out = self.rot @ d if s.ndim == 1 else np.matmul(self.rot, d[..., None])[..., 0]
+        out = self.rot.dot(d) if s.ndim == 1 else np.matmul(self.rot, d[..., None])[..., 0]
         out *= self.gamma
         out += self.target
         return out
@@ -149,6 +154,8 @@ class GradientStep(Operator):
 
     The fixed point solves A s = b regardless of the step size; whether
     iterating T alone converges depends on step < 2 / lambda_max(A).
+    A lone row takes a.dot(s), a batch the stacked np.matmul; both give
+    each row the same bits.
     """
 
     kind = "gradient-step"
@@ -167,7 +174,7 @@ class GradientStep(Operator):
         self.step = float(step)
 
     def _apply(self, s, t=0):
-        out = self.a @ s if s.ndim == 1 else np.matmul(self.a, s[..., None])[..., 0]
+        out = self.a.dot(s) if s.ndim == 1 else np.matmul(self.a, s[..., None])[..., 0]
         out -= self.b
         out *= self.step
         return np.subtract(s, out, out=out)
@@ -183,7 +190,9 @@ class ExpGradientStep(Operator):
     then brought back to the rho-interior: the k entries below rho are held
     at rho and the rest rescaled to fill 1 - k rho.  At p = q the exponent is
     constant across entries and dies in the normalization, so q is exactly
-    the fixed point.
+    the fixed point.  A lone row that holds nothing skips its second
+    normalization where the sum is exactly 1.0: x / 1.0 is x in IEEE
+    arithmetic, so the bits hold.
     """
 
     kind = "exp-gradient-step"
@@ -216,7 +225,8 @@ class ExpGradientStep(Operator):
             return hold_at_rho(w, self.rho)
         w /= np.add.reduce(w)
         if min(w.tolist()) >= self.rho:  # hold_at_rho's branch for a row that holds nothing
-            w /= np.add.reduce(w)
+            if (total := np.add.reduce(w)) != 1.0:
+                w /= total
             return w
         return hold_at_rho(w, self.rho)
 
@@ -233,7 +243,8 @@ class Bellman(Operator):
     default); each entry must broadcast to the rewards' shape.  Fixed points use
     policy enumeration when there are at most 8 deterministic policies and
     plain backup iteration otherwise; both give the fixed point of apply(., 0),
-    whose rewards carry context_y[0].
+    whose rewards carry context_y[0].  A lone row takes the (S A, S) matrix's
+    dot(v), a batch the stacked np.matmul; both give each row the same bits.
     """
 
     kind = "bellman"
@@ -272,14 +283,18 @@ class Bellman(Operator):
         self.discount = float(discount)
         self.n_states = n_states
         self.n_actions = n_actions
+        self._q_shape = r.shape  # the (S, A) table of a lone row's action values
 
     def _apply(self, v, t=0):
         r = self.rewards
         if self.context_y is not None:  # an int array t picks one entry per row
             r = r + self.context_y[t % len(self.context_y)]
-        q = self._rows @ v if v.ndim == 1 else np.matmul(self._rows, v[..., None])
+        if v.ndim == 1:
+            q, shape = self._rows.dot(v), self._q_shape
+        else:
+            q, shape = np.matmul(self._rows, v[..., None]), v.shape[:-1] + self._q_shape
         q *= self.discount
-        q = q.reshape(v.shape[:-1] + (self.n_states, self.n_actions))
+        q = q.reshape(shape)
         q += r
         return np.maximum.reduce(q, axis=-1)
 

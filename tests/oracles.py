@@ -226,6 +226,23 @@ def envelope_one_step(e0, beta, c0, delta0):
 
 
 # ---------------------------------------------------------------------------
+# iterated envelope, step by step
+#
+# gronwall_envelope's recursion as it read when every step made its own
+# coefficients in python floats; the list of e_0 .. e_T.
+
+
+def envelope_loop(e0, beta, c0, delta0, T):
+    x = float(e0)
+    k = 2.0 * (1.0 + c0) * delta0
+    env = [x]
+    for t in range(T):
+        x = (1.0 - 2.0 * beta / (t + 2)) * x + k / (t + 2)
+        env.append(x)
+    return env
+
+
+# ---------------------------------------------------------------------------
 # step-by-step references for the batched audits and contraction estimate
 #
 # Each audit reference returns the fields of the package's CheckRecord as a

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bregiter.analysis import (
@@ -301,6 +303,23 @@ def test_envelope_noise_free_closed_form():
     for k in range(100):
         prod *= 1.0 - 1.5 / (k + 2)
     assert env[100] == pytest.approx(prod, rel=1e-12)
+
+
+ENVELOPE_BETAS = st.one_of(st.sampled_from([5e-324, 1e-300, 1e-12, 0.5, 1.0 - 2**-53, 1.0, 1.0 + 2**-52, 0.75]),
+                           st.floats(1e-6, 2.0))
+ENVELOPE_E0S = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 2.5, 1e300, 1.7e308]), st.floats(0.0, 1e6))
+ENVELOPE_TS = st.one_of(st.sampled_from([0, 1, 1023, 1024, 1025, 2049, 10**4]), st.integers(0, 3000))
+
+
+@settings(max_examples=120, deadline=None)
+@given(ENVELOPE_TS, ENVELOPE_BETAS, ENVELOPE_E0S, st.sampled_from([1.0, 3.0, 1e3]),
+       st.sampled_from([0.0, 0.1, 1e-300, 3.0]))
+def test_envelope_has_the_bits_of_the_float_recursion(T, beta, e0, L, delta0):
+    # the coefficients are made in numpy, a block of rows at a time, and only the recursion steps in floats
+    bc = BoundConstants(gamma_hat=0.25, kappa=0.0, delta0=delta0, mu=1.0, L=L, beta=beta)
+    env, closed = gronwall_envelope(e0, bc, T)
+    assert env.shape == closed.shape == (T + 1,)
+    assert env.tobytes() == np.array(oracles.envelope_loop(e0, beta, bc.C0, delta0, T)).tobytes()
 
 
 def test_envelope_requires_positive_beta():

@@ -332,6 +332,49 @@ def test_the_drift_repair_fails_every_non_finite_point(row):
         NegativeEntropy(3, 1e-6)._project(np.array(row))
 
 
+MATRIX_KINDS = [("affine-rotation", 2), *((kind, dim) for kind in ("gradient-step", "bellman") for dim in (1, 2, 24))]
+
+
+@pytest.mark.parametrize("kind, dim", MATRIX_KINDS)
+def test_a_lone_row_of_a_matrix_kind_takes_a_dot_with_the_bits_of_the_stacked_row(kind, dim):
+    # a lone row takes A.dot(s), a batch np.matmul(A, S[..., None]); rows over ten decades of magnitude
+    rng = np.random.default_rng(dim)
+    for _ in range(3):
+        op, _ = make_operator(kind, dim, rng)
+        s = rng.standard_normal((2000, op.dim)) * 10.0 ** rng.uniform(-5, 5, (2000, 1))
+        t = rng.integers(0, 50, 2000)
+        images = op._apply(s, t)
+        assert same_bits(images, oracles.APPLY[kind](op, s, t))
+        for row, ti, image in zip(s, t.tolist(), images):
+            assert same_bits(op._apply(row, ti), image)
+
+
+def test_the_simplex_maps_skip_a_division_by_an_exact_one_with_the_bits_of_their_formulas():
+    rho = 1e-6
+    g = NegativeEntropy(3, rho)
+    exact = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.125, 0.375, 0.5]])
+    rows = np.vstack([exact, g.sample_point(np.random.default_rng(5), 300)])
+    one = np.add.reduce(rows, axis=1) == 1.0
+    assert one.any() and not one.all()
+    # the drift repair returns a row that sums to exactly 1.0 as it is, and divides any other
+    for row, exactly in zip(rows, one.tolist()):
+        got = g._project(row)
+        assert same_bits(got, oracles.negative_entropy_project(g, row))
+        assert (got is row) == exactly
+    assert same_bits(g._project(rows), oracles.negative_entropy_project(g, rows))
+    # a lone exp-gradient row skips its second normalization where its first one sums to exactly 1.0
+    seen = set()
+    for q, step in ((exact[0], 0.5), (exact[1], 1.7), (exact[2], 3.0)):
+        op = ExpGradientStep(q, step, rho)
+        images = op._apply(rows)
+        assert same_bits(images, oracles.exp_gradient_apply(op, rows))
+        for row, image in zip(rows, images):
+            w = row * np.exp(-op.step * (np.log(row) - np.log(op.q) + 1.0))
+            seen.add(bool(np.add.reduce(w / np.add.reduce(w)) == 1.0))
+            assert same_bits(op._apply(row), image)
+    assert seen == {True, False}
+
+
 def test_bellman_context_rows_follow_their_step():
     op = Bellman(np.full((2, 1, 2), 0.5), np.zeros((2, 1)), 0.5, context_y=[[1.0], [2.0], [3.0]])
     v = np.zeros((4, 2))

@@ -1,9 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from bregiter import engine
 from bregiter.config import from_dict
 from bregiter.engine import (
     BLOCK,
@@ -299,3 +303,37 @@ FINITENESS_CASES = {
 def test_the_step_finiteness_check_agrees_with_isfinite_all(x):
     x = np.asarray(x, dtype=float)
     assert _finite(x) is bool(np.isfinite(x).all())
+
+
+# ---------------------------------------------------------------------------
+# drift repair per step
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name, repairs",
+                         [("exp_gradient", True), ("affine_accel", False), ("quadratic_colinear", False)])
+@pytest.mark.parametrize("seeds", [[1], [1, 2, 3]])
+def test_a_step_calls_the_drift_repair_only_where_the_geometry_has_one(monkeypatch, name, repairs, seeds):
+    # negative entropy repairs once per step (a batch in one call); the identity repair is never called
+    raw = json.loads((CONFIGS / f"{name}.json").read_text())
+    cfg = from_dict({**raw, "iterations": 50, "rate_window": None, "eps_list": []})
+    g = cfg.geometry
+    s_star, s, _ = engine._start(cfg)
+    want = engine._loop(cfg, s_star, s, seeds)
+    calls, depth = [], []
+
+    def spy(x):  # counts the outer calls: a batch's repair calls itself on each row
+        if not depth:
+            calls.append(x.shape)
+        depth.append(x)
+        try:
+            return type(g)._project(g, x)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(g, "_project", spy)
+    got = engine._loop(cfg, s_star, s, seeds)
+    assert calls == ([s.shape if len(seeds) == 1 else (len(seeds), g.dim)] * 50 if repairs else [])
+    for a, b in zip(got, want):
+        assert a.e.tobytes() == b.e.tobytes() and a.final_state.tobytes() == b.final_state.tobytes()

@@ -2,6 +2,7 @@ import csv
 import functools
 import inspect
 import json
+import logging
 import math
 import os
 import shutil
@@ -759,6 +760,28 @@ def test_long_override_value_is_cut_in_the_error(tmp_path, capsys):
     assert err.startswith("config error: iterations must be an integer, got '100")
     assert err.count("\n") == 1 and len(err) < 200
     assert "(5003 characters)" in err
+
+
+def test_dash_v_prints_the_progress_of_a_long_first_passage_to_stderr(tmp_path, capsys):
+    # eps = 1e-10 lies far past the 300-row trace: the first passage meets it near t = 158k
+    args = ["run", "--config", str(CONFIGS / "affine_accel.json"), "--set", "iterations=300",
+            "--set", "rate_window=null", "--set", "eps_list=[1e-10]"]
+    handlers = list(logging.getLogger("bregiter").handlers)
+    assert main(["-v", *args, "--out", str(tmp_path / "loud")]) == 0
+    loud = capsys.readouterr()
+    assert "first passage: t=" in loud.err
+    assert main([*args, "--out", str(tmp_path / "quiet")]) == 0  # a later call without -v prints nothing new
+    quiet = capsys.readouterr()
+    assert quiet.err == "" and quiet.out == loud.out
+    assert logging.getLogger("bregiter").handlers == handlers
+
+
+def test_a_loop_logs_its_progress_once_per_100k_rows(caplog):
+    cfg = base_config(iterations=200_000, retain_states=False, rate_window=None, eps_list=[])
+    with caplog.at_level(logging.DEBUG, logger="bregiter"):
+        run(from_dict(cfg))
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("loop: ")]
+    assert lines == ["loop: t=100351 of 200000, B = 1", "loop: t=200000 of 200000, B = 1"]
 
 
 def test_run_rejects_sweep_block(tmp_path):
