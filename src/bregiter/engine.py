@@ -19,24 +19,23 @@ the bits of a per-step call.  Random-mode draws read no state, so a block
 makes them before its steps, in the perturbation module's draw order, with
 their unit directions and D(direction, 0) batched; a random step keeps its
 budget and the scaling of its eta.  The step sizes of a block are made
-once per block (Schedule.alphas), and so is the finiteness check of its
-states: a lone run checks them at the block's end or at its first fault,
-and a batch marks a row failed at its first divergence that is not finite.
-A fault is reported at its earliest row, with the message, t and state of a
-per-step loop.
+once per block (Schedule.alphas), and so is the one fault rule of every
+row, lone or in a batch (_fault): its first divergence that is not finite,
+unless a step of the row failed before it, with the message, t and state of
+the EngineError of its per-step loop.
 
 A sweep job is a pass of passes, or a part of one, stepped by one call of
 loops: the loops whose configs differ only in the seed and in the params
 that their operator kind stacks (Operator.stackable) step together as the
 rows of one (B, dim) state.  The work that reads no draw runs once per step
 for every row; row r reads its own row of the stacked operator and of
-s_star, draws its perturbations from its own generator, and gets the bits of
-its lone loop, or fails alone while the other rows step on.  In random mode
-the etas of all rows are one array expression per step.  A pass holds at
-most PASS_BYTES of traces, so a worker, which drops each job's traces before
-it steps the next, holds about that much at once.  A lone run (B = 1) steps
-a (dim,) state, whose random etas come from python floats: at B = 1 the
-array expression costs more than twice as much per step.
+s_star, draws its perturbations from its own generator, and gets the bits,
+or the fault, of its lone loop.  In random mode the etas of all rows are one
+array expression per step.  A pass holds at most PASS_BYTES of traces, so a
+worker, which drops each job's traces before it steps the next, holds about
+that much at once.  A lone run (B = 1) steps a (dim,) state, whose random
+etas come from python floats: at B = 1 the array expression costs more than
+twice as much per step.
 """
 
 from __future__ import annotations
@@ -136,6 +135,9 @@ class EngineError(RuntimeError):
         self.t = t
         self.state = np.asarray(state, dtype=float)
 
+    def __reduce__(self):
+        return type(self), (str(self), self.t, self.state)
+
 
 @dataclass
 class Trace:
@@ -204,15 +206,30 @@ def _finite(x: np.ndarray) -> bool:
     return np.isfinite(x).tobytes() == b"\x01" * x.size
 
 
-def _divergence_fault(d: np.ndarray, t0: int, states: np.ndarray) -> EngineError | None:
-    """The fault of the first d[i] = D(states[i], s_star) that is not finite, at row t0 + i, before its step.
+def _fault(d: np.ndarray, states: np.ndarray, t0: int, step: EngineError | None) -> EngineError | None:
+    """The fault of a row from its block of rows t0.., whose states are states and d[i] = D(states[i], s_star).
 
-    d may hold one divergence per row of a batch, d[i, r] = D(states[i, r], s_star); the fault is
-    then that of the first row r of the first step i with one that is not finite.
+    It is that of the row's first d[i] that is not finite: of the step that made states[i] where that is not
+    finite (its divergence never is), else a non-finite divergence at iteration t0 + i.  step, the row's first
+    failed step (_blocks), wins if it came before row t0 + i.  Each is the EngineError of its per-step loop.
     """
     if not _finite(d):
-        i, *r = map(int, np.unravel_index(int(np.argmin(np.isfinite(d))), d.shape))
-        return EngineError(f"non-finite divergence at iteration {t0 + i}", t0 + i, states[(i, *r)].copy())
+        i = int(np.argmin(np.isfinite(d)))
+        if step is None or step.t >= t0 + i:
+            t, state = t0 + i, states[i].copy()
+            if _finite(state):
+                return EngineError(f"non-finite divergence at iteration {t}", t, state)
+            return _step_fault(t - 1, state, None)  # the step that made the state
+    return step
+
+
+def _step_fault(t: int, state: np.ndarray, exc: DomainError | None, eta: bool = False) -> EngineError:
+    """The fault of step t: its eta raised exc at state = s_t, or state = s_{t+1} failed its repair or is not finite."""
+    if eta:
+        return EngineError(f"perturbation failed at iteration {t}: {exc}", t, state)
+    if _finite(state):
+        return EngineError(f"domain escape at iteration {t}: {exc}", t, state)
+    return EngineError(f"non-finite state at iteration {t}", t, state)
 
 
 def run(cfg: RunConfig) -> Trace:
@@ -220,17 +237,26 @@ def run(cfg: RunConfig) -> Trace:
 
     Start-up (fixed point, s0, the seeded contraction estimate and its
     warnings) runs first and fills the Trace's s_star, gamma_hat and warnings.
+    A failed start-up or loop raises its EngineError.
     """
     s_star, s, facts = _started(cfg)
-    return replace(_loop(cfg, s_star, s, [cfg.seed])[0], **facts)
+    trace, = _loop(cfg, s_star, s, [cfg.seed])
+    if isinstance(trace, EngineError):
+        raise trace
+    return replace(trace, **facts)
 
 
-def with_start(cfg: RunConfig, loop: Trace) -> Trace:
-    """The Trace of run(cfg), from loop, the Trace that loops gave for cfg's loop_key.
+def with_start(cfg: RunConfig, loop: Trace | EngineError) -> Trace:
+    """The Trace of run(cfg), from loop, what loops gave for cfg's loop_key.
 
-    Only cfg's start-up runs; the result shares loop's arrays.
+    cfg's own start-up runs first, and fails as that of run(cfg) does; then
+    a failed loop raises its EngineError, and the result of another shares
+    loop's arrays.
     """
-    return replace(loop, **_started(cfg)[2])
+    facts = _started(cfg)[2]
+    if isinstance(loop, EngineError):
+        raise loop.with_traceback(None)  # each point of the key raises it afresh
+    return replace(loop, **facts)
 
 
 def _started(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -266,40 +292,38 @@ def passes(cfgs: Iterable[RunConfig]) -> list[list[RunConfig]]:
     return out
 
 
-def loops(cfgs: list[RunConfig]) -> dict[str, Trace]:
-    """The loop of each loop_key of cfgs, a pass of passes, without its start-up facts.
+def loops(cfgs: list[RunConfig]) -> dict[str, Trace | EngineError]:
+    """The loop of each loop_key of cfgs, a pass of passes, without its start-up facts, or its fault.
 
     The first config of each key (adjacent, as in a pass) is a row of one
     pass of _loop: row r starts from its own fixed point where the rows stack
     their operator params, and the rows of any other batch share one
-    start-up.  Each Trace has the bits of the loop of run on a config of its
-    key; with_start adds the start-up facts.  A key whose loop fails, at
-    start-up or at a step, is left out, and the other rows step on: a lone
-    run tells where it fails.
+    start-up.  Every key gets the Trace of the loop of run on a config of
+    it, with the same bits, or, where that loop fails at start-up or at a
+    step, the EngineError it raises; the other rows step on.  with_start adds
+    a config's start-up facts, or raises the fault.
     """
     cfgs = [next(group) for _, group in itertools.groupby(cfgs, key=lambda cfg: cfg.loop_key)]
     stacked = cfgs[0].operator.stackable
-    starts = [_start_or_none(cfg) for cfg in cfgs] if stacked else [_start_or_none(cfgs[0])] * len(cfgs)
-    rows = [(cfg, start) for cfg, start in zip(cfgs, starts) if start is not None]
-    if not rows:
-        return {}
-    cfg, (s_star, s, _) = rows[0]
-    if len(rows) > 1 and stacked:
-        s_star = np.stack([start[0] for _, start in rows])
-        cfg = replace(cfg, operator=type(cfg.operator).stack([c.operator for c, _ in rows]))
-    try:
-        traces = _loop(cfg, s_star, s, [c.seed for c, _ in rows])
-    except EngineError:  # the fault of a lone row
-        return {}
-    return {c.loop_key: trace for (c, _), trace in zip(rows, traces) if trace is not None}
+    starts = [_start_or_fault(cfg) for cfg in cfgs] if stacked else [_start_or_fault(cfgs[0])] * len(cfgs)
+    rows = [(cfg, start) for cfg, start in zip(cfgs, starts) if not isinstance(start, EngineError)]
+    traces = iter(())
+    if rows:
+        cfg, (s_star, s, _) = rows[0]
+        if len(rows) > 1 and stacked:
+            s_star = np.stack([start[0] for _, start in rows])
+            cfg = replace(cfg, operator=type(cfg.operator).stack([c.operator for c, _ in rows]))
+        traces = iter(_loop(cfg, s_star, s, [c.seed for c, _ in rows]))
+    return {cfg.loop_key: start if isinstance(start, EngineError) else next(traces)
+            for cfg, start in zip(cfgs, starts)}
 
 
-def _start_or_none(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, float | None] | None:
-    """_start(cfg), or None where it fails."""
+def _start_or_fault(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, float | None] | EngineError:
+    """_start(cfg), or the EngineError it raises."""
     try:
         return _start(cfg)
-    except EngineError:
-        return None
+    except EngineError as exc:
+        return exc
 
 
 def _buffers(rows: int, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
@@ -322,20 +346,22 @@ class _Noise:
     A lone row (s_star of shape (dim,)) has eta(s_t, e_t, alpha_t), which
     returns eta_t from python floats and raises DomainError where the
     adversarial direction overflows.  The B rows of a batch (s_star of shape
-    (B, dim)) have eta(s_t, e_t, alpha_t, out), which writes the (B, dim)
-    etas of a step into out, nan in a row whose eta fails; in random mode
+    (B, dim)) have eta(s_t, e_t, alpha_t, out, t), which writes the (B, dim)
+    etas of step t into out; a row whose eta fails gets nan, and its fault
+    goes into faults, the rows' first failed steps (_blocks).  In random mode
     that is one array expression over the rows, each at its own draw index
     j[r], with the bits of the lone eta.
     """
 
-    __slots__ = ("pm", "g", "zero", "rngs", "random", "lone", "eta", "rules", "states", "n",
+    __slots__ = ("pm", "g", "zero", "rngs", "random", "lone", "eta", "rules", "faults", "states", "n",
                  "directions", "bases", "u", "j", "first")
 
-    def __init__(self, cfg: RunConfig, s_star: np.ndarray, seeds: list[int]):
+    def __init__(self, cfg: RunConfig, s_star: np.ndarray, seeds: list[int], faults: list):
         self.pm, self.g, self.zero = cfg.perturbation, cfg.geometry, cfg.geometry.zero
         self.rngs = [np.random.default_rng(seed) for seed in seeds]
         self.random = self.pm.mode == "random"
         self.lone = s_star.ndim == 1
+        self.faults = faults
         if self.random:
             self.eta = self._drawn_eta if self.lone else self._drawn_etas
             return
@@ -370,7 +396,7 @@ class _Noise:
         u = self.u[j]
         return self.pm.eta_along(self.directions[j], self.bases[j], u * u * b, al, self.zero)
 
-    def _drawn_etas(self, s: np.ndarray, e_t: np.ndarray, al: float, out: np.ndarray):
+    def _drawn_etas(self, s: np.ndarray, e_t: np.ndarray, al: float, out: np.ndarray, t: int):
         b = self.pm.budget(e_t)
         at = self.first + self.j
         target = self.u.take(at) * b  # eta_along's target u * u * b, row by row
@@ -381,12 +407,13 @@ class _Noise:
             out[zero] = 0.0
         self.j += ~(b <= 0)
 
-    def _adversarial_etas(self, s: np.ndarray, e_t: np.ndarray, al: float, out: np.ndarray):
+    def _adversarial_etas(self, s: np.ndarray, e_t: np.ndarray, al: float, out: np.ndarray, t: int):
         for r, eta in enumerate(self.rules):
             try:
                 out[r] = eta(s[r], e_t[r], al)
-            except DomainError:  # the row's step fails (_blocks)
+            except DomainError as exc:
                 out[r] = np.nan
+                self.faults[r] = self.faults[r] or _step_fault(t, s[r].copy(), exc, eta=True)
 
     def settle(self):
         if self.random:
@@ -397,8 +424,7 @@ class _Noise:
 
 
 def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, noise: _Noise | None,
-            buf: tuple[np.ndarray, ...], sizes: Iterable[int], last: int,
-            dead: np.ndarray | None = None) -> Iterator[tuple[int, int, EngineError | None]]:
+            buf: tuple[np.ndarray, ...], sizes: Iterable[int], last: int, faults: list) -> Iterator[tuple[int, int]]:
     """The averaged iteration from s = s_t, one block of rows per size, through row last.
 
     The one per-step loop of the engine.  s is one state of shape (dim,), or
@@ -408,31 +434,26 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, noise: _N
     for every row, each with the bits of its lone call.  The step sizes of a
     block are made once, before its first step (Schedule.alphas).  noise
     holds the perturbations of the rows (_Noise), and is None on a
-    noise-free run; a lone step whose eta fails (DomainError) fails with
-    "perturbation failed at iteration t".  Row i of a block of the
-    buffers buf (see _buffers) holds s_u, T(s_u), alpha_u and, on noisy runs,
-    eta_u for u = t0 + i.  Each step computes only what the next step reads;
-    whoever consumes the block fills every other per-row value by one
-    batched map per block.  A step runs unchecked but for the drift repair:
-    s_t, s_star and every state before them were checked or settled already.
-    Row last takes no step.  A geometry that keeps the identity repair
-    (Geometry._project: squared-euclidean, quadratic) is not called for it,
-    and its step takes the average itself, with the bits of the call.
+    noise-free run.  Row i of a block of the buffers buf (see _buffers)
+    holds s_u, T(s_u), alpha_u and, on noisy runs, eta_u for u = t0 + i.
+    Each step computes only what the next step reads; whoever consumes the
+    block fills every other per-row value by one batched map per block.  A
+    step runs unchecked but for the drift repair: s_t, s_star and every
+    state before them were checked or settled already.  Row last takes no
+    step.  A geometry that keeps the identity repair (Geometry._project:
+    squared-euclidean, quadratic) is not called for it, and its step takes
+    the average itself, with the bits of the call.
 
-    A drift repair passes a non-finite state unchanged (the identity) or
-    fails it (NegativeEntropy), and a lone step then fails with the fault of
-    a non-finite state.  A lone run checks its states once per block, at the
-    block's end or at its first EngineError (_state_fault): a non-finite
-    state steps on to that check, and its fault, the one a per-step check
-    gives, wins over every later fault of the block.  In a batch, a row whose
-    repair fails is marked in dead, the (B,) flags of the failed rows, and
-    steps on from its row of s_star (_revive); a non-finite row that the
-    identity passes steps on, and _loop marks it at its divergence, which is
-    not finite.  Every other row keeps its bits.
+    faults holds each row's first failed step, or None (_step_fault): an eta
+    that fails (DomainError), or a drift repair that fails, as
+    NegativeEntropy's does on every non-finite state.  A lone step that fails
+    ends the loop at its row, as does a lone block that carries on a
+    non-finite state.  A batch row whose eta fails steps on with a nan eta
+    (_Noise), and one whose repair fails from its row of s_star (_revive).
+    Whoever consumes a block gives each row its fault by the rule of _fault,
+    which also catches the non-finite states that the identity passes on.
 
-    Yields (t0, m, fault) per block: its first row t0, its row count m, and
-    None, or the EngineError of the step of row t0 + m - 1, the last row of
-    the last block (never on a batch).
+    Yields (t0, m) per block: its first row t0 and its row count m.
     """
     g, op, sched, pm = cfg.geometry, cfg.operator, cfg.schedule, cfg.perturbation
     lone = s.ndim == 1
@@ -448,89 +469,66 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, noise: _N
             noise.draw(min(end, last) - t0)
         alphas = sched.alphas(t0, end)
         b_alpha[:end - t0] = alphas
-        fault = None
-        try:
-            for t, al in zip(range(t0, end), alphas):
-                i = t - t0
-                ts = apply(s, t)
-                b_s[i] = s
-                b_ts[i] = ts
-                if e_step:
-                    e_t = g._divergence(s, s_star)
-                if t == last:
-                    break
-                s_next = (1.0 - al) * s + al * ts
-                if eta is not None:
-                    if lone:
-                        try:
-                            b_eta[i] = eta_t = eta(s, e_t, al)
-                        except DomainError as exc:
-                            raise EngineError(f"perturbation failed at iteration {t}: {exc}", t, s) from exc
-                    else:
-                        eta(s, e_t, al, eta_t := b_eta[i])
-                    s_next = s_next + eta_t
-                if not repair:
-                    s = s_next
-                elif lone:
+        for t, al in zip(range(t0, end), alphas):
+            i = t - t0
+            ts = apply(s, t)
+            b_s[i] = s
+            b_ts[i] = ts
+            if e_step:
+                e_t = g._divergence(s, s_star)
+            if t == last:
+                break
+            s_next = (1.0 - al) * s + al * ts
+            if eta is not None:
+                if lone:
                     try:
-                        s = project(s_next)
+                        b_eta[i] = eta_t = eta(s, e_t, al)
                     except DomainError as exc:
-                        if not _finite(s_next):
-                            raise EngineError(f"non-finite state at iteration {t}", t, s_next) from None
-                        raise EngineError(f"domain escape at iteration {t}: {exc}", t, s_next) from exc
+                        faults[0] = _step_fault(t, s, exc, eta=True)
+                        break
                 else:
-                    try:
-                        s = project(s_next)
-                    except DomainError:
-                        s = _revive(g, s_next, s_star, dead)
-        except EngineError as exc:
-            fault = exc
-        if lone:
-            fault = _state_fault(b_s[:t - t0 + 1], t0, s) or fault
-        if fault is not None:
-            yield t0, fault.t - t0 + 1, fault
+                    eta(s, e_t, al, eta_t := b_eta[i], t)
+                s_next = s_next + eta_t
+            if not repair:
+                s = s_next
+            elif lone:
+                try:
+                    s = project(s_next)
+                except DomainError as exc:
+                    faults[0] = _step_fault(t, s_next, exc)
+                    break
+            else:
+                try:
+                    s = project(s_next)
+                except DomainError:
+                    s = _revive(g, s_next, s_star, t, faults)
+        if lone and (faults[0] or end <= last and not _finite(s)):  # no step is taken from a non-finite state
+            faults[0] = faults[0] or _step_fault(t, s, None)
+            yield t0, t - t0 + 1
             return
         if noise is not None:
             noise.settle()
-        yield t0, end - t0, None
+        yield t0, end - t0
         if end > last:
             return
         t = end
 
 
-def _state_fault(rows: np.ndarray, t0: int, s: np.ndarray) -> EngineError | None:
-    """The fault of the first non-finite state of a lone block: of rows[1:], the states it made in its
-    rows t0 + 1.., then of s, the state it carries on.
-
-    The drift repair leaves a non-finite state as its step made it, or fails
-    that step (_blocks), so each row has the bits a per-step check reports.
-    """
-    if _finite(rows[1:]):
-        if _finite(s):
-            return None
-        i, state = len(rows), s
-    else:
-        i = 1 + int(np.argmin(np.isfinite(rows[1:]).all(axis=1)))
-        state = rows[i].copy()
-    return EngineError(f"non-finite state at iteration {t0 + i - 1}", t0 + i - 1, state)
-
-
-def _revive(g: Geometry, s: np.ndarray, s_star: np.ndarray, dead: np.ndarray) -> np.ndarray:
-    """The projected batch s, whose rows that fail a lone step's checks are marked in dead and put back to s_star."""
-    bad = ~np.isfinite(s).all(axis=1)
-    for r in np.flatnonzero(~bad):
+def _revive(g: Geometry, s: np.ndarray, s_star: np.ndarray, t: int, faults: list) -> np.ndarray:
+    """The projected batch s = s_{t+1}: a row whose repair fails records its fault and steps on from s_star's row."""
+    rows = []
+    for r, row in enumerate(s):
         try:
-            g._project(s[r])
-        except DomainError:
-            bad[r] = True
-    dead |= bad
-    s[bad] = s_star[bad]
-    return g._project(s)
+            rows.append(g._project(row))
+        except DomainError as exc:
+            faults[r] = faults[r] or _step_fault(t, row.copy(), exc)
+            rows.append(g._project(s_star[r]))
+    return np.stack(rows)
 
 
 @QUIET
-def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray, seeds: list[int]) -> list[Trace]:
-    """The loops of run from the projected s0 s, one row per seed, without their start-up facts; None for a failed row.
+def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray, seeds: list[int]) -> list[Trace | EngineError]:
+    """The loops of run from the projected s0 s, one row per seed, without their start-up facts, or their faults.
 
     One seed steps a state of shape (dim,) against s_star of shape (dim,).
     More seeds step one (B, dim) state in one pass of _blocks, row r with
@@ -539,14 +537,13 @@ def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray, seeds: list[int]) -
     geometry's drift repair runs row by row (Geometry._project).  _blocks
     steps BLOCK rows at a time.  Per block, the batched maps over its
     (m, B, dim) rows give each row the bits of a per-step call for e_t,
-    ||T(s_t) - s_t||^2 and D(eta_t, 0).  A lone loop fails at its first
-    row whose e_t is not finite, before any failed step of its block.  A row
-    of a batch fails alone, at a failed drift repair (_blocks) or at an e_t
-    that is not finite, as that of a non-finite state is, and gets None; its
-    lone loop tells where.  a_t and
-    ||T(s_t) - s_t||^2 may read inf.  Each row's Trace is contiguous.  A
-    block that crosses a multiple of 100000 rows logs a DEBUG progress line
-    (bregiter -v), as _passages does.
+    ||T(s_t) - s_t||^2 and D(eta_t, 0).  At the end of each block, a row
+    whose divergence is not finite or whose step failed gets its fault
+    (_fault), the EngineError that its lone loop raises, in place of its
+    Trace, and the other rows step on; the pass stops once every row has
+    failed.  a_t and ||T(s_t) - s_t||^2 may read inf.  Each row's Trace is
+    contiguous.  A block that crosses a multiple of 100000 rows logs a DEBUG
+    progress line (bregiter -v), as _passages does.
     """
     g, pm = cfg.geometry, cfg.perturbation
     T, B = cfg.iterations, len(seeds)
@@ -563,18 +560,19 @@ def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray, seeds: list[int]) -
         s_star = np.broadcast_to(s_star, s.shape)
     else:  # one seed steps the (dim,) state of a lone run
         buf = b_s[:, 0], b_ts[:, 0], b_alpha, b_eta[:, 0]
-    noise = None if pm.is_zero else _Noise(cfg, s_star, seeds)
-    dead = None if B == 1 else np.zeros(B, dtype=bool)
+    steps: list[EngineError | None] = [None] * B  # each row's first failed step
+    faults: list[EngineError | None] = [None] * B
+    noise = None if pm.is_zero else _Noise(cfg, s_star, seeds, steps)
 
-    for t0, m, fault in _blocks(cfg, s_star, 0, s, noise, buf, itertools.repeat(BLOCK), T, dead):
+    for t0, m in _blocks(cfg, s_star, 0, s, noise, buf, itertools.repeat(BLOCK), T, steps):
         done = slice(t0, t0 + m)
         stepped = slice(t0, min(t0 + m, T))  # row T takes no step
         n_step = stepped.stop - t0
         d = g._divergence(b_s[:m], s_star)
-        if dead is not None:
-            dead |= ~np.isfinite(d).all(axis=0)
-        elif fault := _divergence_fault(d, t0, b_s) or fault:
-            raise fault
+        if not _finite(d) or any(steps):
+            faults = [fault or _fault(d[:, r], b_s[:m, r], t0, steps[r]) for r, fault in enumerate(faults)]
+            if all(faults):
+                break
         e[:, done] = d.T
         alpha[done] = b_alpha[:m]
         diff = b_ts[:m] - b_s[:m]
@@ -589,10 +587,9 @@ def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray, seeds: list[int]) -
             log.debug("loop: t=%d of %d, B = %d", t0 + m - 1, T, B)
     rows = np.arange(T + 1)
     a = e * (rows + 1.0) ** 2
-    return [None if dead is not None and dead[r] else
-            Trace(t=rows, e=e[r], a=a[r], alpha=alpha, delta_norm_sq=delta_sq[r], eta_div=eta_div[r],
-                  states=None if states is None else states[r], etas=None if etas is None else etas[r],
-                  final_state=b_s[m - 1, r].copy()) for r in range(B)]
+    return [fault or Trace(t=rows, e=e[r], a=a[r], alpha=alpha, delta_norm_sq=delta_sq[r], eta_div=eta_div[r],
+                           states=None if states is None else states[r], etas=None if etas is None else etas[r],
+                           final_state=b_s[m - 1, r].copy()) for r, fault in enumerate(faults)]
 
 
 @QUIET
@@ -604,9 +601,8 @@ def _passages(cfg: RunConfig, s_star: np.ndarray, e, s: np.ndarray,
     at t = k.  Targets that e does not meet are served together by one pass
     of the clean averaged loop continued from (k, s), in blocks of
     PASSAGE_BLOCKS rows, with one batched divergence per block.  The rows of
-    a block are settled in order, as a per-step loop would: a non-finite
-    divergence fails the pass at its row (_divergence_fault), and the failed
-    step of a block's last row fails it, each only if a target is still open.
+    a block are settled in order, as a per-step loop would: the fault of the
+    pass (_fault) fails it at its row, only if a target is still open.
     """
     if not all(eps > 0 for eps in eps_list):
         raise ValueError(f"eps must be > 0, got {eps_list}")
@@ -620,10 +616,11 @@ def _passages(cfg: RunConfig, s_star: np.ndarray, e, s: np.ndarray,
     if todo and k < cap:
         buf = b_s, *_ = _buffers(min(PASSAGE_BLOCKS[-1], cap - k + 1), (g.dim,))
         sizes = itertools.chain(PASSAGE_BLOCKS, itertools.repeat(PASSAGE_BLOCKS[-1]))
-        for t0, m, fault in _blocks(cfg, s_star, k, s, None, buf, sizes, cap):
+        steps = [None]
+        for t0, m in _blocks(cfg, s_star, k, s, None, buf, sizes, cap, steps):
             d = g._divergence(b_s[:m], s_star)  # row k again, which meets no open target
-            bad = _divergence_fault(d, t0, b_s)
-            n_ok = m if bad is None else bad.t - t0
+            fault = _fault(d, b_s, t0, steps[0])
+            n_ok = m if fault is None else fault.t - t0 + 1  # a non-finite divergence meets no target
             while todo:
                 met = np.flatnonzero(d[:n_ok] <= todo[0])
                 if not met.size:
@@ -631,8 +628,8 @@ def _passages(cfg: RunConfig, s_star: np.ndarray, e, s: np.ndarray,
                 found[todo.pop(0)] = t0 + int(met[0])
             if not todo:
                 break
-            if bad or fault:
-                raise bad or fault
+            if fault:
+                raise fault
             if (t0 + m) // 100_000 > t0 // 100_000:
                 log.debug("first passage: t=%d e=%.3e (next target %.3e)", t0 + m - 1, d[-1], todo[0])
     return [found.get(eps, CENSORED) for eps in eps_list]

@@ -57,8 +57,6 @@ _SCI_RANGE = (1e-280, 1e280)
 _DECADES = range(-281, 281)
 #: 2^27 + 1, which splits a double into halves whose products are exact (Dekker)
 _SPLIT = 134217729.0
-#: 10^(16-k) = hi + lo over k in _DECADES, each the double nearest its exact ratio; nan until _pow10 first needs it
-_POW10 = np.full((2, len(_DECADES)), np.nan)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -98,18 +96,18 @@ def _tables() -> dict[str, np.ndarray]:
     }
 
 
-def _pow10(i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """hi and lo of 10^(16-k) at the _DECADES indices i, building the decades not built before from Python ints."""
-    hi = _POW10[0, i]
-    if np.isnan(hi).any():  # a file's values span a few dozen of the 562 decades
-        for j in set(i[np.isnan(hi)].tolist()):
-            k = _DECADES[j]
-            num, den = (10**(16 - k), 1) if k <= 16 else (1, 10**(k - 16))
-            _POW10[0, j] = h = num / den
-            h_num, h_den = h.as_integer_ratio()
-            _POW10[1, j] = (num * h_den - h_num * den) / (den * h_den)
-        hi = _POW10[0, i]
-    return hi, _POW10[1, i]
+@functools.cache
+def _pow10() -> np.ndarray:
+    """10^(16-k) = hi + lo over k in _DECADES, built from Python ints on first use: _pow10()[:, i] is hi and lo
+    at the _DECADES indices i, each the double nearest its exact ratio."""
+    table = np.empty((2, len(_DECADES)))
+    for j, k in enumerate(_DECADES):
+        num, den = (10**(16 - k), 1) if k <= 16 else (1, 10**(k - 16))
+        table[0, j] = h = num / den
+        h_num, h_den = h.as_integer_ratio()
+        table[1, j] = (num * h_den - h_num * den) / (den * h_den)
+    table.flags.writeable = False  # every caller shares it
+    return table
 
 
 def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +153,7 @@ def _sci_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     exact = (a >= _SCI_RANGE[0]) & (a <= _SCI_RANGE[1])
     a[~exact] = 1.0
     i = _decade(a) - _DECADES.start
-    hi, lo = _pow10(i)
+    hi, lo = _pow10()[:, i]
     p, e = _two_product(a, hi)
     e += a * lo
     whole = np.floor(e)
@@ -335,7 +333,7 @@ def _sci_value(n: np.ndarray, i: np.ndarray) -> np.ndarray:
     It is the quotient of N by 10^(16-k) = hi + lo, corrected by the
     quotient's remainder, which the Dekker product's error gives exactly.
     """
-    hi, lo = _pow10(i)
+    hi, lo = _pow10()[:, i]
     n_hi = n.astype(np.float64)
     n_lo = (n - n_hi.astype(np.int64)).astype(np.float64)
     q = n_hi / hi
@@ -564,14 +562,15 @@ def _write(path: Path, data: bytes) -> dict:
 
 
 class Loop:
-    """A loop that the runs of one loop_key share: its Trace from engine.loops, without start-up facts.
+    """A loop that the runs of one loop_key share: its Trace from engine.loops, without start-up facts, or its fault.
 
     csv, the bytes of its trace.csv, and entry, their manifest entry, are
     made once, by the first run that writes them.  The Trace's arrays are
-    read-only, as every run of the key reads them.
+    read-only, as every run of the key reads them.  A failed loop's trace is
+    the EngineError that each run of the key raises after its start-up.
     """
 
-    def __init__(self, trace: engine.Trace):
+    def __init__(self, trace: engine.Trace | EngineError):
         for arr in vars(trace).values():
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
@@ -635,7 +634,9 @@ def run_to_dir(cfg: cfgmod.RunConfig, out_dir: Path, loop: Loop | None = None) -
 
     loop, the shared loop of cfg's loop_key, stands in for cfg's own: the
     run then makes only its start-up and its summary, and writes the loop's
-    trace.csv bytes.  manifest.json hashes each file from the bytes written.
+    trace.csv bytes, or, after its start-up, raises the EngineError of a
+    failed loop, as cfg's own loop would.  manifest.json hashes each file
+    from the bytes written.
     """
     started = _utcnow()
     out_dir = Path(out_dir)
@@ -797,14 +798,14 @@ def _sweep_group(out_root: Path, cfgs: list[cfgmod.RunConfig]) -> list[dict]:
     """Worker for the sweep points of one job: one engine.loops call steps the loop of each loop_key once.
 
     The configs of a key are adjacent and share one Loop, which formats their
-    trace.csv once.  A point whose loop engine.loops left out, as a failed
-    loop does, runs alone, so each row, ok or error, is that of a lone run.
+    trace.csv once.  A failed loop's Loop holds the EngineError of its lone
+    loop, so each row, ok or error, is that of a lone run, and no point
+    steps its loop again.
     """
     traces = engine.loops(cfgs)
     rows = []
     for key, points in groupby(cfgs, key=lambda cfg: cfg.loop_key):
-        trace = traces.get(key)
-        loop = None if trace is None else Loop(trace)
+        loop = Loop(traces[key])
         rows += [_sweep_point(cfg, out_root, loop) for cfg in points]
     return rows
 

@@ -1,4 +1,5 @@
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -337,3 +338,10 @@ def test_a_step_calls_the_drift_repair_only_where_the_geometry_has_one(monkeypat
     assert calls == ([s.shape if len(seeds) == 1 else (len(seeds), g.dim)] * 50 if repairs else [])
     for a, b in zip(got, want):
         assert a.e.tobytes() == b.e.tobytes() and a.final_state.tobytes() == b.final_state.tobytes()
+
+
+def test_an_engine_error_round_trips_through_pickle():
+    exc = EngineError("non-finite state at iteration 4", 4, np.array([np.inf, -0.0, 1e-300, np.nan]))
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is EngineError and (str(back), back.t, back.args) == (str(exc), 4, exc.args)
+    assert back.state.dtype == exc.state.dtype and back.state.tobytes() == exc.state.tobytes()

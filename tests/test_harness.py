@@ -1046,6 +1046,20 @@ def test_a_failed_share_fails_the_sweep_after_every_worker_is_reaped(tmp_path, m
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_worker_reports_its_engine_error_whole():
+    state = np.array([np.nan, -0.0, 1e308])
+
+    def fn(job):  # job 2 runs in the forked worker
+        if job == 2:
+            raise EngineError("non-finite state at iteration 2", 2, state)
+        return [job]
+
+    with pytest.raises(EngineError) as exc:
+        harness._fan_out(fn, [1, 2], 2)
+    assert (str(exc.value), exc.value.t, exc.value.state.tobytes()) == (
+        "non-finite state at iteration 2", 2, state.tobytes())
+
+
 def test_a_fork_that_fails_reaps_the_workers_already_started(tmp_path, monkeypatch):
     started, fork = [], os.fork
 

@@ -25,10 +25,11 @@ from hypothesis import strategies as st
 
 import oracles
 from bregiter import config, engine
-from bregiter.geometry import NegativeEntropy
+from bregiter.geometry import DomainError, NegativeEntropy
+from bregiter.operators import AffineColinear
 from bregiter.harness import RUN_FILES, _sweep_jobs, cmd_run, cmd_sweep, expand_sweep
-from test_harness import CONFIGS, KAPPA0_OVERFLOW, OVERFLOW_CASES, OVERFLOW_TARGET
-from test_run_oracle import PAIRS, SCHEDULES, ZERO_BUDGET, draw_raw, noisy_config, outcome, same_bits
+from test_harness import CONFIGS, KAPPA0_OVERFLOW, OVERFLOW_CASES, OVERFLOW_ERROR, OVERFLOW_TARGET
+from test_run_oracle import PAIRS, SCHEDULES, ZERO_BUDGET, draw_raw, failure, noisy_config, outcome, same_bits
 
 
 def _scaled(v):
@@ -119,14 +120,12 @@ def test_a_loop_serves_every_config_of_its_key(seed, pair, schedule, mode, injec
     assert fresh_err == want_err
     assert engine.passes([cfg, twin]) == [[cfg, twin]]
     loops = engine.loops([cfg])
-    assert set(loops) <= {cfg.loop_key}
-    loop = loops.get(cfg.loop_key)
+    assert set(loops) == {cfg.loop_key}
+    loop = loops[cfg.loop_key]
     if first is not None:
-        assert loop is not None
-    elif first_err[1] >= 0:  # a failed loop is not shared; the twin's fails alike unless its start-up fails first
-        assert loop is None and (fresh_err == first_err or fresh_err[1] == -1)
-    if loop is None:
-        return
+        assert isinstance(loop, engine.Trace)
+    elif first_err[1] >= 0:  # a failed loop carries its fault; the twin's fails alike unless its start-up fails first
+        assert (str(loop), loop.t) == first_err and (fresh_err == first_err or fresh_err[1] == -1)
     shared, shared_err = outcome(lambda c: engine.with_start(c, loop), twin)
     assert shared_err == fresh_err
     if fresh is None:
@@ -295,12 +294,26 @@ def test_a_sweep_of_one_loop_key_fans_out(tmp_path):
 # the seeds of a noisy key share one batched pass
 
 def lone_loops(cfg, seeds):
-    """The outcome of the lone loop of cfg at each of seeds: (Trace, None) or (None, (message, t))."""
+    """The lone loop of cfg at each of seeds: its Trace, or the EngineError it fails with."""
     s_star, s, _ = engine._start(cfg)
-    return [outcome(lambda c: engine._loop(c, s_star, s, [seed])[0], cfg) for seed in seeds]
+    return [engine._loop(cfg, s_star, s, [seed])[0] for seed in seeds]
+
+
+def fault_of(exc):
+    """The message, t and state bytes of an EngineError, as failure gives them."""
+    return str(exc), exc.t, exc.state.tobytes()
 
 
 TRACE_ARRAYS = ("t", "e", "a", "alpha", "delta_norm_sq", "eta_div", "states", "etas", "final_state")
+
+
+def assert_same_loop(got, want):
+    """got has the bits of want, a lone loop's Trace, or the message, t and state bytes of its EngineError."""
+    if isinstance(want, engine.EngineError):
+        assert isinstance(got, engine.EngineError) and fault_of(got) == fault_of(want)
+        return
+    for name in TRACE_ARRAYS:
+        assert same_bits(getattr(got, name), getattr(want, name)), name
 
 
 @settings(max_examples=80, deadline=None)
@@ -319,13 +332,11 @@ def test_a_batched_loop_equals_the_lone_loop_of_each_seed(seed, pair, schedule, 
         lone = lone_loops(cfg, seeds)
         got, err = outcome(lambda c: engine._loop(c, s_star, s, seeds), cfg)
     assert err is None and len(got) == len(seeds)
-    for (want, _), trace in zip(lone, got):
-        if want is None:  # a failing row fails alone
-            assert trace is None
-            continue
-        for name in TRACE_ARRAYS:
-            assert same_bits(getattr(trace, name), getattr(want, name)), name
-            assert getattr(trace, name) is None or getattr(trace, name).flags.c_contiguous, name
+    for want, trace in zip(lone, got):
+        assert_same_loop(trace, want)  # a failing row fails alone, with the fault of its lone loop
+        if isinstance(want, engine.Trace):
+            for name in TRACE_ARRAYS:
+                assert getattr(trace, name) is None or getattr(trace, name).flags.c_contiguous, name
 
 
 @pytest.mark.parametrize("block", [1, 7, engine.BLOCK])
@@ -338,7 +349,7 @@ def test_a_batch_rewinds_each_row_that_leaves_draws_unused(block, injection):
     with mock.patch.object(engine, "BLOCK", block):
         got = engine._loop(cfg, s_star, s, seeds)
         lone = lone_loops(cfg, seeds)
-    for (want, _), trace in zip(lone, got):
+    for want, trace in zip(lone, got):
         assert (want.eta_div == 0).sum() > 1
         for name in TRACE_ARRAYS:
             assert same_bits(getattr(trace, name), getattr(want, name)), name
@@ -378,28 +389,44 @@ def assert_sweep_equals_lone_runs(sweep_dir, lone):
 
 
 def counting_passes(monkeypatch):
-    """Record the rows of every pass of engine.loops made in this process, as (seed, gamma), and those it left out.
+    """Record the rows of every pass of engine.loops made in this process, as (seed, gamma), and those that failed.
 
     A row is the first config of each distinct loop key of the pass, the one that engine.loops steps.  This
     process runs every pass of a serial sweep and share 0 of a parallel one; four CPUs are pinned, so the
-    shares of a --parallel 4 sweep do not depend on the host.
+    shares of a --parallel 4 sweep do not depend on the host.  Returns the passes and the fault of each
+    failed row, as fault_of gives it.  From here on no point may step its loop again: engine.run raises, in
+    forked workers too, and each engine.loops call steps one pass of engine._loop.
     """
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-    passes, plain = [], engine.loops
+    passes, faults, stepped, plain, plain_loop = [], {}, [], engine.loops, engine._loop
 
     def row(cfg):
         return (cfg.seed, cfg.operator.gamma) if hasattr(cfg.operator, "gamma") else cfg.seed
 
+    def loop(*args):
+        stepped.append(1)
+        return plain_loop(*args)
+
     def counted(cfgs):
+        before = len(stepped)
         out = plain(cfgs)
+        assert len(stepped) == before + 1
         rows = {}
         for cfg in cfgs:
             rows.setdefault(cfg.loop_key, row(cfg))
-        passes.append((list(rows.values()), [r for key, r in rows.items() if key not in out]))
+        failed = {r: fault_of(out[key]) for key, r in rows.items() if isinstance(out[key], engine.EngineError)}
+        assert all(faults.get(r, f) == f for r, f in failed.items())  # a row fails alike in every pass
+        faults.update(failed)
+        passes.append((list(rows.values()), list(failed)))
         return out
 
+    def run(cfg):
+        raise AssertionError("a sweep point stepped its loop again")
+
+    monkeypatch.setattr(engine, "_loop", loop)
     monkeypatch.setattr(engine, "loops", counted)
-    return passes
+    monkeypatch.setattr(engine, "run", run)
+    return passes, faults
 
 
 @pytest.mark.parametrize("perturbation", NOISY_PERTURBATIONS,
@@ -412,7 +439,7 @@ def test_a_noisy_seed_sweep_writes_the_files_of_lone_runs(tmp_path, monkeypatch,
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(raw))
     lone = lone_run_dirs(tmp_path, raw)
-    passes = counting_passes(monkeypatch)
+    passes, _ = counting_passes(monkeypatch)
     index = set()
     for block in (1, 7, engine.BLOCK):
         for parallel in (1, 2, 4):
@@ -428,6 +455,7 @@ def test_a_noisy_seed_sweep_writes_the_files_of_lone_runs(tmp_path, monkeypatch,
 
 
 def test_a_batch_with_failing_seeds_reruns_each_failing_point_alone(tmp_path, monkeypatch):
+    # no point steps again: each failing row of the pass carries the fault of its lone run
     raw = {**KAPPA0_OVERFLOW, "iterations": 512,
            "perturbation": {"mode": "random", "delta0": 1e-3, "kappa": 0.1, "injection": "unscaled"},
            "sweep": {"seed": [1, 2, 3, 4, 5, 6, 7, 8]}}
@@ -436,12 +464,26 @@ def test_a_batch_with_failing_seeds_reruns_each_failing_point_alone(tmp_path, mo
     lone = lone_run_dirs(tmp_path, raw)
     codes = {point["seed"]: lone[config.config_digest(point)][0] for _, point in expand_sweep(raw)}
     assert codes == {1: 1, 2: 1, 3: 1, 4: 0, 5: 1, 6: 1, 7: 0, 8: 0}
-    passes = counting_passes(monkeypatch)
+    want = lone_faults(raw, lambda cfg: cfg.seed)
+    passes, faults = counting_passes(monkeypatch)
     for parallel in (1, 2, 4):
         assert cmd_sweep(str(path), str(tmp_path / f"p{parallel}"), parallel=parallel) == 0
         assert_sweep_equals_lone_runs(tmp_path / f"p{parallel}", lone)
     # the serial sweep, whose failing rows fail alone, then share 0 of --parallel 2 and of 4
     assert passes == [([1, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 5, 6]), ([1, 2, 3, 4], [1, 2, 3]), ([1, 2], [1, 2])]
+    assert faults == want
+
+
+def lone_faults(raw, row):
+    """The fault of the lone run of each failing point of the sweep raw, as fault_of gives it, by row(cfg)."""
+    faults = {}
+    for _, point in expand_sweep(raw):
+        cfg = config.from_dict(point)
+        try:
+            engine.run(cfg)
+        except engine.EngineError as exc:
+            faults[row(cfg)] = fault_of(exc)
+    return faults
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +513,10 @@ def test_each_row_of_a_stacked_pass_equals_its_lone_loop(seed, gkind, schedule, 
     assert engine.passes(cfgs) == [cfgs]
     with mock.patch.object(engine, "BLOCK", block):
         got = engine.loops(cfgs)
-        lone = {cfg.loop_key: lone_loops(cfg, [cfg.seed])[0][0] for cfg in cfgs}
-    lone = {key: want for key, want in lone.items() if want is not None}  # a row whose lone loop fails is left out
+        lone = {cfg.loop_key: lone_loops(cfg, [cfg.seed])[0] for cfg in cfgs}
     assert set(got) == set(lone)
-    for key, want in lone.items():
-        for name in TRACE_ARRAYS:
-            assert same_bits(getattr(got[key], name), getattr(want, name)), name
+    for key, want in lone.items():  # a row whose lone loop fails carries its fault
+        assert_same_loop(got[key], want)
 
 
 @pytest.mark.parametrize("block", [1, 7, engine.BLOCK])
@@ -488,7 +528,7 @@ def test_stacked_rows_rewind_each_row_that_leaves_draws_unused(block, injection)
         **base["operator"]["params"], "gamma": gamma}}}) for gamma in (0.3, 0.6, 0.9) for seed in (3, 4)]
     with mock.patch.object(engine, "BLOCK", block):
         got = engine.loops(cfgs)
-        lone = {cfg.loop_key: lone_loops(cfg, [cfg.seed])[0][0] for cfg in cfgs}
+        lone = {cfg.loop_key: lone_loops(cfg, [cfg.seed])[0] for cfg in cfgs}
     assert set(got) == set(lone) and len(lone) == 6
     for key, want in lone.items():
         assert (want.eta_div == 0).sum() > 1
@@ -512,6 +552,7 @@ OVERFLOWING_GAMMA = {
 
 
 def test_a_stacked_batch_with_a_failing_gamma_reruns_each_failing_point_alone(tmp_path, monkeypatch):
+    # no point steps again: each failing row of the pass carries the fault of its lone run, of either kind
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(OVERFLOWING_GAMMA))
     lone = lone_run_dirs(tmp_path, OVERFLOWING_GAMMA)
@@ -522,13 +563,17 @@ def test_a_stacked_batch_with_a_failing_gamma_reruns_each_failing_point_alone(tm
     for code, lone_dir in lone.values():
         if code:
             assert json.loads((lone_dir / "state_dump.json").read_text())["error"].startswith("non-finite ")
-    passes = counting_passes(monkeypatch)
+    want = lone_faults(OVERFLOWING_GAMMA, lambda cfg: (cfg.seed, cfg.operator.gamma))
+    assert {message.split(" at ")[0] for message, _, _ in want.values()} == {
+        "non-finite divergence", "non-finite state"}
+    passes, faults = counting_passes(monkeypatch)
     for parallel in (1, 2, 4):
         assert cmd_sweep(str(path), str(tmp_path / f"p{parallel}"), parallel=parallel) == 0
         assert_sweep_equals_lone_runs(tmp_path / f"p{parallel}", lone)
     rows = [(point["seed"], point["operator"]["params"]["gamma"]) for point in points]
     # the serial sweep, then share 0 of --parallel 2 and of 4
     assert passes == [(rows, [(seed, 0.9) for seed in (1, 2, 3, 4)]), (rows[:6], []), (rows[:3], [])]
+    assert faults == want
 
 
 @pytest.mark.parametrize("perturbation", STACKED_PERTURBATIONS,
@@ -541,7 +586,7 @@ def test_a_gamma_seed_sweep_steps_one_pass_and_writes_the_files_of_lone_runs(tmp
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(raw))
     lone = lone_run_dirs(tmp_path, raw)
-    passes = counting_passes(monkeypatch)
+    passes, _ = counting_passes(monkeypatch)
     index = set()
     for parallel in (1, 2, 4):
         out = tmp_path / f"p{parallel}"
@@ -562,21 +607,139 @@ def test_a_row_that_fails_at_start_up_or_in_its_perturbation_fails_alone(geometr
         **raw["operator"]["params"], "target": target}}}) for target in ([2.0, -1.0], OVERFLOW_TARGET, [1.0, 0.5])]
     assert outcome(engine.run, cfgs[1])[1] == OVERFLOW_CASES[geometry][1]
     got = engine.loops(cfgs)
-    assert set(got) == {cfgs[0].loop_key, cfgs[2].loop_key}
+    assert set(got) == {cfg.loop_key for cfg in cfgs}
+    assert fault_of(got[cfgs[1].loop_key]) == failure(engine.run, cfgs[1])  # its start-up's or its first step's
     for cfg in cfgs[::2]:
-        want, _ = lone_loops(cfg, [cfg.seed])[0]
-        for name in TRACE_ARRAYS:
-            assert same_bits(getattr(got[cfg.loop_key], name), getattr(want, name)), name
+        assert_same_loop(got[cfg.loop_key], lone_loops(cfg, [cfg.seed])[0])
 
 
 def test_revive_puts_each_row_past_a_lone_step_back_to_its_fixed_point():
     g = NegativeEntropy(3, rho=1e-6)
     s_star = np.array([[0.2, 0.3, 0.5], [0.1, 0.1, 0.8], [0.3, 0.3, 0.4], [0.5, 0.25, 0.25]])
     s = np.array([[0.2, 0.3, 0.5 + 3e-10], [0.9, 0.4, -0.3], [np.inf, 0.0, 0.0], [0.5, 0.25, 0.25]])
-    dead = np.array([False, False, False, True])
-    got = engine._revive(g, s.copy(), s_star, dead)
-    assert dead.tolist() == [False, True, True, True]
+    earlier = engine.EngineError("non-finite divergence at iteration 3", 3, s[3])
+    faults = [None, None, None, earlier]
+    got = engine._revive(g, s.copy(), s_star, 7, faults)
+    assert [fault is not None for fault in faults] == [False, True, True, True]
     assert got.tobytes() == np.stack([g._project(s[0]), s_star[1], s_star[2], g._project(s[3])]).tobytes()
+    # each new fault is that of the lone step 7 to the row, and a row's earlier fault stays
+    with pytest.raises(DomainError) as escape:
+        g._project(s[1])
+    assert fault_of(faults[1]) == (f"domain escape at iteration 7: {escape.value}", 7, s[1].tobytes())
+    assert fault_of(faults[2]) == ("non-finite state at iteration 7", 7, s[2].tobytes())
+    assert faults[3] is earlier
+
+
+#: T(s_t) of a negative-entropy row that leaves the simplex, by the kind of fault its drift repair reports
+SIMPLEX_IMAGES = {"domain escape": [3.0, 0.5, -2.5], "non-finite state": [np.inf, 0.5, 0.5],
+                  "non-finite state (nan)": [0.5, 0.5, np.nan]}
+
+
+def failing_gammas(images):
+    """Make T(s_t) of each affine-colinear row, lone or stacked, images[gamma][t] where images names them."""
+    plain = AffineColinear._apply
+
+    def apply(self, s, t=0):
+        out = plain(self, s, t)
+        for r, gamma in enumerate(np.ravel(self.gamma)):
+            if np.ndim(t) == 0 and t in images.get(float(gamma), {}):
+                out[r if out.ndim > 1 else ...] = images[float(gamma)][t]
+        return out
+
+    return mock.patch.object(AffineColinear, "_apply", apply)
+
+
+def random_rows(data):
+    """A seed batch of the KAPPA0_OVERFLOW run with random noise, whose divergence overflows near t = 511."""
+    raw = {**KAPPA0_OVERFLOW, "iterations": 512, "retain_states": data.draw(st.booleans()),
+           "perturbation": {"mode": "random", "delta0": 1e-3, "kappa": data.draw(st.sampled_from([0.0, 0.1])),
+                            "injection": data.draw(st.sampled_from(["unscaled", "scaled"]))}}
+    seeds = data.draw(st.lists(st.integers(1, 40), min_size=2, max_size=5, unique=True))
+    return [{**raw, "seed": seed} for seed in seeds], {}
+
+
+def adversarial_rows(data):
+    """Stacked rows on quadratic A = 1e-3 I whose adversarial direction overflows at t = 0 at OVERFLOW_TARGET."""
+    raw = config.apply_overrides(json.loads((CONFIGS / "affine_adversarial_scaled.json").read_text()),
+                                 [f"{k}={json.dumps(v)}" for k, v in OVERFLOW_CASES["quadratic"][0].items()])
+    rows = data.draw(st.lists(st.tuples(st.sampled_from([0.0, 0.5, 0.9]), st.integers(0, 20),
+                                        st.sampled_from([[2.0, -1.0], [1.0, 0.5], OVERFLOW_TARGET])),
+                              min_size=2, max_size=5, unique_by=lambda row: (row[0], tuple(row[2]))))
+    return [{**raw, "iterations": 40, "seed": seed, "operator": {"kind": "affine-colinear", "params": {
+        "gamma": gamma, "target": target}}} for gamma, seed, target in rows], {}
+
+
+def gamma_rows(data):
+    """Stacked gamma x seed rows of OVERFLOWING_GAMMA: each gamma = 0.9 row overflows, in either way."""
+    rows = data.draw(st.lists(st.tuples(st.sampled_from([0.5, 0.9]), st.integers(1, 6)), min_size=2, max_size=3,
+                              unique=True))
+    raw = {key: value for key, value in OVERFLOWING_GAMMA.items() if key != "sweep"}
+    return [{**raw, "seed": seed, "operator": {"kind": "affine-colinear", "params": {
+        "gamma": gamma, "target": [1.0, 1.0]}}} for gamma, seed in rows], {}
+
+
+def simplex_rows(data):
+    """Stacked gamma rows on negative entropy, each failing its drift repair at the steps that images names."""
+    gammas = data.draw(st.lists(st.sampled_from([0.2, 0.5, 0.8]), min_size=2, max_size=3, unique=True))
+    images = {gamma: data.draw(st.dictionaries(st.integers(1, 30), st.sampled_from(sorted(SIMPLEX_IMAGES)),
+                                               max_size=2)) for gamma in gammas}
+    raw = {"geometry": {"kind": "negative-entropy", "dim": 3, "params": {"rho": 1e-6}},
+           "schedule": {"kind": "accelerated"}, "s0": [0.6, 0.3, 0.1], "iterations": 30, "seed": 1}
+    cfgs = [{**raw, "operator": {"kind": "affine-colinear", "params": {"gamma": gamma, "target": [0.2, 0.3, 0.5]}}}
+            for gamma in gammas]
+    return cfgs, {gamma: {t: SIMPLEX_IMAGES[kind] for t, kind in steps.items()} for gamma, steps in images.items()}
+
+
+#: rows of one pass of engine.loops, some of which fail, and the kinds of fault that they may fail with
+FAILING_PASSES = {
+    "random": (random_rows, {"non-finite divergence", "non-finite state"}),
+    "adversarial": (adversarial_rows, {"perturbation failed"}),
+    "gamma": (gamma_rows, {"non-finite divergence", "non-finite state"}),
+    "simplex": (simplex_rows, {"domain escape", "non-finite state"}),
+}
+
+
+@pytest.mark.parametrize("family", FAILING_PASSES)
+@settings(max_examples=20, deadline=None)
+@given(st.data(), st.sampled_from([1, 7, engine.BLOCK]))
+def test_each_failed_row_of_a_pass_carries_the_fault_of_its_lone_loop(family, data, block):
+    rows, kinds = FAILING_PASSES[family]
+    raws, images = rows(data)
+    cfgs = [config.from_dict(raw) for raw in raws]
+    assert len({cfg.batch_key for cfg in cfgs}) == 1 and len({cfg.loop_key for cfg in cfgs}) == len(cfgs)
+    with mock.patch.object(engine, "BLOCK", block), failing_gammas(images):
+        got = engine.loops(cfgs)
+        lone = {cfg.loop_key: lone_loops(cfg, [cfg.seed])[0] for cfg in cfgs}
+    assert set(got) == set(lone)
+    for key, want in lone.items():
+        assert_same_loop(got[key], want)
+        if isinstance(want, engine.EngineError):
+            assert str(want).split(" at iteration ")[0] in kinds
+
+
+def test_every_kind_of_fault_fails_its_row_of_a_pass():
+    # the rows of each family above fail in each of its ways
+    cases = {
+        "random": [{**KAPPA0_OVERFLOW, "iterations": 512, "seed": seed, "perturbation": {
+            "mode": "random", "delta0": 1e-3, "kappa": 0.1, "injection": "unscaled"}} for seed in (1, 4)],
+        "adversarial": adversarial_rows(SimpleNamespace(draw=lambda s: [(0.5, 1, OVERFLOW_TARGET),
+                                                                        (0.5, 1, [1.0, 0.5])]))[0],
+        "gamma": gamma_rows(SimpleNamespace(draw=lambda s: [(0.9, 1), (0.9, 2)]))[0],
+    }
+    want = {"random": {"non-finite divergence at iteration 510", None},
+            "adversarial": {OVERFLOW_ERROR, None},
+            "gamma": {"non-finite divergence at iteration 2325", "non-finite state at iteration 2502"}}
+    for family, raws in cases.items():
+        got = engine.loops([config.from_dict(raw) for raw in raws])
+        assert {str(v) if isinstance(v, engine.EngineError) else None for v in got.values()} == want[family], family
+    images = {0.2: {4: SIMPLEX_IMAGES["domain escape"]}, 0.5: {6: SIMPLEX_IMAGES["non-finite state (nan)"]},
+              0.8: {}}
+    draws = iter([[0.2, 0.5, 0.8], {}, {}, {}])
+    raws, _ = simplex_rows(SimpleNamespace(draw=lambda s: next(draws)))
+    with failing_gammas(images):
+        got = list(engine.loops([config.from_dict(raw) for raw in raws]).values())
+    assert str(got[0]).startswith("domain escape at iteration 4: simplex drift exceeds repairable tolerance")
+    assert str(got[1]) == "non-finite state at iteration 6" and isinstance(got[2], engine.Trace)
 
 
 def assert_same_sweep(got, want):
@@ -598,7 +761,7 @@ def test_the_byte_cap_splits_a_job_into_passes_with_unchanged_files(tmp_path, mo
     assert cmd_sweep(str(path), str(tmp_path / "whole"), parallel=1) == 0
     row_bytes = 8 * (120 + 1) * (4 + 2 * 2)  # e, a, delta_norm_sq and eta_div, then states and etas of dim 2
     monkeypatch.setattr(engine, "PASS_BYTES", 2 * row_bytes + 1)
-    passes = counting_passes(monkeypatch)
+    passes, _ = counting_passes(monkeypatch)
     for parallel in (1, 2):
         out = tmp_path / f"capped{parallel}"
         assert cmd_sweep(str(path), str(out), parallel=parallel) == 0
@@ -635,7 +798,7 @@ def test_a_capped_sweep_passes_whole_loop_keys_and_steps_each_once_per_job(tmp_p
 
     monkeypatch.setattr(engine, "_loop", loop)
     monkeypatch.setattr(engine, "loops", loops)
-    passes = counting_passes(monkeypatch)
+    passes, _ = counting_passes(monkeypatch)
     for parallel in (1, 2, 4):  # at 4, the first pass is cut into one job per gamma
         out = tmp_path / f"capped{parallel}"
         assert cmd_sweep(str(path), str(out), parallel=parallel) == 0
@@ -683,7 +846,7 @@ def test_a_gamma_seed_sweep_on_negative_entropy_equals_lone_runs(tmp_path, monke
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(raw))
     lone = lone_run_dirs(tmp_path, raw)
-    passes = counting_passes(monkeypatch)
+    passes, _ = counting_passes(monkeypatch)
     for parallel in (1, 2):
         assert cmd_sweep(str(path), str(tmp_path / f"p{parallel}"), parallel=parallel) == 0
         assert_sweep_equals_lone_runs(tmp_path / f"p{parallel}", lone)
