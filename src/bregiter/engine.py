@@ -36,6 +36,15 @@ worker, which drops each job's traces before it steps the next, holds about
 that much at once.  A lone run (B = 1) steps a (dim,) state, whose random
 etas come from python floats: at B = 1 the array expression costs more than
 twice as much per step.
+
+0-d operands.  numpy 2 takes a python float or np.float64 operand through
+its NEP 50 scalar path, 150-200 ns more per ufunc call on a small array than
+a 0-d array, which it converts to the same float64.  So the scalars of a step
+are 0-d arrays, with the same bits: read-only operator constants, and
+registers of one _blocks call or one run's eta for alpha_t, 1 - alpha_t and
+eta's scale factors.  Comparisons keep floats, as one on a 0-d array is a
+ufunc, and so do the sums they compare with 1.0 (ExpGradientStep's second,
+NegativeEntropy._project's), where a 0-d array costs more than it saves.
 """
 
 from __future__ import annotations
@@ -286,10 +295,14 @@ def passes(cfgs: Iterable[RunConfig]) -> list[list[RunConfig]]:
     out = []
     for batch in batches.values():
         keys = list(batch.values())
-        cfg = keys[0][0]
-        size = max(1, PASS_BYTES // (8 * (cfg.iterations + 1) * (4 + 2 * cfg.geometry.dim * cfg.retain_states)))
+        size = max(1, PASS_BYTES // _trace_bytes(keys[0][0]))
         out += [[c for key in keys[lo:lo + size] for c in key] for lo in range(0, len(keys), size)]
     return out
+
+
+def _trace_bytes(cfg: RunConfig) -> int:
+    """Bytes of the trace and retained states of one loop of cfg: T + 1 rows of e, a, ||T(s) - s||^2 and eta_div."""
+    return 8 * (cfg.iterations + 1) * (4 + 2 * cfg.geometry.dim * cfg.retain_states)
 
 
 def loops(cfgs: list[RunConfig]) -> dict[str, Trace | EngineError]:
@@ -344,7 +357,7 @@ class _Noise:
     run against its s_star and generator: the rule that sample applies.
 
     A lone row (s_star of shape (dim,)) has eta(s_t, e_t, alpha_t), which
-    returns eta_t from python floats and raises DomainError where the
+    returns eta_t from python floats and 0-d arrays and raises DomainError where the
     adversarial direction overflows.  The B rows of a batch (s_star of shape
     (B, dim)) have eta(s_t, e_t, alpha_t, out, t), which writes the (B, dim)
     etas of step t into out; a row whose eta fails gets nan, and its fault
@@ -354,7 +367,7 @@ class _Noise:
     """
 
     __slots__ = ("pm", "g", "zero", "rngs", "random", "lone", "eta", "rules", "faults", "states", "n",
-                 "directions", "bases", "u", "j", "first")
+                 "directions", "bases", "u", "j", "first", "scale")
 
     def __init__(self, cfg: RunConfig, s_star: np.ndarray, seeds: list[int], faults: list):
         self.pm, self.g, self.zero = cfg.perturbation, cfg.geometry, cfg.geometry.zero
@@ -362,6 +375,7 @@ class _Noise:
         self.random = self.pm.mode == "random"
         self.lone = s_star.ndim == 1
         self.faults = faults
+        self.scale = np.empty(())  # eta_along's 0-d register
         if self.random:
             self.eta = self._drawn_eta if self.lone else self._drawn_etas
             return
@@ -388,15 +402,15 @@ class _Noise:
             self.first = np.arange(len(drawn)) * n
             self.j = np.zeros(len(drawn), dtype=np.intp)
 
-    def _drawn_eta(self, s: np.ndarray, e_t: float, al: float) -> np.ndarray:
+    def _drawn_eta(self, s: np.ndarray, e_t: float, al: np.ndarray) -> np.ndarray:
         if (b := self.pm.budget(e_t)) <= 0:  # sample's random branch, on the block's draws
             return self.zero
         j = self.j
         self.j = j + 1
         u = self.u[j]
-        return self.pm.eta_along(self.directions[j], self.bases[j], u * u * b, al, self.zero)
+        return self.pm.eta_along(self.directions[j], self.bases[j], u * u * b, al, self.zero, self.scale)
 
-    def _drawn_etas(self, s: np.ndarray, e_t: np.ndarray, al: float, out: np.ndarray, t: int):
+    def _drawn_etas(self, s: np.ndarray, e_t: np.ndarray, al: np.ndarray, out: np.ndarray, t: int):
         b = self.pm.budget(e_t)
         at = self.first + self.j
         target = self.u.take(at) * b  # eta_along's target u * u * b, row by row
@@ -407,7 +421,7 @@ class _Noise:
             out[zero] = 0.0
         self.j += ~(b <= 0)
 
-    def _adversarial_etas(self, s: np.ndarray, e_t: np.ndarray, al: float, out: np.ndarray, t: int):
+    def _adversarial_etas(self, s: np.ndarray, e_t: np.ndarray, al: np.ndarray, out: np.ndarray, t: int):
         for r, eta in enumerate(self.rules):
             try:
                 out[r] = eta(s[r], e_t[r], al)
@@ -463,6 +477,7 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, noise: _N
     apply, project = op._apply, g._project
     repair = type(g)._project is not Geometry._project
     e_t = 0.0 if lone else np.zeros(len(s))  # the budget's e_t unless e_step: delta0 + kappa * 0.0 is delta0
+    w_s, w_ts = np.empty(()), np.empty(())  # the 0-d registers of the average's weights 1 - alpha_t and alpha_t
     for n in sizes:
         t0, end = t, min(t + n, last + 1)
         if noise is not None:
@@ -478,16 +493,17 @@ def _blocks(cfg: RunConfig, s_star: np.ndarray, t: int, s: np.ndarray, noise: _N
                 e_t = g._divergence(s, s_star)
             if t == last:
                 break
-            s_next = (1.0 - al) * s + al * ts
+            w_s[()], w_ts[()] = 1.0 - al, al
+            s_next = w_s * s + w_ts * ts
             if eta is not None:
                 if lone:
                     try:
-                        b_eta[i] = eta_t = eta(s, e_t, al)
+                        b_eta[i] = eta_t = eta(s, e_t, w_ts)
                     except DomainError as exc:
                         faults[0] = _step_fault(t, s, exc, eta=True)
                         break
                 else:
-                    eta(s, e_t, al, eta_t := b_eta[i], t)
+                    eta(s, e_t, w_ts, eta_t := b_eta[i], t)
                 s_next = s_next + eta_t
             if not repair:
                 s = s_next
@@ -542,18 +558,23 @@ def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray, seeds: list[int]) -
     (_fault), the EngineError that its lone loop raises, in place of its
     Trace, and the other rows step on; the pass stops once every row has
     failed.  a_t and ||T(s_t) - s_t||^2 may read inf.  Each row's Trace is
-    contiguous.  A block that crosses a multiple of 100000 rows logs a DEBUG
-    progress line (bregiter -v), as _passages does.
+    contiguous.  Where the arrays of the traces cannot be allocated, every
+    row gets the EngineError at t = -1, carrying s0, that names one row's
+    bytes (_trace_bytes), whatever the number of rows.  A block that crosses
+    a multiple of 100000 rows logs a DEBUG progress line (bregiter -v), as
+    _passages does.
     """
     g, pm = cfg.geometry, cfg.perturbation
     T, B = cfg.iterations, len(seeds)
-
-    e = np.empty((B, T + 1))
-    alpha = np.empty(T + 1)
-    delta_sq = np.empty((B, T + 1))
-    eta_div = np.zeros((B, T + 1))
-    states = np.empty((B, T + 1, g.dim)) if cfg.retain_states else None
-    etas = np.zeros((B, T, g.dim)) if cfg.retain_states else None
+    try:
+        rows = np.arange(T + 1)
+        e, a, delta_sq, eta_div = np.empty((B, T + 1)), np.empty((B, T + 1)), np.empty((B, T + 1)), np.zeros((B, T + 1))
+        alpha = np.empty(T + 1)
+        states = np.empty((B, T + 1, g.dim)) if cfg.retain_states else None
+        etas = np.zeros((B, T, g.dim)) if cfg.retain_states else None
+    except (MemoryError, ValueError):  # numpy's ValueError: a size past what an array may have
+        msg = f"cannot hold the trace of {T + 1} rows ({_trace_bytes(cfg)} bytes)"
+        return [EngineError(msg, -1, np.asarray(cfg.s0, dtype=float)) for _ in seeds]
     buf = b_s, b_ts, b_alpha, b_eta = _buffers(min(BLOCK, T + 1), (B, g.dim))
     if B > 1:
         s = np.tile(s, (B, 1))
@@ -585,8 +606,7 @@ def _loop(cfg: RunConfig, s_star: np.ndarray, s: np.ndarray, seeds: list[int]) -
                 etas[:, stepped] = b_eta[:n_step].swapaxes(0, 1)
         if (t0 + m) // 100_000 > t0 // 100_000:
             log.debug("loop: t=%d of %d, B = %d", t0 + m - 1, T, B)
-    rows = np.arange(T + 1)
-    a = e * (rows + 1.0) ** 2
+    np.multiply(e, (rows + 1.0) ** 2, out=a)
     return [fault or Trace(t=rows, e=e[r], a=a[r], alpha=alpha, delta_norm_sq=delta_sq[r], eta_div=eta_div[r],
                            states=None if states is None else states[r], etas=None if etas is None else etas[r],
                            final_state=b_s[m - 1, r].copy()) for r, fault in enumerate(faults)]

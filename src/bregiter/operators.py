@@ -9,10 +9,10 @@ kind's ``_apply``, the same map on a float array, which the engine, the
 contraction estimate and the descent audit call directly.  Fixed points
 come from closed forms where one exists (affine kinds, gradient step,
 small Bellman problems by policy enumeration) and from plain iteration of
-``apply`` otherwise.  Contraction factors are always measured
-by pair sampling in a given geometry, never assumed from declared
-parameters, because the divergence in which the engine runs need not be the
-norm in which an operator is naturally contractive.
+``apply`` otherwise.  Step constants are read-only 0-d arrays.  Contraction
+factors are always measured by pair sampling in a given geometry, never
+assumed from declared parameters, because the divergence in which the engine
+runs need not be the norm in which an operator is naturally contractive.
 """
 
 from __future__ import annotations
@@ -35,6 +35,13 @@ class FixedPointError(RuntimeError):
 FIXED_POINT_MAX_ITER = 10**6
 #: divergence step at or below which the iterative fixed-point fallback stops
 FIXED_POINT_TOL = 1e-14
+
+
+def _constant(x) -> np.ndarray:
+    """x as a read-only float64 array: a 0-d step constant (the engine's 0-d operands), or (B, 1) stacked rows."""
+    out = np.array(x, dtype=float)
+    out.setflags(write=False)
+    return out
 
 
 class Operator:
@@ -98,17 +105,18 @@ class AffineColinear(Operator):
             raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
         super().__init__(target.size)
         self.gamma = float(gamma)
+        self._gamma = _constant(self.gamma)
         self.target = target
         self._pull = (1.0 - self.gamma) * target
 
     def _apply(self, s, t=0):
-        return self.gamma * s + self._pull
+        return self._gamma * s + self._pull
 
     @classmethod
     def stack(cls, ops):
-        """gamma of shape (B, 1), target and _pull of shape (B, dim): apply multiplies and adds row by row."""
+        """gamma and _gamma of shape (B, 1), target and _pull of shape (B, dim): apply steps row by row."""
         out = copy.copy(ops[0])
-        out.gamma = np.array([[op.gamma] for op in ops])
+        out.gamma = out._gamma = _constant([[op.gamma] for op in ops])
         out.target = np.stack([op.target for op in ops])
         out._pull = np.stack([op._pull for op in ops])
         return out
@@ -133,6 +141,7 @@ class AffineRotation(Operator):
             raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
         super().__init__(2)
         self.gamma = float(gamma)
+        self._gamma = _constant(self.gamma)
         self.theta = float(theta)
         c, sn = math.cos(self.theta), math.sin(self.theta)
         self.rot = np.array([[c, -sn], [sn, c]])
@@ -141,7 +150,7 @@ class AffineRotation(Operator):
     def _apply(self, s, t=0):
         d = s - self.target
         out = self.rot.dot(d) if s.ndim == 1 else np.matmul(self.rot, d[..., None])[..., 0]
-        out *= self.gamma
+        out *= self._gamma
         out += self.target
         return out
 
@@ -172,11 +181,12 @@ class GradientStep(Operator):
         self.a = a
         self.b = b
         self.step = float(step)
+        self._step = _constant(self.step)
 
     def _apply(self, s, t=0):
         out = self.a.dot(s) if s.ndim == 1 else np.matmul(self.a, s[..., None])[..., 0]
         out -= self.b
-        out *= self.step
+        out *= self._step
         return np.subtract(s, out, out=out)
 
     def fixed_point(self, geometry=None):
@@ -211,19 +221,20 @@ class ExpGradientStep(Operator):
         self.q = q
         self._log_q = np.log(q)
         self.step = float(step)
+        self._one, self._neg_step = _constant(1.0), _constant(-self.step)
         self.rho = rho
 
     def _apply(self, p, t=0):
         w = np.log(p)  # p * exp(-step * (log p - log q + 1)), in place
         w -= self._log_q
-        w += 1.0
-        w *= -self.step
+        w += self._one
+        w *= self._neg_step
         np.exp(w, out=w)
         w *= p
         if p.ndim > 1:
             w /= np.add.reduce(w, axis=-1, keepdims=True)
             return hold_at_rho(w, self.rho)
-        w /= np.add.reduce(w)
+        w /= np.add.reduce(w, out=np.empty(()))  # the sum as a 0-d operand
         if min(w.tolist()) >= self.rho:  # hold_at_rho's branch for a row that holds nothing
             if (total := np.add.reduce(w)) != 1.0:
                 w /= total
@@ -281,6 +292,7 @@ class Bellman(Operator):
         self._rows = p.reshape(-1, n_states)  # the (S A, S) matrix that apply multiplies
         self.rewards = r
         self.discount = float(discount)
+        self._discount = _constant(self.discount)
         self.n_states = n_states
         self.n_actions = n_actions
         self._q_shape = r.shape  # the (S, A) table of a lone row's action values
@@ -293,7 +305,7 @@ class Bellman(Operator):
             q, shape = self._rows.dot(v), self._q_shape
         else:
             q, shape = np.matmul(self._rows, v[..., None]), v.shape[:-1] + self._q_shape
-        q *= self.discount
+        q *= self._discount
         q = q.reshape(shape)
         q += r
         return np.maximum.reduce(q, axis=-1)

@@ -16,6 +16,8 @@ PerturbationModel.draws makes those of n steps in one call, in this order:
 sample makes one step's through it, and the engine a block's before it
 steps the block.  Perturbations are only defined where 0 and s + eta stay
 in the domain, so negative-entropy geometry is rejected.
+The scalars that scale an eta reach numpy as 0-d arrays, with the bits of
+floats (the engine's 0-d operands); the budget's comparisons keep floats.
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ class PerturbationModel:
 
         if self.mode == "adversarial":
             return self.adversarial(g, s_star, rng)(s_t, e_t, alpha_t)
-        directions, u = self.draws(g.dim, 1, rng)
-        return self.eta_along(directions[0], g._divergence(directions[0], zero), u[0] * u[0] * b, alpha_t, zero)
+        (d,), (u,) = self.draws(g.dim, 1, rng)
+        return self.eta_along(d, g._divergence(d, zero), u * u * b, alpha_t, zero, np.empty(()))
 
     def adversarial(self, g: Geometry, s_star: np.ndarray,
                     rng: np.random.Generator) -> Callable[[np.ndarray, float, float], np.ndarray]:
@@ -91,11 +93,12 @@ class PerturbationModel:
         eta spends the whole budget b along (s_t - s_star) / ||s_t - s_star||,
         or along a direction drawn from rng (_unit_direction) where s_t is
         s_star, and is g.zero where b <= 0.  It raises DomainError when
-        ||s_t - s_star|| overflows.  The budget's params, the injection, g.zero
-        and g._divergence are read here, once, not per step.
+        ||s_t - s_star|| overflows.  The budget's params, the injection, g.zero,
+        g._divergence and eta's 0-d register are bound here, once per run.
         """
         delta0, kappa, scaled = self.delta0, self.kappa, self.injection == "scaled"
         zero, divergence, dim = g.zero, g._divergence, g.dim
+        scale = np.empty(())
 
         def eta(s_t: np.ndarray, e_t: float, alpha_t: float) -> np.ndarray:
             b = delta0 + kappa * e_t
@@ -108,8 +111,10 @@ class PerturbationModel:
             if norm == 0.0:
                 d = _unit_direction(dim, rng)
             else:
-                d /= norm
-            d *= math.sqrt(b / divergence(d, zero))  # eta_along with target b
+                scale[()] = norm
+                d /= scale
+            scale[()] = math.sqrt(b / divergence(d, zero))  # eta_along with target b
+            d *= scale
             if scaled:
                 d *= alpha_t
             return d
@@ -141,16 +146,17 @@ class PerturbationModel:
         return d / norm[:, None], u
 
     def eta_along(self, direction: np.ndarray, base: float, target: float, alpha_t: float,
-                  zero: np.ndarray) -> np.ndarray:
+                  zero: np.ndarray, scale: np.ndarray) -> np.ndarray:
         """eta along direction with D(eta, 0) = target, where base = D(direction, 0).
 
-        zero when target <= 0; scaled injection multiplies it by alpha_t.
+        zero when target <= 0; scaled injection multiplies it by alpha_t.  scale is the caller's 0-d register.
         """
         if target <= 0:
             return zero
-        eta = direction * math.sqrt(target / base)
+        scale[()] = math.sqrt(target / base)
+        eta = direction * scale
         if self.injection == "scaled":
-            eta = eta * alpha_t
+            eta *= alpha_t
         return eta
 
 

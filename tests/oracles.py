@@ -13,8 +13,9 @@ operator and constants passed in one row at a time, so they pin the batched
 passes to the exact bits, tie breaks and error order of a plain replay.
 After them come the row-by-row trace.csv writer and reader and the
 run-directory loader that the harness used before it formatted and parsed
-the trace in blocks, and last the operator and drift-repair maps as they
-read before their per-call invariants were hoisted.
+the trace in blocks, then the operator and drift-repair maps as they read
+before their per-call invariants were hoisted, and last the step's numpy
+calls as they read with python-float scalar operands.
 """
 
 import csv
@@ -693,3 +694,89 @@ def negative_entropy_project(g, s):
     if low < g.rho * (1 - 1e-6) or abs(total - 1.0) > 1e-9:
         raise ValueError(f"simplex drift exceeds repairable tolerance: min entry {low:g}, sum {total!r}")
     return s / total if low >= g.rho else hold_at_rho(s, g.rho)
+
+
+# ---------------------------------------------------------------------------
+# the step with python-float scalar operands
+#
+# The average, each kind's _apply, the adversarial eta and eta_along as they
+# read while every scalar operand of their numpy calls was a python float or
+# an np.float64, which numpy 2 takes through its NEP 50 scalar path: each
+# step constant is the operator's float (op.gamma, op.step, op.discount; a
+# stacked affine-colinear operator's gamma is its (B, 1) rows), and
+# alpha_t, 1 / ||s_t - s_star|| and the scale of an eta are floats.  They
+# fix the bits of the 0-d array operands that replaced them.
+
+
+def float_average(s, ts, al):
+    return (1.0 - al) * s + al * ts
+
+
+def float_apply(op, s, t=0):
+    """op._apply(s, t) for a float array s of shape (dim,) or (B, dim), with float step constants."""
+    if op.kind == "affine-colinear":
+        return op.gamma * s + op._pull
+    if op.kind == "affine-rotation":
+        d = s - op.target
+        out = op.rot.dot(d) if s.ndim == 1 else np.matmul(op.rot, d[..., None])[..., 0]
+        out *= op.gamma
+        out += op.target
+        return out
+    if op.kind == "gradient-step":
+        out = op.a.dot(s) if s.ndim == 1 else np.matmul(op.a, s[..., None])[..., 0]
+        out -= op.b
+        out *= op.step
+        return np.subtract(s, out, out=out)
+    if op.kind == "exp-gradient-step":
+        w = np.log(s)
+        w -= op._log_q
+        w += 1.0
+        w *= -op.step
+        np.exp(w, out=w)
+        w *= s
+        if s.ndim > 1:
+            w /= np.add.reduce(w, axis=-1, keepdims=True)
+            return hold_at_rho(w, op.rho)
+        w /= np.add.reduce(w)
+        if min(w.tolist()) >= op.rho:
+            if (total := np.add.reduce(w)) != 1.0:
+                w /= total
+            return w
+        return hold_at_rho(w, op.rho)
+    r = op.rewards if op.context_y is None else op.rewards + op.context_y[t % len(op.context_y)]
+    if s.ndim == 1:
+        q, shape = op._rows.dot(s), op._q_shape
+    else:
+        q, shape = np.matmul(op._rows, s[..., None]), s.shape[:-1] + op._q_shape
+    q *= op.discount
+    q = q.reshape(shape)
+    q += r
+    return np.maximum.reduce(q, axis=-1)
+
+
+def float_adversarial_eta(pm, g, s_star, rng, s_t, e_t, alpha_t):
+    """The adversarial eta of pm against s_star at (s_t, e_t, alpha_t); ValueError where ||s_t - s_star|| overflows."""
+    b = pm.delta0 + pm.kappa * e_t
+    if b <= 0:
+        return g.zero
+    d = s_t - s_star
+    norm = math.sqrt(d.dot(d))
+    if norm == math.inf:
+        raise ValueError("||s_t - s_star|| overflows; the adversarial direction is undefined")
+    if norm == 0.0:
+        d = _unit_direction_loop(g.dim, rng)
+    else:
+        d /= norm
+    d *= math.sqrt(b / g._divergence(d, g.zero))
+    if pm.injection == "scaled":
+        d *= alpha_t
+    return d
+
+
+def float_eta_along(pm, direction, base, target, alpha_t, zero):
+    if target <= 0:
+        return zero
+    eta = direction * math.sqrt(target / base)
+    if pm.injection == "scaled":
+        eta = eta * alpha_t
+    return eta

@@ -494,6 +494,58 @@ def test_all_degenerate_contraction_pairs_are_an_engine_error(tmp_path, monkeypa
     assert capsys.readouterr().err.startswith(f"run failed: {error} (state dumped to")
 
 
+def stub_huge_arrays(monkeypatch, error=MemoryError, limit=10**8):
+    """numpy's np.empty, np.zeros and np.arange raise error for more than limit elements, as past a machine's memory.
+
+    No array of that size is attempted: an allocation the kernel overcommits would only fail when touched.
+    """
+    for name in ("empty", "zeros", "arange"):
+        def alloc(shape, *args, _real=getattr(np, name), **kwargs):
+            n = math.prod(shape) if isinstance(shape, (tuple, list)) else shape
+            if isinstance(n, (int, np.integer)) and n > limit:
+                raise error(f"stub: no array of {n} elements")
+            return _real(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, alloc)
+
+
+@pytest.mark.parametrize("error", [MemoryError, ValueError])  # numpy's ValueError: past the largest array
+def test_a_trace_too_large_to_hold_is_a_run_failure(tmp_path, monkeypatch, capsys, error):
+    stub_huge_arrays(monkeypatch, error)
+    out = tmp_path / "out"
+    assert cmd_run(str(CONFIGS / "affine_accel.json"), str(out), overrides=["iterations=1000000000000"]) == 1
+    message = "cannot hold the trace of 1000000000001 rows (64000000000064 bytes)"  # 8 (T + 1) (4 + 2 dim)
+    assert json.loads((out / "state_dump.json").read_text()) == {"error": message, "t": -1, "state": [0.0, 0.0]}
+    assert capsys.readouterr().err == f"run failed: {message} (state dumped to {out / 'state_dump.json'})\n"
+    assert [p.name for p in out.iterdir()] == ["state_dump.json"]
+
+
+def test_a_sweep_point_too_large_to_hold_gets_an_error_row(tmp_path, monkeypatch, capsys):
+    stub_huge_arrays(monkeypatch)
+    raw = sweep_config(retain_states=False)
+    raw["sweep"] = {"iterations": [200, 10**12], "operator.params.gamma": [0.25, 0.5]}
+    assert cmd_sweep(write_config(tmp_path / "c.json", raw), str(tmp_path / "s"), parallel=1) == 0
+    with open(tmp_path / "s" / "index.csv", newline="") as fh:
+        rows = {(row["axis:iterations"], row["axis:operator.params.gamma"]): row["status"]
+                for row in csv.DictReader(fh)}
+    huge = "error: cannot hold the trace of 1000000000001 rows (32000000000032 bytes)"
+    assert rows == {("200", "0.25"): "ok", ("200", "0.5"): "ok", ("1000000000000", "0.25"): huge,
+                    ("1000000000000", "0.5"): huge}
+    assert capsys.readouterr().out.startswith("sweep: 4 points, 2 failed, ")
+
+
+def test_rows_too_large_to_hold_fail_alike_however_they_are_batched(monkeypatch):
+    """Each row of a pass gets the fault of its lone loop, which names one row's bytes, not the pass's."""
+    stub_huge_arrays(monkeypatch)
+    cfgs = [from_dict(base_config(iterations=10**12, retain_states=False,
+                                  operator={"kind": "affine-colinear", "params": {"gamma": g, "target": [2.0, -1.0]}}))
+            for g in (0.25, 0.5, 0.75)]
+    faults = list(engine.loops(cfgs).values()) + [engine.loops([cfg])[cfg.loop_key] for cfg in cfgs]
+    assert len({id(f) for f in faults}) == 6
+    assert {(str(f), f.t, f.state.tobytes()) for f in faults} == {
+        ("cannot hold the trace of 1000000000001 rows (32000000000032 bytes)", -1, np.zeros(2).tobytes())}
+
+
 def test_polynomial_alpha_past_the_float_range_runs(tmp_path):
     out = tmp_path / "out"
     overrides = ["schedule.params.p=1100", "iterations=5", "rate_window=null"]
