@@ -430,7 +430,7 @@ def compare_feedback_feedforward(cfg: RunConfig, eps: float,
     """
     g, op = cfg.geometry, cfg.operator
     s_star, s0, gamma_hat = _engine._start(cfg, contraction=True)
-    e0 = g.divergence(s0, s_star)
+    e0 = g._divergence(s0, s_star)  # _start checked both
     t_fb = _engine._passages(cfg, s_star, [e0], s0, [eps], cap)[0]
     depth = 0 if eps >= e0 else unrolled_depth(op, g, e0, eps, gamma_hat=gamma_hat)
     return FeedComparison(t_feedback=t_fb, d_feedforward=depth, gamma_hat=gamma_hat, e0=e0)

@@ -663,4 +663,4 @@ def iterations_to_epsilon(cfg: RunConfig, eps: float, cap: int = PASSAGE_CAP) ->
     must treat that as a censored observation, not a convergence time.
     """
     s_star, s, _ = _start(cfg)
-    return _passages(cfg, s_star, [cfg.geometry.divergence(s, s_star)], s, [eps], cap)[0]
+    return _passages(cfg, s_star, [cfg.geometry._divergence(s, s_star)], s, [eps], cap)[0]  # _start checked both

@@ -35,9 +35,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bregiter import config as cfgmod, engine, harness
-from bregiter.harness import (TRACE_COLUMNS, TRACE_HEADER, TRACE_BLOCK, _csv_blocks, cmd_rate, cmd_run, load_run,
-                              read_trace_csv, write_trace_csv)
+from bregiter import config as cfgmod, engine, tracecsv
+from bregiter.harness import cmd_rate, cmd_run, load_run, read_trace_csv, write_trace_csv
+from bregiter.tracecsv import TRACE_COLUMNS, TRACE_HEADER, TRACE_BLOCK
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -136,7 +136,7 @@ def test_bulk_values_match_percent_format():
     trace = bulk_trace()
     state = np.geterr()
     with np.errstate(all="raise"):
-        got = b"".join(_csv_blocks(trace)).decode().splitlines()
+        got = b"".join(tracecsv.blocks(trace)).decode().splitlines()
     assert np.geterr() == state
     assert got[0] == ",".join(TRACE_HEADER) and len(got) == len(trace) + 1
     bad = [(line, ref) for line, ref in zip(got[1:], percent_lines(trace)) if line != ref]
@@ -171,12 +171,12 @@ def test_bulk_values_read_back_with_float_bits(tmp_path):
 
 
 def proven(texts):
-    """Which %.16e texts harness._sci_fields proves from one line of them, leaving the rest to float()."""
+    """Which %.16e texts tracecsv._sci_fields proves from one line of them, leaving the rest to float()."""
     line = np.frombuffer(b",".join(texts) + b"\n", np.uint8)
-    blk = np.zeros(harness._PAD + line.size + harness._CELL, np.uint8)
-    blk[harness._PAD:harness._PAD + line.size] = line
+    blk = np.zeros(tracecsv._PAD + line.size + tracecsv._CELL, np.uint8)
+    blk[tracecsv._PAD:tracecsv._PAD + line.size] = line
     ends = np.flatnonzero((blk == ord(",")) | (blk == ord("\n")))
-    return harness._sci_fields(blk, np.concatenate([[harness._PAD], ends[:-1] + 1]), ends)[1]
+    return tracecsv._sci_fields(blk, np.concatenate([[tracecsv._PAD], ends[:-1] + 1]), ends)[1]
 
 
 def test_the_reader_proves_the_writer_texts_it_writes_itself_and_no_others():
@@ -186,8 +186,8 @@ def test_the_reader_proves_the_writer_texts_it_writes_itself_and_no_others():
                         np.copysign(10.0 ** rng.uniform(-300, 300, size=10**4), rng.uniform(-1, 1, size=10**4)),
                         EDGE_FLOATS])
     texts = [b"%.16e" % v for v in x.tolist()]
-    assert (proven(texts) == harness._sci_digits(x)[2]).all()
-    assert harness._sci_digits(x)[2].mean() > 0.85
+    assert (proven(texts) == tracecsv._sci_digits(x)[2]).all()
+    assert tracecsv._sci_digits(x)[2].mean() > 0.85
     # the doubles nearest these are 1, 1, 1 - 2^-53, 2^53 and 0, whose texts differ
     others = [b"1.0000000000000001e+00", b"0.1000000000000000e+01", b"9.9999999999999995e-01", b"9.0071992547409930e+15",
               b"0.0000000000000000e+05"]
@@ -208,14 +208,14 @@ def test_a_missed_decade_guess_keeps_python_bytes_both_ways(tmp_path, monkeypatc
     rows = -(-floats.size // (len(TRACE_COLUMNS) - 1))
     cols = np.resize(floats, (len(TRACE_COLUMNS) - 1, rows))
     trace = engine.Trace(t=np.arange(rows), **{attr: col for (_, attr, _), col in zip(TRACE_COLUMNS[1:], cols)})
-    monkeypatch.setattr(harness, "_decade", lambda a: np.floor(np.log10(a)).astype(np.int64) - 1)
+    monkeypatch.setattr(tracecsv, "_decade", lambda a: np.floor(np.log10(a)).astype(np.int64) - 1)
     path = tmp_path / "trace.csv"
     write_trace_csv(path, trace)
     lines = path.read_text().splitlines()
     assert lines[1:] == percent_lines(trace)
     texts = [text.encode() for line in lines[1:] for text in line.split(",")[1:]]
     flags = proven(texts)  # zeros, and the few values whose decade log10 guessed one high
-    assert (flags == harness._sci_digits(np.array([float(text) for text in texts]))[2]).all() and flags.mean() < 0.05
+    assert (flags == tracecsv._sci_digits(np.array([float(text) for text in texts]))[2]).all() and flags.mean() < 0.05
     got = read_trace_csv(path)
     for (name, _, _), texts in zip(TRACE_COLUMNS[1:], zip(*(line.split(",")[1:] for line in lines[1:]))):
         assert got[name].tobytes() == np.array([float(text) for text in texts]).tobytes(), name
@@ -292,6 +292,11 @@ IN_GRAMMAR = {
     "t-with-leading-zeros": with_field(b"007", column="t"),
     "t-of-19-digits": with_field(b"1234567890123456789", column="t"),
     "nan-inf": with_field(b"nan") + with_field(b"-inf", row=0, column="alpha_t"),
+    "every-slow-path": (with_field(b"nan", row=0) + with_field(b"-inf", column="delta_norm_sq")
+                        + with_field(b"-2.5000000000000000e-300", row=2, column="a_t")
+                        + with_field(b"8.6745992332907812e+11", column="eta_div")
+                        + with_field(b"0.1234567890123456e+01", row=0, column="alpha_t")
+                        + with_field(b"1234567890123456789", row=2, column="t")),
 }
 
 
