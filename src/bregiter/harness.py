@@ -5,11 +5,17 @@ A run directory contains config.json (canonical form of the input), a
 trace.csv with a fixed header, states.npz when retention is on,
 summary.json, and manifest.json.  tracecsv makes and parses trace.csv's
 bytes, so a re-run with the same config and seed reproduces the file byte
-for byte; here are its files, manifest entries and errors.
+for byte; here are its files, manifest entries and errors.  A run's
+states.npz compresses on a short-lived thread while trace.csv is written,
+once its states reach STATES_THREAD_BYTES, and no thread outlives the run,
+so a sweep may fork after runs in the same process.  A run that cannot
+make trace.csv or states.npz for want of memory raises an ArtifactError
+naming the file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
@@ -22,7 +28,8 @@ import sys
 import time
 import warnings
 import zipfile
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from itertools import groupby, product
 from pathlib import Path
@@ -42,6 +49,25 @@ EXIT_NEEDS_STATES = 3
 #: what a run writes into its directory, manifest.json listing the first four; a rerun removes them first
 RUN_FILES = ("config.json", "trace.csv", "states.npz", "summary.json", "manifest.json", "audit.json",
              "state_dump.json")
+
+
+#: bytes of retained states and etas from which states.npz compresses on a thread while trace.csv is written
+#: (zlib's deflate releases the GIL).  run_to_dir at dim 2, in process on a 2-vCPU Xeon: the thread cost
+#: 0.3-0.9 ms at 300-1000 rows, broke even near 1500 rows (48 KiB) and saved 1-8 ms at 2000-10000 rows
+STATES_THREAD_BYTES = 48 * 2**10
+
+
+class ArtifactError(RuntimeError):
+    """A run file whose bytes could not be made for want of memory; the message names the file."""
+
+
+@contextlib.contextmanager
+def _naming(path: Path) -> Iterator[None]:
+    """A MemoryError of the with block is raised as an ArtifactError that names path."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise ArtifactError(f"cannot make {path}: out of memory") from exc
 
 
 def write_trace_csv(path: Path, trace: engine.Trace) -> dict:
@@ -164,13 +190,21 @@ def _write(path: Path, data: bytes) -> dict:
     return _entry(data)
 
 
+def _npz(trace: engine.Trace) -> bytes:
+    """The bytes of the states.npz of trace's retained states and etas."""
+    npz = io.BytesIO()
+    np.savez_compressed(npz, states=trace.states, etas=trace.etas)
+    return npz.getvalue()
+
+
 class Loop:
     """A loop that the runs of one loop_key share: its Trace from engine.loops, without start-up facts, or its fault.
 
-    csv, the bytes of its trace.csv, and entry, their manifest entry, are
-    made once, by the first run that writes them.  The Trace's arrays are
-    read-only, as every run of the key reads them.  A failed loop's trace is
-    the EngineError that each run of the key raises after its start-up.
+    csv, the bytes of its trace.csv, entry, their manifest entry, and npz,
+    the bytes of its states.npz, are made once, by the first run that
+    writes them.  The Trace's arrays are read-only, as every run of the key
+    reads them.  A failed loop's trace is the EngineError that each run of
+    the key raises after its start-up.
     """
 
     def __init__(self, trace: engine.Trace | EngineError):
@@ -186,6 +220,10 @@ class Loop:
     @functools.cached_property
     def entry(self) -> dict:
         return _entry(self.csv)
+
+    @functools.cached_property
+    def npz(self) -> bytes:
+        return _npz(self.trace)
 
 
 @engine.QUIET
@@ -221,14 +259,49 @@ def summarize(trace: engine.Trace, cfg: cfgmod.RunConfig) -> dict:
     return summary
 
 
+@contextlib.contextmanager
+def _states_npz(trace: engine.Trace, loop: Loop | None) -> Iterator[Callable[[], bytes] | None]:
+    """None without retained states, else a function that returns the bytes of trace's states.npz (loop.npz).
+
+    States of STATES_THREAD_BYTES or more, whose bytes are not made yet,
+    compress on a thread started here, while the with block works; the
+    block's end joins it, whether the block returns or raises, so no thread
+    outlives the block.  A block that raises before it asks drops the
+    thread's result, an error included, as the serial writer never made
+    the bytes.  Smaller states, and any where no thread can start, compress
+    inline when asked.
+    """
+    if trace.states is None:
+        yield None
+        return
+    make = functools.partial(_npz, trace) if loop is None else lambda: loop.npz
+    if trace.states.nbytes + trace.etas.nbytes < STATES_THREAD_BYTES or (loop is not None and "npz" in vars(loop)):
+        yield make
+        return
+    with ThreadPoolExecutor(1, "states.npz") as pool:
+        try:
+            result = pool.submit(make).result
+        except RuntimeError:  # no thread could start
+            result = make
+        yield result
+
+
 def run_to_dir(cfg: cfgmod.RunConfig, out_dir: Path, loop: Loop | None = None) -> dict:
     """Run cfg and write one run directory; returns the summary dict.
 
     loop, the shared loop of cfg's loop_key, stands in for cfg's own: the
     run then makes only its start-up and its summary, and writes the loop's
-    trace.csv bytes, or, after its start-up, raises the EngineError of a
-    failed loop, as cfg's own loop would.  manifest.json hashes each file
-    from the bytes written.
+    trace.csv and states.npz bytes, or, after its start-up, raises the
+    EngineError of a failed loop, as cfg's own loop would.  manifest.json
+    hashes each file from the bytes written.
+
+    The files are made in the order config.json, trace.csv, states.npz,
+    summary.json, manifest.json.  Large states compress while trace.csv is
+    written and summarize runs (_states_npz); states.npz is written even if
+    summarize raises, an error of states.npz's replaces summarize's, and a
+    run whose config.json or trace.csv fails writes no states.npz.  A
+    MemoryError while making trace.csv or states.npz is an ArtifactError
+    that names the file.
     """
     started = _utcnow()
     out_dir = Path(out_dir)
@@ -239,17 +312,20 @@ def run_to_dir(cfg: cfgmod.RunConfig, out_dir: Path, loop: Loop | None = None) -
             (out_dir / name).unlink(missing_ok=True)
     trace = engine.run(cfg) if loop is None else engine.with_start(cfg, loop.trace)
 
-    files = {"config.json": _write(out_dir / "config.json", (cfgmod.canonical_json(cfg.raw) + "\n").encode())}
-    if loop is None:
-        files["trace.csv"] = write_trace_csv(out_dir / "trace.csv", trace)
-    else:
-        (out_dir / "trace.csv").write_bytes(loop.csv)
-        files["trace.csv"] = loop.entry
-    if trace.states is not None:
-        npz = io.BytesIO()
-        np.savez_compressed(npz, states=trace.states, etas=trace.etas)
-        files["states.npz"] = _write(out_dir / "states.npz", npz.getvalue())
-    summary = summarize(trace, cfg)
+    with _states_npz(trace, loop) as npz:
+        files = {"config.json": _write(out_dir / "config.json", (cfgmod.canonical_json(cfg.raw) + "\n").encode())}
+        with _naming(out_dir / "trace.csv"):
+            if loop is None:
+                files["trace.csv"] = write_trace_csv(out_dir / "trace.csv", trace)
+            else:
+                (out_dir / "trace.csv").write_bytes(loop.csv)
+                files["trace.csv"] = loop.entry
+        try:
+            summary = summarize(trace, cfg)
+        finally:
+            if npz is not None:
+                with _naming(out_dir / "states.npz"):
+                    files["states.npz"] = _write(out_dir / "states.npz", npz())
     files["summary.json"] = write_json(out_dir / "summary.json", summary)
     write_json(out_dir / "manifest.json", {
         "config_digest": cfg.digest, "tool_version": __version__,
@@ -274,6 +350,9 @@ def cmd_run(config_path: str, out_dir: str, seed: int | None = None,
     except OSError as exc:  # reading the config is a ConfigError, so this is the output
         print(f"run: cannot write run directory {out_dir}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ArtifactError as exc:
+        print(f"run: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except EngineError as exc:
         dump = Path(out_dir) / "state_dump.json"  # run_to_dir made the directory before the run
         state = [analysis.json_number(x) for x in exc.state.tolist()]
@@ -411,7 +490,7 @@ def _sweep_point(cfg: cfgmod.RunConfig, out_root: Path, loop: Loop | None) -> di
     digest = cfg.digest
     try:
         summary = run_to_dir(cfg, out_root / digest[:12], loop)
-    except (EngineError, ValueError, OSError) as exc:
+    except (EngineError, ArtifactError, ValueError, OSError) as exc:
         return {"digest": digest, "status": f"error: {exc}"}
     eps_ts = {f"t_eps[{item['eps']:g}]": item["t"] for item in summary["iterations_to_eps"]}
     return dict(  # csv writes a None as an empty field

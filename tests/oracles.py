@@ -13,12 +13,14 @@ operator and constants passed in one row at a time, so they pin the batched
 passes to the exact bits, tie breaks and error order of a plain replay.
 After them come the row-by-row trace.csv writer and reader and the
 run-directory loader that the harness used before it formatted and parsed
-the trace in blocks, then the operator and drift-repair maps as they read
+the trace in blocks, and the run-directory writer that made each file in
+turn before states.npz compressed on a thread, then the operator and drift-repair maps as they read
 before their per-call invariants were hoisted, and last the step's numpy
 calls as they read with python-float scalar operands.
 """
 
 import csv
+import io
 import json
 import math
 from fractions import Fraction
@@ -559,7 +561,9 @@ def passages_loop(cfg, eps_list, cap):
 # The csv-module writer and reader the harness used before its blockwise
 # formatting and np.loadtxt parse, and the Trace fields and meta that the
 # audit rebuilt from a run directory by hand.  They fix the bytes of
-# trace.csv and the bits and dtypes of every column read back.
+# trace.csv and the bits and dtypes of every column read back.  Last, the
+# serial run-directory writer, which fixes the files of a run and the
+# error that each failure raises.
 
 TRACE_HEADER = ["t", "e_t", "a_t", "alpha_t", "delta_norm_sq", "eta_div"]
 
@@ -617,6 +621,41 @@ def load_run_fields(run_dir):
         delta_norm_sq=cols["delta_norm_sq"], eta_div=cols["eta_div"],
         states=states, etas=etas, meta=meta,
     )
+
+
+def serial_run_to_dir(harness, cfg, out_dir, loop=None):
+    """harness.run_to_dir as it read before states.npz compressed on a thread: each file made and written in turn.
+
+    It takes the harness module and calls its engine, its trace writer and
+    its summarize, so a test's stub of any of them reaches this writer too.
+    """
+    started = harness._utcnow()
+    try:
+        out_dir.mkdir(parents=True)
+    except FileExistsError:
+        for name in harness.RUN_FILES:
+            (out_dir / name).unlink(missing_ok=True)
+    engine = harness.engine
+    trace = engine.run(cfg) if loop is None else engine.with_start(cfg, loop.trace)
+
+    files = {"config.json": harness._write(out_dir / "config.json",
+                                           (harness.cfgmod.canonical_json(cfg.raw) + "\n").encode())}
+    if loop is None:
+        files["trace.csv"] = harness.write_trace_csv(out_dir / "trace.csv", trace)
+    else:
+        (out_dir / "trace.csv").write_bytes(loop.csv)
+        files["trace.csv"] = loop.entry
+    if trace.states is not None:
+        npz = io.BytesIO()
+        np.savez_compressed(npz, states=trace.states, etas=trace.etas)
+        files["states.npz"] = harness._write(out_dir / "states.npz", npz.getvalue())
+    summary = harness.summarize(trace, cfg)
+    files["summary.json"] = harness.write_json(out_dir / "summary.json", summary)
+    harness.write_json(out_dir / "manifest.json", {
+        "config_digest": cfg.digest, "tool_version": harness.__version__,
+        "started_utc": started, "finished_utc": harness._utcnow(), "files": files,
+    })
+    return summary
 
 
 # ---------------------------------------------------------------------------

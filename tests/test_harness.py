@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bregiter import config as cfgmod, engine, harness
+from bregiter import config as cfgmod, engine, harness, tracecsv
 from bregiter.cli import main
 from bregiter.config import ConfigError, apply_overrides, config_digest, from_dict
 from bregiter.harness import (
@@ -1208,6 +1209,180 @@ def test_sweep_without_block_exit_two(tmp_path):
 def test_sweep_empty_block_exit_two(tmp_path):
     cfg_path = write_config(tmp_path / "c.json", base_config(sweep={}))
     assert cmd_sweep(cfg_path, str(tmp_path / "s")) == 2
+
+
+# ---------------------------------------------------------------------------
+# states.npz: made once per loop key, and compressed on a thread past STATES_THREAD_BYTES
+
+#: iterations of a dim-2 run, 32 bytes of states and etas a row, below and above the crossover
+SMALL_T, LARGE_T = 300, 3000
+NOISE = {"mode": "random", "delta0": 1e-3, "kappa": 0.1, "injection": "unscaled"}
+
+
+def test_the_crossover_lies_between_the_small_and_the_large_runs():
+    assert 32 * SMALL_T < harness.STATES_THREAD_BYTES <= 32 * LARGE_T
+
+
+def run_files(out):
+    """The files of a run directory by name, manifest.json parsed and without its timestamps."""
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    if "manifest.json" in files:
+        manifest = json.loads(files["manifest.json"])
+        del manifest["started_utc"], manifest["finished_utc"]
+        files["manifest.json"] = manifest
+    return files
+
+
+def own_loop(cfg):
+    return harness.Loop(engine.loops([cfg])[cfg.loop_key])
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("noise", [{}, {"perturbation": NOISE}])
+@pytest.mark.parametrize("iterations", [SMALL_T, LARGE_T])
+def test_run_files_equal_the_serial_writers(tmp_path, iterations, noise, shared):
+    cfg = from_dict(base_config(iterations=iterations, retain_states=True, **noise))
+    threads = threading.active_count()
+    summary = run_to_dir(cfg, tmp_path / "new", own_loop(cfg) if shared else None)
+    assert threading.active_count() == threads
+    assert summary == oracles.serial_run_to_dir(harness, cfg, tmp_path / "old", own_loop(cfg) if shared else None)
+    files = run_files(tmp_path / "new")
+    assert set(files) == {"config.json", "trace.csv", "states.npz", "summary.json", "manifest.json"}
+    assert files == run_files(tmp_path / "old")
+
+
+@pytest.mark.parametrize("iterations, on_thread", [(SMALL_T, False), (LARGE_T, True)])
+def test_large_states_compress_on_a_thread_and_small_ones_inline(tmp_path, monkeypatch, iterations, on_thread):
+    where, savez = [], np.savez_compressed
+    monkeypatch.setattr(np, "savez_compressed",
+                        lambda *a, **k: where.append(threading.current_thread()) or savez(*a, **k))
+    run_to_dir(from_dict(base_config(iterations=iterations, retain_states=True)), tmp_path / "out")
+    assert [t is not threading.main_thread() for t in where] == [on_thread]
+
+
+def raising(error):
+    """A stub that raises error, the same instance on every call."""
+    def stub(*args, **kwargs):
+        raise error
+    return stub
+
+
+def test_states_compress_inline_where_no_thread_can_start(tmp_path, monkeypatch):
+    cfg = from_dict(base_config(iterations=LARGE_T, retain_states=True))
+    oracles.serial_run_to_dir(harness, cfg, tmp_path / "old")
+    monkeypatch.setattr(threading.Thread, "start", raising(RuntimeError("can't start new thread")))
+    run_to_dir(cfg, tmp_path / "new")
+    assert run_files(tmp_path / "new") == run_files(tmp_path / "old")
+
+
+def failing_blocks(error):
+    """A stub of tracecsv.blocks that raises error after the first block: a trace.csv that fails part way."""
+    def blocks(trace, _real=tracecsv.blocks):
+        yield next(iter(_real(trace)))
+        raise error
+    return blocks
+
+
+def failing_write_bytes(name):
+    """A stub of Path.write_bytes that raises one OSError for every file called name."""
+    error, real = OSError(28, "stub: no space left on device"), Path.write_bytes
+    return lambda path, data: real(path, data) if path.name != name else raising(error)()
+
+
+#: each failure of a run after its loop, as stubs
+FAILURES = {
+    "summarize": [(harness, "summarize", raising(ValueError("stub: summarize")))],
+    "states-memory": [(np, "savez_compressed", raising(MemoryError("stub: savez")))],
+    "states-write": [(Path, "write_bytes", failing_write_bytes("states.npz"))],
+    "states-and-summarize": [(np, "savez_compressed", raising(MemoryError("stub: savez"))),
+                             (harness, "summarize", raising(ValueError("stub: summarize")))],
+    "config-write": [(Path, "write_bytes", failing_write_bytes("config.json"))],
+    "trace-write": [(tracecsv, "blocks", failing_blocks(OSError(28, "stub: no space left on device")))],
+    "trace-memory": [(tracecsv, "blocks", failing_blocks(MemoryError("stub: blocks")))],
+}
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("iterations", [SMALL_T, LARGE_T])
+@pytest.mark.parametrize("failure", sorted(FAILURES))
+def test_a_failed_run_leaves_the_serial_writers_files_and_error(tmp_path, monkeypatch, failure, iterations, shared):
+    """Only a MemoryError changes: it is an ArtifactError that names its file, raised from it."""
+    cfg = from_dict(base_config(iterations=iterations, retain_states=True))
+    for target, name, stub in FAILURES[failure]:
+        monkeypatch.setattr(target, name, stub)
+
+    def fail(write, out):
+        threads = threading.active_count()
+        with pytest.raises(Exception) as info:
+            write(cfg, out, own_loop(cfg) if shared else None)
+        assert threading.active_count() == threads
+        return sorted(p.name for p in out.iterdir()), info.value
+
+    old_files, old = fail(functools.partial(oracles.serial_run_to_dir, harness), tmp_path / "old")
+    new_files, new = fail(run_to_dir, tmp_path / "new")
+    assert new_files == old_files
+    if isinstance(old, MemoryError):
+        name = "trace.csv" if failure.startswith("trace") else "states.npz"
+        assert type(new) is harness.ArtifactError and new.__cause__ is old
+        assert str(new) == f"cannot make {tmp_path / 'new' / name}: out of memory"
+    else:
+        assert new is old
+    if failure.startswith(("config", "trace")):
+        assert "states.npz" not in new_files
+
+
+MEMORY_STUBS = {"states.npz": (np, "savez_compressed", raising(MemoryError("stub: savez"))),
+                "trace.csv": (tracecsv, "blocks", failing_blocks(MemoryError("stub: blocks")))}
+
+
+@pytest.mark.parametrize("overrides", [[], ["iterations=300", "rate_window=null"]])
+@pytest.mark.parametrize("name", sorted(MEMORY_STUBS))
+def test_a_run_out_of_memory_for_a_file_exits_one_naming_it(tmp_path, monkeypatch, capsys, name, overrides):
+    monkeypatch.setattr(*MEMORY_STUBS[name])
+    out = tmp_path / "out"
+    assert cmd_run(str(CONFIGS / "affine_accel.json"), str(out), overrides=overrides) == 1
+    assert capsys.readouterr().err == f"run: cannot make {out / name}: out of memory\n"
+
+
+@pytest.mark.parametrize("iterations", [SMALL_T, LARGE_T])
+@pytest.mark.parametrize("name", sorted(MEMORY_STUBS))
+def test_a_sweep_point_out_of_memory_for_a_file_gets_an_error_row(tmp_path, monkeypatch, capsys, name, iterations):
+    monkeypatch.setattr(*MEMORY_STUBS[name])
+    out = tmp_path / "s"
+    assert cmd_sweep(write_config(tmp_path / "c.json", sweep_config(iterations=iterations, retain_states=True)),
+                     str(out), parallel=1) == 0
+    with open(out / "index.csv", newline="") as fh:
+        statuses = {row["digest"]: row["status"] for row in csv.DictReader(fh)}
+    assert len(statuses) == 6
+    assert statuses == {d: f"error: cannot make {out / d[:12] / name}: out of memory" for d in statuses}
+    assert capsys.readouterr().out.startswith("sweep: 6 points, 6 failed, ")
+
+
+@pytest.mark.parametrize("iterations", [SMALL_T, LARGE_T])
+def test_a_loop_key_compresses_its_states_once(tmp_path, monkeypatch, iterations):
+    raw = sweep_config(iterations=iterations, retain_states=True)
+    raw["sweep"] = {"operator.params.gamma": [0.25, 0.5], "seed": [1, 2, 3]}
+    calls, savez = [], np.savez_compressed
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "savez_compressed", lambda *a, **k: calls.append(1) or savez(*a, **k))
+        assert cmd_sweep(write_config(tmp_path / "c.json", raw), str(tmp_path / "s"), parallel=1) == 0
+    assert len(calls) == 2
+    for _, point in expand_sweep(raw):
+        cfg = from_dict(point)
+        run_to_dir(cfg, tmp_path / "lone")
+        assert (tmp_path / "s" / cfg.digest[:12] / "states.npz").read_bytes() == \
+            (tmp_path / "lone" / "states.npz").read_bytes()
+
+
+def test_a_parallel_sweep_of_large_states_writes_the_serial_sweeps_files(tmp_path):
+    path = write_config(tmp_path / "c.json", sweep_config(iterations=LARGE_T, retain_states=True, perturbation=NOISE))
+    trees = []
+    for parallel in (1, 2):
+        out = tmp_path / f"p{parallel}"
+        assert cmd_sweep(path, str(out), parallel=parallel) == 0
+        trees.append({p.name: run_files(p) if p.is_dir() else p.read_bytes() for p in out.iterdir()})
+    assert len(trees[0]) == 7 and all("states.npz" in files for name, files in trees[0].items() if name != "index.csv")
+    assert trees[1] == trees[0]
 
 
 # ---------------------------------------------------------------------------
