@@ -200,9 +200,8 @@ def _npz(trace: engine.Trace) -> bytes:
 class Loop:
     """A loop that the runs of one loop_key share: its Trace from engine.loops, without start-up facts, or its fault.
 
-    csv, the bytes of its trace.csv, entry, their manifest entry, and npz,
-    the bytes of its states.npz, are made once, by the first run that
-    writes them.  The Trace's arrays are read-only, as every run of the key
+    csv, the bytes of its trace.csv, and entry, their manifest entry, are
+    made once, by the first run that writes them.  The Trace's arrays are read-only, as every run of the key
     reads them.  A failed loop's trace is the EngineError that each run of
     the key raises after its start-up.
     """
@@ -220,10 +219,6 @@ class Loop:
     @functools.cached_property
     def entry(self) -> dict:
         return _entry(self.csv)
-
-    @functools.cached_property
-    def npz(self) -> bytes:
-        return _npz(self.trace)
 
 
 @engine.QUIET
@@ -260,13 +255,12 @@ def summarize(trace: engine.Trace, cfg: cfgmod.RunConfig) -> dict:
 
 
 @contextlib.contextmanager
-def _states_npz(trace: engine.Trace, loop: Loop | None) -> Iterator[Callable[[], bytes] | None]:
-    """None without retained states, else a function that returns the bytes of trace's states.npz (loop.npz).
+def _states_npz(trace: engine.Trace) -> Iterator[Callable[[], bytes] | None]:
+    """None without retained states, else a function that returns the bytes of trace's states.npz.
 
-    States of STATES_THREAD_BYTES or more, whose bytes are not made yet,
-    compress on a thread started here, while the with block works; the
-    block's end joins it, whether the block returns or raises, so no thread
-    outlives the block.  A block that raises before it asks drops the
+    States of STATES_THREAD_BYTES or more compress on a thread started
+    here, while the with block works; the block's end joins it, whether the
+    block returns or raises, so no thread outlives the block.  A block that raises before it asks drops the
     thread's result, an error included, as the serial writer never made
     the bytes.  Smaller states, and any where no thread can start, compress
     inline when asked.
@@ -274,8 +268,8 @@ def _states_npz(trace: engine.Trace, loop: Loop | None) -> Iterator[Callable[[],
     if trace.states is None:
         yield None
         return
-    make = functools.partial(_npz, trace) if loop is None else lambda: loop.npz
-    if trace.states.nbytes + trace.etas.nbytes < STATES_THREAD_BYTES or (loop is not None and "npz" in vars(loop)):
+    make = functools.partial(_npz, trace)
+    if trace.states.nbytes + trace.etas.nbytes < STATES_THREAD_BYTES:
         yield make
         return
     with ThreadPoolExecutor(1, "states.npz") as pool:
@@ -291,9 +285,9 @@ def run_to_dir(cfg: cfgmod.RunConfig, out_dir: Path, loop: Loop | None = None) -
 
     loop, the shared loop of cfg's loop_key, stands in for cfg's own: the
     run then makes only its start-up and its summary, and writes the loop's
-    trace.csv and states.npz bytes, or, after its start-up, raises the
-    EngineError of a failed loop, as cfg's own loop would.  manifest.json
-    hashes each file from the bytes written.
+    trace.csv bytes, or, after its start-up, raises the EngineError of a
+    failed loop, as cfg's own loop would.  manifest.json hashes each file
+    from the bytes written.
 
     The files are made in the order config.json, trace.csv, states.npz,
     summary.json, manifest.json.  Large states compress while trace.csv is
@@ -312,7 +306,7 @@ def run_to_dir(cfg: cfgmod.RunConfig, out_dir: Path, loop: Loop | None = None) -
             (out_dir / name).unlink(missing_ok=True)
     trace = engine.run(cfg) if loop is None else engine.with_start(cfg, loop.trace)
 
-    with _states_npz(trace, loop) as npz:
+    with _states_npz(trace) as npz:
         files = {"config.json": _write(out_dir / "config.json", (cfgmod.canonical_json(cfg.raw) + "\n").encode())}
         with _naming(out_dir / "trace.csv"):
             if loop is None:

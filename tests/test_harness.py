@@ -1212,7 +1212,7 @@ def test_sweep_empty_block_exit_two(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# states.npz: made once per loop key, and compressed on a thread past STATES_THREAD_BYTES
+# states.npz: compressed on a thread past STATES_THREAD_BYTES
 
 #: iterations of a dim-2 run, 32 bytes of states and etas a row, below and above the crossover
 SMALL_T, LARGE_T = 300, 3000
@@ -1356,22 +1356,6 @@ def test_a_sweep_point_out_of_memory_for_a_file_gets_an_error_row(tmp_path, monk
     assert len(statuses) == 6
     assert statuses == {d: f"error: cannot make {out / d[:12] / name}: out of memory" for d in statuses}
     assert capsys.readouterr().out.startswith("sweep: 6 points, 6 failed, ")
-
-
-@pytest.mark.parametrize("iterations", [SMALL_T, LARGE_T])
-def test_a_loop_key_compresses_its_states_once(tmp_path, monkeypatch, iterations):
-    raw = sweep_config(iterations=iterations, retain_states=True)
-    raw["sweep"] = {"operator.params.gamma": [0.25, 0.5], "seed": [1, 2, 3]}
-    calls, savez = [], np.savez_compressed
-    with monkeypatch.context() as patch:
-        patch.setattr(np, "savez_compressed", lambda *a, **k: calls.append(1) or savez(*a, **k))
-        assert cmd_sweep(write_config(tmp_path / "c.json", raw), str(tmp_path / "s"), parallel=1) == 0
-    assert len(calls) == 2
-    for _, point in expand_sweep(raw):
-        cfg = from_dict(point)
-        run_to_dir(cfg, tmp_path / "lone")
-        assert (tmp_path / "s" / cfg.digest[:12] / "states.npz").read_bytes() == \
-            (tmp_path / "lone" / "states.npz").read_bytes()
 
 
 def test_a_parallel_sweep_of_large_states_writes_the_serial_sweeps_files(tmp_path):
